@@ -35,13 +35,12 @@ from .reporting import (
     fit_rate,
     gauss_panels,
     pairing,
-    restricted_load,
     slab_gauss,
     strong_norm_diff,
     write_csv,
 )
 from .solver import EvolutionProblem, solve_evolution
-from .spaces import build_space, collocated_mass
+from .spaces import build_space, collocated_mass, restricted_load
 from .timequad import TimeGrid
 
 __all__ = [

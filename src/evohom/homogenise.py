@@ -29,11 +29,10 @@ from .fields import (
     Constant,
     Field,
     RegionIndicator,
-    Separable2D,
     StripeIndicator,
     as_field,
 )
-from .laws import MaterialLaw, MemoryTerm
+from .laws import MaterialLaw, MemoryTerm, _omega1_2d
 
 __all__ = [
     "EffectiveTensor",
@@ -539,11 +538,6 @@ def schur_distance(a, b, split=None, probes=None):
 # ---------------------------------------------------------------------------
 # Limit-law registry
 # ---------------------------------------------------------------------------
-
-
-def _omega1_2d():
-    box = RegionIndicator(-1.0, 1.0)
-    return Separable2D([(box, box)])
 
 
 def build_limit_law(example_id, *, eps0=1.0, mu0=1.0, eps=1.0, mu=1.0, sigma=1.0):

@@ -43,20 +43,17 @@ class Mesh1D:
         return float(self.boundaries[ci]), float(self.boundaries[ci + 1])
 
     def cell_containing(self, x):
-        """Index of the cell containing x (right-closed at the last cell)."""
-        idx = int(np.searchsorted(self.boundaries, x, side="right")) - 1
-        return min(max(idx, 0), self.ncells - 1)
+        """Index of the cell containing x (scalar or array).
+
+        Cells are half-open [b_i, b_{i+1}); the last one is closed, and points
+        outside the span are clamped to the first or last cell.
+        """
+        idx = np.searchsorted(self.boundaries, x, side="right") - 1
+        idx = np.clip(idx, 0, self.ncells - 1)
+        return int(idx) if idx.ndim == 0 else idx
 
     def has_boundary_at(self, x, tol=_ALIGN_TOL):
         return bool(np.any(np.abs(self.boundaries - x) <= tol))
-
-    def union(self, other):
-        merged = np.union1d(self.boundaries, other.boundaries)
-        keep = [merged[0]]
-        for p in merged[1:]:
-            if p - keep[-1] > _ALIGN_TOL:
-                keep.append(p)
-        return Mesh1D(np.asarray(keep))
 
     def __repr__(self):
         a, b = self.span

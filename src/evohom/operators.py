@@ -51,7 +51,6 @@ class SkewBlockOperator:
     matrix: sp.csr_matrix
     offsets: np.ndarray  # per-component DOF offsets, length ncomp+1
     couplings: dict  # (i, j) -> stored D block (the (i-row, j-col) entry)
-    decomposition: dict | None = None
 
     @property
     def ncomp(self):
@@ -81,7 +80,7 @@ def _blocks_to_matrix(blocks, offsets):
     return sp.bmat(grid, format="csr")
 
 
-def assemble_skew_operator(structure, spaces, decomposition=None):
+def assemble_skew_operator(structure, spaces):
     """Assemble the block operator of the given structure over the spaces.
 
     ``structure`` is one of the structure names above or an example id
@@ -134,9 +133,7 @@ def assemble_skew_operator(structure, spaces, decomposition=None):
         couplings[(0, 2)] = dy
 
     matrix = _blocks_to_matrix(blocks, offsets)
-    return SkewBlockOperator(
-        matrix=matrix, offsets=offsets, couplings=couplings, decomposition=decomposition
-    )
+    return SkewBlockOperator(matrix=matrix, offsets=offsets, couplings=couplings)
 
 
 def extend_with_zero_components(op, extra_sizes):
@@ -162,7 +159,6 @@ def extend_with_zero_components(op, extra_sizes):
         matrix=matrix,
         offsets=offsets.astype(int),
         couplings=dict(op.couplings),
-        decomposition=op.decomposition,
     )
 
 

@@ -4,8 +4,12 @@ The laboratory's reported quantities are unweighted space-time L2 inner
 products over [0, T] x domain: pairings of a solution (discrete or oracle)
 against a fixed dictionary of test functions, and strong norms of
 differences against a reference.  Time integration uses per-slab Gauss
-rules of degree >= 4; space integration uses exact load vectors on the
-discrete spaces (or per-cell Gauss points for oracle callables).
+rules of degree >= 4 (:func:`slab_gauss`).  Space integration takes the one
+1-D path of :mod:`evohom.spaces`: pairings use exact load vectors
+(:func:`restricted_load`), strong norms evaluate each solution with
+:func:`eval_matrix_1d` (a Kronecker product of two for tensor spaces) at the
+Gauss points of the partition that :func:`merge_cuts` merges from the cells
+of all discrete operands, and oracle callables use composite Gauss panels.
 """
 
 import csv
@@ -16,7 +20,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .solver import EvolutionSolution
-from .spaces import TensorSpace
+from .spaces import (
+    TensorSpace,
+    coeff_values,
+    eval_matrix_1d,
+    gauss_panels,
+    merge_cuts,
+    restricted_load,
+)
 from .timequad import TimeGrid
 
 __all__ = [
@@ -24,7 +35,6 @@ __all__ = [
     "VECTOR_TEST_DICTIONARY",
     "gauss_panels",
     "slab_gauss",
-    "space_cuts",
     "restricted_load",
     "eval_matrix_1d",
     "pairing",
@@ -33,8 +43,6 @@ __all__ = [
     "ConvergenceReport",
     "write_csv",
 ]
-
-_NODE_TOL = 1e-12
 
 # Scalar test dictionary: name -> (spatial factor or None for 1, temporal
 # factor or None for 1).  The names double as CSV quantity suffixes.
@@ -58,89 +66,10 @@ VECTOR_TEST_DICTIONARY = {
 }
 
 
-def _leggauss(npts):
-    return np.polynomial.legendre.leggauss(int(npts))
-
-
-def gauss_panels(cuts, npts):
-    """Gauss points/weights of a composite rule over the partition ``cuts``."""
-    cuts = np.asarray(cuts, dtype=float)
-    gx, gw = _leggauss(npts)
-    mid = 0.5 * (cuts[:-1] + cuts[1:])[:, None]
-    half = 0.5 * np.diff(cuts)[:, None]
-    return (mid + half * gx).ravel(), (half * gw).ravel()
-
-
 def slab_gauss(grid, npts=4):
     """Per-slab Gauss nodes/weights on [0, T]: arrays of shape (M, npts)."""
-    gx, gw = _leggauss(npts)
-    pts = np.asarray(grid.t_points)
-    mid = 0.5 * (pts[:-1] + pts[1:])[:, None]
-    half = 0.5 * np.diff(pts)[:, None]
-    return mid + half * gx, half * np.broadcast_to(gw, (grid.num_slabs, npts))
-
-
-def space_cuts(space, lo=None, hi=None, extra=()):
-    """Cell partition of a 1-D space restricted to [lo, hi]."""
-    a, b = space.span
-    lo = a if lo is None else max(float(lo), a)
-    hi = b if hi is None else min(float(hi), b)
-    if hi - lo <= _NODE_TOL:
-        raise ValueError("empty restriction interval")
-    cuts = np.concatenate(
-        [
-            np.asarray([lo, hi]),
-            np.asarray(space.boundaries_within(lo, hi), dtype=float),
-            np.asarray(list(extra), dtype=float),
-        ]
-    )
-    cuts = np.unique(cuts)
-    cuts = cuts[(cuts >= lo - _NODE_TOL) & (cuts <= hi + _NODE_TOL)]
-    keep = [cuts[0]]
-    for p in cuts[1:]:
-        if p - keep[-1] > _NODE_TOL:
-            keep.append(p)
-    return np.asarray(keep)
-
-
-def _as_spatial(fn):
-    if fn is None:
-        return lambda x: np.ones_like(x)
-    if np.isscalar(fn):
-        c = float(fn)
-        return lambda x: np.full_like(x, c)
-    return fn
-
-
-def restricted_load(space, fn, lo=None, hi=None, npts=8):
-    """Load vector  b_i = int_{lo}^{hi} fn * space_i  (exact cell splitting)."""
-    fn = _as_spatial(fn)
-    cuts = space_cuts(space, lo, hi)
-    out = np.zeros(space.nfull)
-    gx, gw = _leggauss(npts)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (a + b)
-        ci = space.cell_containing(mid)
-        pts = mid + 0.5 * (b - a) * gx
-        w = 0.5 * (b - a) * gw * np.asarray(fn(pts), dtype=float)
-        basis = space.eval_cell(ci, pts)
-        np.add.at(out, space.cell_full_dofs(ci), basis @ w)
-    return space.P.T @ out
-
-
-def eval_matrix_1d(space, xs, deriv=0):
-    """Sparse (len(xs), ndof) point-evaluation matrix of a 1-D space."""
-    xs = np.asarray(xs, dtype=float)
-    rows, cols, vals = [], [], []
-    for ix, x in enumerate(xs):
-        ci = space.cell_containing(x)
-        basis = space.eval_cell(ci, np.asarray([x]), deriv)[:, 0]
-        dofs = space.cell_full_dofs(ci)
-        rows.extend([ix] * len(dofs))
-        cols.extend(dofs)
-        vals.extend(basis)
-    full = sp.csr_matrix((vals, (rows, cols)), shape=(len(xs), space.nfull))
-    return (full @ space.P).tocsr()
+    tq, wq = gauss_panels(grid.t_points, npts)
+    return tq.reshape(-1, npts), wq.reshape(-1, npts)
 
 
 def _slab_values(sol, component, r, tq):
@@ -209,9 +138,8 @@ def pairing(u, v, domain=None, component=0, *, grid=None, nt=4, nx=8, cells=64):
     if domain is None:
         raise ValueError("callable pairings need an explicit domain interval")
     spatial, temporal = _resolve_scalar_test(v)
-    spatial = _as_spatial(spatial)
     xs, ws = gauss_panels(np.linspace(domain[0], domain[1], int(cells) + 1), nx)
-    wsv = ws * np.asarray(spatial(xs), dtype=float)
+    wsv = ws * coeff_values(spatial, xs)
     fn = (lambda t, x: np.full_like(x, float(u))) if np.isscalar(u) else u
     tq, wq = slab_gauss(grid, nt)
     gt = _temporal_values(temporal, tq)
@@ -252,52 +180,24 @@ def _pairing_vector(u, name, domain, nt):
     return acc
 
 
-def _evaluator_1d(obj, component, xs):
-    """Return fn(t) -> values at xs for a solution/callable/constant."""
+def _evaluator(obj, component, pts, emat):
+    """Return fn(ts) -> values of obj at the points (rows) and times ts (columns).
+
+    ``obj`` is a solution (evaluated through ``emat(space)``), a callable
+    ``obj(t, *pts)`` or a constant.
+    """
     if isinstance(obj, EvolutionSolution):
-        space = obj.problem.spaces[component]
-        if isinstance(space, TensorSpace):
-            raise ValueError("incompatible components: expected a 1-D space")
-        emat = eval_matrix_1d(space, xs)
+        e = emat(obj.problem.spaces[component])
         sl = obj.problem.component_slice(component)
-        return lambda t: emat @ obj.coefficient_at(t)[sl]
+        return lambda ts: e @ np.stack(
+            [obj.coefficient_at(t)[sl] for t in ts], axis=1
+        )
     if np.isscalar(obj):
-        const = np.full(len(xs), float(obj))
-        return lambda t: const
-    return lambda t: np.asarray(obj(t, xs), dtype=float)
-
-
-def _evaluator_2d(obj, component, xs, ys):
-    if isinstance(obj, EvolutionSolution):
-        space = obj.problem.spaces[component]
-        if not isinstance(space, TensorSpace):
-            raise ValueError("incompatible components: expected a 2-D space")
-        emat = sp.kron(
-            eval_matrix_1d(space.sx, xs), eval_matrix_1d(space.sy, ys)
-        ).tocsr()
-        sl = obj.problem.component_slice(component)
-        return lambda t: emat @ obj.coefficient_at(t)[sl]
-    if np.isscalar(obj):
-        const = np.full(len(xs) * len(ys), float(obj))
-        return lambda t: const
-    xg = np.repeat(xs, len(ys))
-    yg = np.tile(ys, len(xs))
-    return lambda t: np.asarray(obj(t, xg, yg), dtype=float)
-
-
-def _union_quad_1d(u, ref, component, subdomain, nx):
-    spaces = []
-    for obj in (u, ref):
-        if isinstance(obj, EvolutionSolution):
-            spaces.append(obj.problem.spaces[component])
-    lo, hi = (None, None) if subdomain is None else subdomain
-    cuts = None
-    for space in spaces:
-        extra = () if cuts is None else cuts
-        cuts = space_cuts(space, lo, hi, extra=extra)
-    if cuts is None:
-        raise ValueError("strong norms need at least one discrete solution")
-    return gauss_panels(cuts, nx)
+        const = np.full((pts[0].size, 1), float(obj))
+        return lambda ts: const
+    return lambda ts: np.stack(
+        [np.asarray(obj(t, *pts), dtype=float) for t in ts], axis=1
+    )
 
 
 def strong_norm_diff(u, ref, component=0, subdomain=None, *, nt=4, nx=3):
@@ -311,38 +211,38 @@ def strong_norm_diff(u, ref, component=0, subdomain=None, *, nt=4, nx=3):
     sols = [o for o in (u, ref) if isinstance(o, EvolutionSolution)]
     if not sols:
         raise ValueError("strong norms need at least one discrete solution")
-    grid = sols[0].grid
-    space0 = sols[0].problem.spaces[component]
-    for s in sols[1:]:
-        other = s.problem.spaces[component]
-        if isinstance(other, TensorSpace) != isinstance(space0, TensorSpace):
-            raise ValueError("incompatible components: 1-D vs 2-D spaces")
-    if isinstance(space0, TensorSpace):
+    spaces = [s.problem.spaces[component] for s in sols]
+    two_d = isinstance(spaces[0], TensorSpace)
+    if any(isinstance(s, TensorSpace) != two_d for s in spaces):
+        raise ValueError("incompatible components: 1-D vs 2-D spaces")
+    if two_d:
         sx, sy = (None, None) if subdomain is None else subdomain
-        xcuts = ycuts = None
-        for s in sols:
-            spc = s.problem.spaces[component]
-            xcuts = space_cuts(
-                spc.sx, *(sx or (None, None)), extra=() if xcuts is None else xcuts
-            )
-            ycuts = space_cuts(
-                spc.sy, *(sy or (None, None)), extra=() if ycuts is None else ycuts
-            )
+        xcuts = merge_cuts([s.sx for s in spaces], *(sx or (None, None)))
+        ycuts = merge_cuts([s.sy for s in spaces], *(sy or (None, None)))
         xs, wx = gauss_panels(xcuts, nx)
         ys, wy = gauss_panels(ycuts, nx)
         ws = np.kron(wx, wy)
-        fu = _evaluator_2d(u, component, xs, ys)
-        fr = _evaluator_2d(ref, component, xs, ys)
+        pts = (np.repeat(xs, ys.size), np.tile(ys, xs.size))
+
+        def emat(space):
+            return sp.kron(
+                eval_matrix_1d(space.sx, xs), eval_matrix_1d(space.sy, ys)
+            ).tocsr()
+
     else:
-        xs, ws = _union_quad_1d(u, ref, component, subdomain, nx)
-        fu = _evaluator_1d(u, component, xs)
-        fr = _evaluator_1d(ref, component, xs)
-    tq, wq = slab_gauss(grid, nt)
+        xs, ws = gauss_panels(merge_cuts(spaces, *(subdomain or (None, None))), nx)
+        pts = (xs,)
+
+        def emat(space):
+            return eval_matrix_1d(space, xs)
+
+    fu = _evaluator(u, component, pts, emat)
+    fr = _evaluator(ref, component, pts, emat)
+    tq, wq = slab_gauss(sols[0].grid, nt)
     acc = 0.0
     for m in range(tq.shape[0]):
-        for q in range(tq.shape[1]):
-            d = fu(tq[m, q]) - fr(tq[m, q])
-            acc += wq[m, q] * float(np.dot(ws, d * d))
+        d = fu(tq[m]) - fr(tq[m])
+        acc += float(wq[m] @ (ws @ (d * d)))
     return math.sqrt(max(acc, 0.0))
 
 

@@ -20,7 +20,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .operators import assemble_law_masses
-from .spaces import TensorSpace, evaluate1d, evaluate2d
 from .timequad import TRACE_LEFT, TimeGrid, build_radau_rule, temporal_matrices
 
 
@@ -183,16 +182,3 @@ def solve_evolution(problem):
         prev = problem.m0mat @ (coeffs[m - 1, 0] + coeffs[m - 1, 1])
     return EvolutionSolution(problem, coeffs)
 
-
-def evaluate_solution(sol, t, points):
-    """Per-component point values at time t (right-continuous in t)."""
-    vec = sol.coefficient_at(t)
-    problem = sol.problem
-    out = []
-    for i, space in enumerate(problem.spaces):
-        ci = vec[problem.component_slice(i)]
-        if isinstance(space, TensorSpace):
-            out.append(evaluate2d(space, ci, points))
-        else:
-            out.append(evaluate1d(space, ci, points))
-    return out

@@ -1,15 +1,16 @@
 """Discrete spaces on interval and tensor meshes, with Gram/load assembly.
 
-Line spaces come in three kinds:
+A line space (:class:`LineSpace`) holds piecewise polynomials of degree k on
+a :class:`Mesh1D`, each cell carrying the Lagrange basis through fixed
+reference nodes.  The two kinds differ only in those nodes and in how many
+degrees of freedom neighbouring cells share:
 
-* :class:`NodalLineSpace` — H1-conforming Lagrange elements of degree k,
-  optionally periodic or with point constraints (zero value at listed nodes);
-* :class:`GaussLineSpace` — discontinuous elements of degree k collocated at
-  the (k+1)-point Gauss nodes of each cell, so the unweighted mass matrix is
-  exactly diagonal;
-* :class:`CompositeLineSpace` — concatenation of line spaces on abutting
-  subintervals (used for problems whose operator changes character at an
-  interior point).
+* :class:`NodalLineSpace` — H1-conforming Lagrange elements (equispaced
+  nodes, end nodes shared), optionally periodic or with point constraints
+  (zero value at listed nodes);
+* :class:`GaussLineSpace` — discontinuous elements collocated at the
+  (k+1)-point Gauss nodes of each cell (nothing shared), so the unweighted
+  mass matrix is exactly diagonal.
 
 Constraints are realised by a sparse prolongation ``P`` from constrained
 degrees of freedom to unconstrained nodal values; all assembled forms are
@@ -17,10 +18,20 @@ degrees of freedom to unconstrained nodal values; all assembled forms are
 x-major degree-of-freedom ordering, and 2-D forms with separable coefficients
 assemble as Kronecker sums of 1-D weighted Grams.
 
-Quadrature: per (union-)cell Gauss rules with at least 4 points and enough
-points to integrate the polynomial integrand exactly; piecewise-constant
-coefficients are split along their breakpoints, so they are integrated
-exactly as well.
+Every 1-D integral and point value goes through one path:
+
+* :func:`merge_cuts` partitions an interval by the cell boundaries of the
+  spaces involved and the breakpoints of the coefficient;
+* :func:`gauss_panels` puts a Gauss rule (:func:`gauss_rule`) on each piece;
+* :meth:`Mesh1D.cell_containing` finds the cell of each point (or piece) and
+  :meth:`LineSpace.eval_cell` evaluates that cell's basis there.
+
+:func:`eval_matrix_1d` assembles these values into a sparse point-evaluation
+matrix; :func:`gram1d` and :func:`restricted_load` (the one load builder,
+on the whole span or a sub-interval) sum them against the panel weights
+piece by piece.  Each piece gets at least 4 points and enough to integrate
+the polynomial integrand exactly; since pieces end at the coefficient's
+breakpoints, piecewise-polynomial coefficients are integrated exactly too.
 """
 
 from __future__ import annotations
@@ -67,36 +78,39 @@ class _LagrangeBasis:
 
 
 class LineSpace:
-    """Common interface of the 1-D spaces (see module docstring)."""
+    """Piecewise polynomials of one degree on a :class:`Mesh1D`.
 
-    span = (0.0, 1.0)
-    degree = 1
-    nfull = 0  # unconstrained DOFs
-    P = None  # (nfull, ndof) prolongation
+    Each cell carries the Lagrange basis through ``ref_nodes`` on [0, 1].
+    Cell ``c`` owns the unconstrained DOFs ``c*stride ... c*stride + k``, so
+    neighbouring cells share ``k + 1 - stride`` of them.
+    """
+
+    def __init__(self, mesh, degree, ref_nodes, stride):
+        self.mesh = mesh if isinstance(mesh, Mesh1D) else Mesh1D(mesh)
+        self.degree = int(degree)
+        self.basis = _LagrangeBasis(ref_nodes)
+        self.span = self.mesh.span
+        self.stride = int(stride)
+        self.nfull = self.mesh.ncells * self.stride + self.basis.size - self.stride
 
     @property
     def ndof(self):
         return self.P.shape[1]
 
-    @property
-    def ncells(self):
-        raise NotImplementedError
-
-    def cell_bounds(self, ci):
-        raise NotImplementedError
-
     def cell_full_dofs(self, ci):
-        raise NotImplementedError
-
-    def cell_containing(self, x):
-        raise NotImplementedError
-
-    def boundaries_within(self, lo, hi):
-        raise NotImplementedError
+        """Unconstrained DOFs of cell ci (one cell, or an array of cells)."""
+        return np.asarray(ci)[..., None] * self.stride + np.arange(self.basis.size)
 
     def eval_cell(self, ci, xs, deriv=0):
-        """Local basis values at global points xs: (nlocal, npts)."""
-        raise NotImplementedError
+        """Local basis values at global points xs: (nlocal, npts).
+
+        ``ci`` is one cell for all points or one cell per point.
+        """
+        b = self.mesh.boundaries
+        ci = np.asarray(ci)
+        h = b[ci + 1] - b[ci]
+        t = (np.asarray(xs, dtype=float) - b[ci]) / h
+        return self.basis.eval(t, deriv) / h**deriv
 
     def mass(self, coeff=None):
         return gram1d(self, self, coeff=coeff)
@@ -108,12 +122,8 @@ class NodalLineSpace(LineSpace):
     def __init__(self, mesh, degree=1, periodic=False, constraints=()):
         if degree < 1:
             raise ValueError("nodal line spaces need degree >= 1")
-        self.mesh = mesh if isinstance(mesh, Mesh1D) else Mesh1D(mesh)
-        self.degree = int(degree)
-        self.basis = _LagrangeBasis(np.linspace(0.0, 1.0, self.degree + 1))
-        self.span = self.mesh.span
+        super().__init__(mesh, degree, np.linspace(0.0, 1.0, degree + 1), degree)
         k, nc = self.degree, self.mesh.ncells
-        self.nfull = nc * k + 1
         self.periodic = bool(periodic)
         node_x = np.empty(self.nfull)
         for c in range(nc):
@@ -142,29 +152,6 @@ class NodalLineSpace(LineSpace):
                 shape=(self.nfull, len(keep)),
             )
 
-    @property
-    def ncells(self):
-        return self.mesh.ncells
-
-    def cell_bounds(self, ci):
-        return self.mesh.cell_bounds(ci)
-
-    def cell_full_dofs(self, ci):
-        k = self.degree
-        return np.arange(ci * k, (ci + 1) * k + 1)
-
-    def cell_containing(self, x):
-        return self.mesh.cell_containing(x)
-
-    def boundaries_within(self, lo, hi):
-        b = self.mesh.boundaries
-        return b[(b >= lo - _NODE_TOL) & (b <= hi + _NODE_TOL)]
-
-    def eval_cell(self, ci, xs, deriv=0):
-        a, b = self.mesh.cell_bounds(ci)
-        t = (np.asarray(xs, dtype=float) - a) / (b - a)
-        return self.basis.eval(t, deriv) / (b - a) ** deriv
-
 
 class GaussLineSpace(LineSpace):
     """Discontinuous elements collocated at per-cell Gauss nodes."""
@@ -172,95 +159,13 @@ class GaussLineSpace(LineSpace):
     def __init__(self, mesh, degree=0):
         if degree < 0:
             raise ValueError("discontinuous line spaces need degree >= 0")
-        self.mesh = mesh if isinstance(mesh, Mesh1D) else Mesh1D(mesh)
-        self.degree = int(degree)
-        ref_nodes, ref_w = gauss_rule(self.degree + 1)
-        self.basis = _LagrangeBasis(ref_nodes)
-        self.span = self.mesh.span
-        nloc, nc = self.degree + 1, self.mesh.ncells
-        self.nfull = nc * nloc
+        ref_nodes, ref_w = gauss_rule(degree + 1)
+        super().__init__(mesh, degree, ref_nodes, degree + 1)
         self.P = sp.identity(self.nfull, format="csr")
         widths = self.mesh.widths
         lefts = self.mesh.boundaries[:-1]
         self.nodes_global = (lefts[:, None] + widths[:, None] * ref_nodes[None, :]).ravel()
         self.weights_global = (widths[:, None] * ref_w[None, :]).ravel()
-
-    @property
-    def ncells(self):
-        return self.mesh.ncells
-
-    def cell_bounds(self, ci):
-        return self.mesh.cell_bounds(ci)
-
-    def cell_full_dofs(self, ci):
-        nloc = self.degree + 1
-        return np.arange(ci * nloc, (ci + 1) * nloc)
-
-    def cell_containing(self, x):
-        return self.mesh.cell_containing(x)
-
-    def boundaries_within(self, lo, hi):
-        b = self.mesh.boundaries
-        return b[(b >= lo - _NODE_TOL) & (b <= hi + _NODE_TOL)]
-
-    def eval_cell(self, ci, xs, deriv=0):
-        a, b = self.mesh.cell_bounds(ci)
-        t = (np.asarray(xs, dtype=float) - a) / (b - a)
-        return self.basis.eval(t, deriv) / (b - a) ** deriv
-
-
-class CompositeLineSpace(LineSpace):
-    """Concatenation of line spaces on abutting subintervals."""
-
-    def __init__(self, parts):
-        parts = list(parts)
-        if not parts:
-            raise ValueError("composite space needs at least one part")
-        for left, right in zip(parts, parts[1:]):
-            if abs(left.span[1] - right.span[0]) > _NODE_TOL:
-                raise ValueError("composite parts must abut")
-        self.parts = parts
-        self.span = (parts[0].span[0], parts[-1].span[1])
-        self.degree = max(p.degree for p in parts)
-        self.nfull = sum(p.nfull for p in parts)
-        self.P = sp.block_diag([p.P for p in parts], format="csr")
-        self._cell_offsets = np.cumsum([0] + [p.ncells for p in parts])
-        self._full_offsets = np.cumsum([0] + [p.nfull for p in parts])
-        dof_offsets = np.cumsum([0] + [p.ndof for p in parts])
-        self.part_slices = [
-            slice(int(a), int(b)) for a, b in zip(dof_offsets, dof_offsets[1:])
-        ]
-
-    @property
-    def ncells(self):
-        return int(self._cell_offsets[-1])
-
-    def _locate(self, ci):
-        pi = int(np.searchsorted(self._cell_offsets, ci, side="right")) - 1
-        pi = min(max(pi, 0), len(self.parts) - 1)
-        return pi, ci - int(self._cell_offsets[pi])
-
-    def cell_bounds(self, ci):
-        pi, local = self._locate(ci)
-        return self.parts[pi].cell_bounds(local)
-
-    def cell_full_dofs(self, ci):
-        pi, local = self._locate(ci)
-        return self.parts[pi].cell_full_dofs(local) + int(self._full_offsets[pi])
-
-    def cell_containing(self, x):
-        for pi, part in enumerate(self.parts):
-            if x <= part.span[1] or pi == len(self.parts) - 1:
-                return part.cell_containing(x) + int(self._cell_offsets[pi])
-        raise AssertionError
-
-    def boundaries_within(self, lo, hi):
-        vals = np.concatenate([p.boundaries_within(lo, hi) for p in self.parts])
-        return np.unique(vals)
-
-    def eval_cell(self, ci, xs, deriv=0):
-        pi, local = self._locate(ci)
-        return self.parts[pi].eval_cell(local, xs, deriv)
 
 
 def _coeff_pieces(coeff):
@@ -276,22 +181,69 @@ def _coeff_pieces(coeff):
     raise TypeError(f"unsupported coefficient {coeff!r}")
 
 
-def _union_cuts(row, col, lo, hi, extra):
-    cuts = np.concatenate(
-        [
-            np.asarray([lo, hi]),
-            row.boundaries_within(lo, hi),
-            col.boundaries_within(lo, hi) if col is not None else np.empty(0),
-            np.asarray(list(extra), dtype=float),
-        ]
+def coeff_values(coeff, xs):
+    """Values of a 1-D coefficient (None, scalar, Field or callable) at xs."""
+    scale, fn, _ = _coeff_pieces(coeff)
+    vals = np.full(np.shape(xs), scale)
+    return vals if fn is None else vals * np.asarray(fn(xs), dtype=float)
+
+
+def merge_cuts(spaces, lo=None, hi=None, extra=()):
+    """Partition of [lo, hi] by the cell boundaries of ``spaces`` and ``extra``.
+
+    ``lo`` and ``hi`` default to, and are clipped to, the common span of the
+    spaces.  Points closer than the node tolerance are merged.
+    """
+    lo = max([s.span[0] for s in spaces] + ([] if lo is None else [float(lo)]))
+    hi = min([s.span[1] for s in spaces] + ([] if hi is None else [float(hi)]))
+    if hi - lo <= _NODE_TOL:
+        raise ValueError("empty restriction interval")
+    pts = np.concatenate(
+        [s.mesh.boundaries for s in spaces] + [np.asarray(extra, dtype=float).ravel()]
     )
-    cuts = np.unique(cuts)
-    cuts = cuts[(cuts >= lo - _NODE_TOL) & (cuts <= hi + _NODE_TOL)]
-    keep = [cuts[0]]
-    for p in cuts[1:]:
-        if p - keep[-1] > _NODE_TOL:
-            keep.append(p)
-    return np.asarray(keep)
+    pts = np.unique(pts[(pts > lo + _NODE_TOL) & (pts < hi - _NODE_TOL)])
+    pts = pts[np.diff(pts, prepend=-np.inf) > _NODE_TOL]
+    return np.concatenate([[lo], pts, [hi]])
+
+
+def gauss_panels(cuts, npts):
+    """Gauss points/weights of a composite rule over the partition ``cuts``."""
+    cuts = np.asarray(cuts, dtype=float)
+    ref_x, ref_w = gauss_rule(npts)
+    h = np.diff(cuts)[:, None]
+    return (cuts[:-1, None] + h * ref_x).ravel(), (h * ref_w).ravel()
+
+
+def eval_matrix_1d(space, xs, deriv=0):
+    """Sparse (len(xs), ndof) point-evaluation matrix of a 1-D space.
+
+    A point on an interior cell boundary is evaluated in the cell to its
+    right (see :meth:`Mesh1D.cell_containing`).
+    """
+    xs = np.asarray(xs, dtype=float)
+    cells = space.mesh.cell_containing(xs)
+    vals = space.eval_cell(cells, xs, deriv)
+    full = sp.csr_matrix(
+        (
+            vals.T.ravel(),
+            space.cell_full_dofs(cells).ravel(),
+            np.arange(xs.size + 1) * vals.shape[0],
+        ),
+        shape=(xs.size, space.nfull),
+    )
+    return (full @ space.P).tocsr()
+
+
+def _piece_basis(space, cuts, xs, deriv=0):
+    """Cell of each piece of ``cuts`` and the local basis at its points.
+
+    ``xs`` holds the same number of points per piece, piece by piece.
+    Returns the cells and values of shape (nlocal, npieces, npts).
+    """
+    cells = space.mesh.cell_containing(0.5 * (cuts[:-1] + cuts[1:]))
+    npts = xs.size // cells.size
+    vals = space.eval_cell(np.repeat(cells, npts), xs, deriv)
+    return cells, vals.reshape(-1, cells.size, npts)
 
 
 def gram1d(row, col, coeff=None, drow=0, dcol=0, npts=None):
@@ -304,56 +256,41 @@ def gram1d(row, col, coeff=None, drow=0, dcol=0, npts=None):
     """
     lo = max(row.span[0], col.span[0])
     hi = min(row.span[1], col.span[1])
-    scale, fn, bp = _coeff_pieces(coeff)
+    scale, _, bp = _coeff_pieces(coeff)
     if hi <= lo + _NODE_TOL or scale == 0.0:
         return sp.csr_matrix((row.ndof, col.ndof))
     if npts is None:
         npts = max(4, (row.degree + col.degree) // 2 + 2)
-    ref_x, ref_w = gauss_rule(npts)
-    cuts = _union_cuts(row, col, lo, hi, bp(lo, hi))
-
-    rows, cols, vals = [], [], []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (a + b)
-        ri = row.cell_containing(mid)
-        ci = col.cell_containing(mid)
-        pts = a + (b - a) * ref_x
-        w = (b - a) * ref_w * scale
-        if fn is not None:
-            w = w * np.asarray(fn(pts), dtype=float)
-        br = row.eval_cell(ri, pts, drow)
-        bc = col.eval_cell(ci, pts, dcol)
-        local = np.einsum("iq,q,jq->ij", br, w, bc)
-        rd = row.cell_full_dofs(ri)
-        cd = col.cell_full_dofs(ci)
-        rows.append(np.repeat(rd, cd.size))
-        cols.append(np.tile(cd, rd.size))
-        vals.append(local.ravel())
+    cuts = merge_cuts((row, col), extra=bp(lo, hi))
+    xs, w = gauss_panels(cuts, npts)
+    w = (w * coeff_values(coeff, xs)).reshape(-1, npts)
+    ri, br = _piece_basis(row, cuts, xs, drow)
+    ci, bc = _piece_basis(col, cuts, xs, dcol)
+    # One local block per piece, summed piece by piece: integrals that cancel
+    # exactly between two cells stay exact zeros, out of the sparsity pattern.
+    local = np.einsum("ikq,kq,jkq->kij", br, w, bc)
+    rows, cols = np.broadcast_arrays(
+        row.cell_full_dofs(ri)[:, :, None], col.cell_full_dofs(ci)[:, None, :]
+    )
     g_full = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(row.nfull, col.nfull),
+        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(row.nfull, col.nfull)
     ).tocsr()
     return (row.P.T @ g_full @ col.P).tocsr()
 
 
-def load1d(space, f, deriv=0, npts=None):
-    """Load vector  b_i = int f * d^deriv(space_i)  over the space's span."""
-    lo, hi = space.span
-    scale, fn, bp = _coeff_pieces(f)
-    if npts is None:
-        npts = max(4, space.degree + 2)
-    ref_x, ref_w = gauss_rule(npts)
-    cuts = _union_cuts(space, None, lo, hi, bp(lo, hi))
+def restricted_load(space, f, lo=None, hi=None, npts=8):
+    """Load vector  b_i = int_{lo}^{hi} f * space_i  (default: the whole span).
+
+    The interval is split at the cell boundaries and at the breakpoints of a
+    :class:`Field` ``f``, so piecewise-polynomial data integrate exactly.
+    """
+    _, _, bp = _coeff_pieces(f)
+    cuts = merge_cuts([space], lo, hi, bp(*space.span))
+    xs, w = gauss_panels(cuts, npts)
+    cells, basis = _piece_basis(space, cuts, xs)
+    local = np.einsum("ikq,kq->ki", basis, (w * coeff_values(f, xs)).reshape(-1, npts))
     out = np.zeros(space.nfull)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (a + b)
-        ci = space.cell_containing(mid)
-        pts = a + (b - a) * ref_x
-        w = (b - a) * ref_w * scale
-        if fn is not None:
-            w = w * np.asarray(fn(pts), dtype=float)
-        basis = space.eval_cell(ci, pts, deriv)
-        np.add.at(out, space.cell_full_dofs(ci), basis @ w)
+    np.add.at(out, space.cell_full_dofs(cells), local)
     return space.P.T @ out
 
 
@@ -368,25 +305,8 @@ def collocated_mass(space, coeff=None):
     """
     if not isinstance(space, GaussLineSpace):
         raise TypeError("collocated masses are defined for Gauss line spaces")
-    vals = space.weights_global.copy()
-    if coeff is not None:
-        if np.isscalar(coeff):
-            vals = vals * float(coeff)
-        else:
-            vals = vals * np.asarray(coeff(space.nodes_global), dtype=float)
+    vals = space.weights_global * coeff_values(coeff, space.nodes_global)
     return sp.diags(vals, format="csr")
-
-
-def evaluate1d(space, coeffs, xs, deriv=0):
-    """Point values of a discrete function given by constrained coefficients."""
-    full = space.P @ np.asarray(coeffs)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    out = np.zeros(xs.shape, dtype=full.dtype)
-    for ix, x in enumerate(xs):
-        ci = space.cell_containing(x)
-        basis = space.eval_cell(ci, np.asarray([x]), deriv)[:, 0]
-        out[ix] = basis @ full[space.cell_full_dofs(ci)]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -431,33 +351,6 @@ def gram2d(row, col, coeff=None, drow=(0, 0), dcol=(0, 0)):
         gy = gram1d(row.sy, col.sy, coeff=fy, drow=drow[1], dcol=dcol[1])
         term = sp.kron(gx, gy, format="csr")
         out = term if out is None else out + term
-    return out
-
-
-def load2d(space, coeff):
-    """2-D load vector for a separable right-hand side."""
-    out = np.zeros(space.ndof)
-    for fx, fy in _coeff_terms_2d(coeff):
-        bx = load1d(space.sx, fx)
-        by = load1d(space.sy, fy)
-        out += np.kron(bx, by)
-    return out
-
-
-def evaluate2d(space, coeffs, points):
-    """Point values of a tensor-space function at points of shape (npts, 2)."""
-    full = space.sx.P @ (
-        np.asarray(coeffs).reshape(space.sx.ndof, space.sy.ndof) @ space.sy.P.T.toarray()
-    )
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros(pts.shape[0], dtype=full.dtype)
-    for ip, (x, y) in enumerate(pts):
-        cx = space.sx.cell_containing(x)
-        cy = space.sy.cell_containing(y)
-        bx = space.sx.eval_cell(cx, np.asarray([x]))[:, 0]
-        by = space.sy.eval_cell(cy, np.asarray([y]))[:, 0]
-        sub = full[np.ix_(space.sx.cell_full_dofs(cx), space.sy.cell_full_dofs(cy))]
-        out[ip] = bx @ sub @ by
     return out
 
 

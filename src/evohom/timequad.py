@@ -165,11 +165,6 @@ class WeightedRadauRule:
         """Apply the rule to a callable f(t)."""
         return float(np.dot(self.weights, [f(t) for t in self.nodes]))
 
-    def integrate_values(self, values):
-        """Apply the rule to values sampled at `nodes` (leading axis)."""
-        v = np.asarray(values)
-        return np.tensordot(self.weights, v, axes=(0, 0))
-
 
 def build_radau_rule(slab, rho):
     """Construct the weighted 2-point right-sided Gauss-Radau rule.

@@ -1,5 +1,6 @@
 """Tests for pairings, strong norms, rate fits, and CSV reports."""
 
+import importlib
 import math
 
 import numpy as np
@@ -277,3 +278,10 @@ class TestConvergenceReport:
             "example,n,quantity,value",
             "EX3,2,pair_u_1,2.687600000000e-02",
         ]
+
+
+@pytest.mark.parametrize("module", ["evohom.reporting", "evohom.experiments"])
+def test_export_list_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []

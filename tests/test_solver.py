@@ -15,7 +15,6 @@ from evohom.solver import (
     EvolutionProblem,
     EvolutionSolution,
     assemble_slab_system,
-    evaluate_solution,
     solve_evolution,
 )
 from evohom.spaces import (
@@ -23,8 +22,8 @@ from evohom.spaces import (
     NodalLineSpace,
     build_space,
     collocated_mass,
-    load1d,
-    load2d,
+    eval_matrix_1d,
+    restricted_load,
 )
 from evohom.timequad import TimeGrid, build_radau_rule
 
@@ -152,7 +151,7 @@ class TestOscillatingODEFamily:
         m1mat = collocated_mass(space, SineOsc(n))
         op = assemble_skew_operator("EX1", (space,))
         grid = TimeGrid.uniform(T, num_slabs)
-        b = load1d(space, 1.0)
+        b = restricted_load(space, 1.0)
         problem = EvolutionProblem(
             (space,),
             None,
@@ -293,13 +292,13 @@ class TestSolutionInterface:
             None,
             assemble_skew_operator("zero", (space,)),
             TimeGrid.uniform(1.0, 4),
-            forcing=[(lambda t: 1.0, load1d(space, 1.0))],
+            forcing=[(lambda t: 1.0, restricted_load(space, 1.0))],
             m0mat=collocated_mass(space),
             m1mat=collocated_mass(space, 0.0),
         )
         sol = solve_evolution(problem)
-        vals = evaluate_solution(sol, 0.5, np.array([0.1, 0.6]))
-        assert np.allclose(vals[0], 0.5, atol=1e-12)  # u = t, constant in x
+        vals = eval_matrix_1d(space, np.array([0.1, 0.6])) @ sol.component_at(0.5, 0)
+        assert np.allclose(vals, 0.5, atol=1e-12)  # u = t, constant in x
 
 
 class TestProblemValidation:
@@ -356,7 +355,9 @@ class TestTwoDimensionalSmoke:
         op = assemble_skew_operator("EX4", spaces)
         ndof = op.ndof
         b = np.zeros(ndof)
-        b[: su.ndof] = load2d(su, 1.0)
+        b[: su.ndof] = np.kron(
+            restricted_load(su.sx, 1.0), restricted_load(su.sy, 1.0)
+        )
         problem = EvolutionProblem(
             spaces,
             law,

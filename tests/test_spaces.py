@@ -8,19 +8,16 @@ from scipy.sparse.linalg import splu
 from evohom.fields import Constant, RegionIndicator, Separable2D, SineOsc, StripeIndicator
 from evohom.meshes import Mesh1D, TensorMesh2D, build_mesh
 from evohom.spaces import (
-    CompositeLineSpace,
     GaussLineSpace,
     NodalLineSpace,
     RTSpace,
     TensorSpace,
     build_space,
     collocated_mass,
-    evaluate1d,
-    evaluate2d,
+    eval_matrix_1d,
     gram1d,
     gram2d,
-    load1d,
-    load2d,
+    restricted_load,
 )
 
 
@@ -53,12 +50,15 @@ class TestBuildMesh:
                 ((-2.0, 2.0), (-2.0, 2.0)), (16, 40), alignment=2, osc_region=(-1.0, 1.0)
             )
 
-    def test_union(self):
-        a = Mesh1D(np.linspace(0, 1, 5))
-        b = Mesh1D([0.0, 0.3, 1.0])
-        u = a.union(b)
-        assert u.ncells == 5  # {0, 1/4, 0.3, 1/2, 3/4, 1}
-        assert u.has_boundary_at(0.3)
+    def test_cell_containing_array(self):
+        mesh = Mesh1D([0.0, 0.5, 1.0, 2.0])
+        xs = np.array([-1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+        cells = mesh.cell_containing(xs)
+        # right-closed: a boundary belongs to the cell on its right, the
+        # right end to the last cell; outside points are clamped
+        assert cells.tolist() == [0, 0, 0, 1, 2, 2, 2, 2]
+        assert cells.tolist() == [mesh.cell_containing(float(x)) for x in xs]
+        assert isinstance(mesh.cell_containing(0.75), int)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -122,10 +122,10 @@ class TestLineSpaces:
     def test_load_partition_of_unity(self):
         mesh = build_mesh((0.0, 1.0), 10)
         space = NodalLineSpace(mesh, 1)
-        b = load1d(space, SineOsc(1).__call__)
+        b = restricted_load(space, SineOsc(1).__call__)
         # sum of loads = integral of sin(2 pi x) = 0
         assert np.sum(b) == pytest.approx(0.0, abs=1e-12)
-        b2 = load1d(space, lambda x: np.sin(np.pi * x))
+        b2 = restricted_load(space, lambda x: np.sin(np.pi * x))
         assert np.sum(b2) == pytest.approx(2.0 / np.pi, rel=1e-9)
 
     def test_evaluate_linear_exact(self):
@@ -133,8 +133,57 @@ class TestLineSpaces:
         space = NodalLineSpace(mesh, 1)
         coeffs = space.node_positions.copy()  # interpolates f(x) = x
         xs = np.array([0.1, 0.77, 1.5, 2.0])
-        assert np.allclose(evaluate1d(space, coeffs, xs), xs)
-        assert np.allclose(evaluate1d(space, coeffs, xs, deriv=1), 1.0)
+        assert np.allclose(eval_matrix_1d(space, xs) @ coeffs, xs)
+        assert np.allclose(eval_matrix_1d(space, xs, deriv=1) @ coeffs, 1.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda m: NodalLineSpace(m, 2),
+            lambda m: GaussLineSpace(m, 1),
+            lambda m: NodalLineSpace(m, 1, periodic=True),
+            lambda m: NodalLineSpace(m, 1, constraints=(0.0,)),
+        ],
+        ids=["nodal-p2", "gauss-p1", "periodic", "constrained"],
+    )
+    @pytest.mark.parametrize("deriv", [0, 1])
+    def test_eval_matrix_at_cell_boundaries(self, make, deriv):
+        # at every mesh boundary (interior ones and both ends) and at random
+        # interior points, the value is that of the polynomial of the cell
+        # Mesh1D.cell_containing picks, rebuilt per point by interpolating
+        # the cell's nodal values
+        mesh = Mesh1D([0.0, 0.2, 0.5, 0.6, 1.0])
+        space = make(mesh)
+        rng = np.random.default_rng(7)
+        coeffs = rng.standard_normal(space.ndof)
+        full = space.P @ coeffs
+        nodes = getattr(space, "node_positions", None)
+        if nodes is None:
+            nodes = space.nodes_global
+        xs = np.concatenate([mesh.boundaries, rng.uniform(0.0, 1.0, 5)])
+        got = eval_matrix_1d(space, xs, deriv=deriv) @ coeffs
+        for x, value in zip(xs, got):
+            dofs = space.cell_full_dofs(mesh.cell_containing(x))
+            poly = np.polynomial.Polynomial.fit(nodes[dofs], full[dofs], len(dofs) - 1)
+            assert value == pytest.approx(poly.deriv(deriv)(x), rel=1e-11, abs=1e-11)
+
+    def test_restricted_load_unaligned_stripe_exact(self):
+        # the load builder splits cells at the stripe's breakpoints inside a
+        # sub-interval that is itself not aligned with the mesh
+        space = NodalLineSpace(build_mesh((0.0, 1.0), 3), 1)
+        b = restricted_load(space, StripeIndicator(2), 0.1, 0.9)
+        # the stripe is 1 on [0, 1/4) and [1/2, 3/4)
+        assert np.sum(b) == pytest.approx(0.15 + 0.25, rel=1e-13)
+        moment = (0.25**2 - 0.1**2) / 2 + (0.75**2 - 0.5**2) / 2
+        assert b @ space.node_positions == pytest.approx(moment, rel=1e-13)
+
+    def test_region_weighted_gram_vanishes_off_region(self):
+        space = NodalLineSpace(build_mesh((-1.0, 1.0), 8), 1)
+        g = gram1d(space, space, coeff=RegionIndicator(-1.0, 0.0)).toarray()
+        # the hat functions of the nodes 0.25 .. 1 live in [0, 1], off [-1, 0)
+        assert np.max(np.abs(g[5:, :])) == 0.0
+        assert np.max(np.abs(g[:, 5:])) == 0.0
+        assert g[:5, :5].sum() == pytest.approx(1.0, rel=1e-13)
 
     def test_collocated_mass_samples_nodes(self):
         mesh = build_mesh((0.0, 1.0), 10)
@@ -158,42 +207,6 @@ class TestLineSpaces:
             splu(m)  # factorises only if nonsingular
             eigs = np.linalg.eigvalsh(m.toarray())
             assert eigs.min() > 0.0
-
-
-class TestCompositeSpace:
-    def _space(self):
-        left = NodalLineSpace(build_mesh((-1.0, 0.0), 4), 1, constraints=(0.0,))
-        right = GaussLineSpace(build_mesh((0.0, 1.0), 3), 0)
-        return CompositeLineSpace([left, right])
-
-    def test_layout(self):
-        space = self._space()
-        assert space.ndof == 4 + 3
-        assert space.span == (-1.0, 1.0)
-        assert space.part_slices[0] == slice(0, 4)
-        assert space.part_slices[1] == slice(4, 7)
-
-    def test_parts_must_abut(self):
-        left = NodalLineSpace(build_mesh((-1.0, 0.0), 2), 1)
-        right = GaussLineSpace(build_mesh((0.5, 1.0), 2), 0)
-        with pytest.raises(ValueError, match="abut"):
-            CompositeLineSpace([left, right])
-
-    def test_region_weighted_gram_vanishes_off_region(self):
-        space = self._space()
-        g = gram1d(space, space, coeff=RegionIndicator(-1.0, 0.0)).toarray()
-        assert np.max(np.abs(g[4:, :])) == 0.0
-        assert np.max(np.abs(g[:, 4:])) == 0.0
-        assert g[:4, :4].sum() > 0.0
-
-    def test_evaluate_dispatch(self):
-        space = self._space()
-        coeffs = np.zeros(space.ndof)
-        coeffs[4:] = 2.0
-        vals = evaluate1d(space, coeffs, np.array([-0.5, 0.25, 0.75]))
-        assert vals[0] == pytest.approx(0.0)
-        assert vals[1] == pytest.approx(2.0)
-        assert vals[2] == pytest.approx(2.0)
 
 
 class TestTensorSpaces:
@@ -235,8 +248,9 @@ class TestTensorSpaces:
     def test_load2d_total(self):
         mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), (3, 3))
         q = build_space(mesh, "q", 1)
-        f = Separable2D([(Constant(2.0), Constant(1.0))])
-        b = load2d(q, f)
+        b = np.kron(
+            restricted_load(q.sx, Constant(2.0)), restricted_load(q.sy, Constant(1.0))
+        )
         assert np.sum(b) == pytest.approx(2.0, rel=1e-13)
 
     def test_evaluate2d_bilinear_exact(self):
@@ -245,9 +259,11 @@ class TestTensorSpaces:
         nx = q.sx.node_positions
         ny = q.sy.node_positions
         coeffs = (nx[:, None] * (2.0 + ny[None, :])).ravel()
-        pts = np.array([[0.3, 0.4], [0.9, 1.7], [0.5, 2.0]])
-        expected = pts[:, 0] * (2.0 + pts[:, 1])
-        assert np.allclose(evaluate2d(q, coeffs, pts), expected)
+        xs = np.array([0.3, 0.5, 0.9])
+        ys = np.array([0.4, 1.7, 2.0])
+        emat = sp.kron(eval_matrix_1d(q.sx, xs), eval_matrix_1d(q.sy, ys))
+        expected = np.kron(xs, 2.0 + ys)
+        assert np.allclose(emat @ coeffs, expected)
 
     def test_unsupported_families(self):
         mesh1 = build_mesh((0.0, 1.0), 2)
