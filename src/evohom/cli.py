@@ -28,8 +28,6 @@ from .analytic import (
     series_material_law,
 )
 from .experiments import (
-    DEFAULT_N_LISTS,
-    EXAMPLES,
     ExperimentSpec,
     build_run,
     convergence_sweep,

@@ -13,10 +13,9 @@ and subdomain; fitted log-log rates are appended as n = 0 rows.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .analytic import i0_antiderivative, ode_exact, ode_hom_exact
 from .fields import Constant, SineOsc
@@ -29,13 +28,9 @@ from .operators import (
     extend_with_zero_components,
 )
 from .reporting import (
-    TEST_DICTIONARY_1D,
-    VECTOR_TEST_DICTIONARY,
     ConvergenceReport,
     fit_rate,
-    gauss_panels,
     pairing,
-    slab_gauss,
     strong_norm_diff,
     write_csv,
 )
@@ -64,6 +59,10 @@ DEFAULT_N_LISTS = {
 }
 
 _SCALAR_TESTS = ("1", "x", "x2", "sinpix", "t")
+# The periodic pair's v is not paired against "1" and "t": the periodic skew
+# coupling conserves the mean of v, which starts at 0 and is not forced, so
+# both pairings vanish in exact arithmetic and would report roundoff.
+_EX2_TESTS = ((0, "u", _SCALAR_TESTS), (1, "v", ("x", "x2", "sinpix")))
 # The interface family pairs against the spatial tests on each half
 # separately (the temporal ramp test belongs to the single-component
 # family, whose dictionary is the model for "the same in x").
@@ -278,17 +277,15 @@ def solution_norms(sol):
 
 
 def _prepare_ex1(spec, level=0):
+    def hom(t, xs):
+        return np.full(np.shape(xs), ode_hom_exact(t))
+
     grid = spec.grid()
-    tq, wq = slab_gauss(grid, 4)
-    hom = ode_hom_exact(tq.ravel()).reshape(tq.shape)
-    xs, ws = gauss_panels(np.linspace(0.0, 1.0, 65), 8)
-    ref_pair = {}
-    for name in _SCALAR_TESTS:
-        spatial, temporal = TEST_DICTIONARY_1D[name]
-        gt = np.ones_like(tq) if temporal is None else temporal(tq)
-        sx = np.ones_like(xs) if spatial is None else spatial(xs)
-        ref_pair[name] = float(np.sum(wq * gt * hom)) * float(np.dot(ws, sx))
-    return {"grid": grid, "ref_pair": ref_pair}
+    ref_pair = {
+        name: pairing(hom, name, domain=(0.0, 1.0), grid=grid, cells=64)
+        for name in _SCALAR_TESTS
+    }
+    return {"ref_pair": ref_pair}
 
 
 def _item_ex1(spec, ctx, n):
@@ -310,19 +307,12 @@ def oracle_pairing_series(n_list, name="x", *, T=2.0, slabs=64, cells=None):
     the spatial rule resolves the oscillation (>= 8 cells per period).
     """
     grid = TimeGrid.uniform(float(T), int(slabs))
-    spatial, temporal = TEST_DICTIONARY_1D[name]
     out = []
     for n in n_list:
         n = int(n)
         ncell = int(cells) if cells is not None else max(64, 8 * n)
         diff = lambda t, x, _n=n: ode_exact(_n, t, x) - ode_hom_exact(t)
-        val = pairing(
-            diff,
-            (spatial, temporal),
-            domain=(0.0, 1.0),
-            grid=grid,
-            cells=ncell,
-        )
+        val = pairing(diff, name, domain=(0.0, 1.0), grid=grid, cells=ncell)
         out.append((n, abs(val)))
     return out
 
@@ -347,8 +337,8 @@ def _prepare_ex2(spec, level=0):
     )
     ref_pair = {
         (k, name): pairing(ref, name, component=k)
-        for k in (0, 1)
-        for name in _SCALAR_TESTS
+        for k, _, names in _EX2_TESTS
+        for name in names
     }
     return {"ref": ref, "ref_pair": ref_pair}
 
@@ -358,8 +348,8 @@ def _item_ex2(spec, ctx, n):
         _run_ex2(n, spec.degree, spec.slabs, spec.rho, spec.T)
     )
     rows = []
-    for comp, tag in ((0, "u"), (1, "v")):
-        for name in _SCALAR_TESTS:
+    for comp, tag, names in _EX2_TESTS:
+        for name in names:
             val = abs(
                 pairing(sol, name, component=comp) - ctx["ref_pair"][(comp, name)]
             )
@@ -391,7 +381,6 @@ def _ex3_plain_limit():
 
 
 def _prepare_ex3(spec, level=0):
-    grid = spec.grid()
     ncell = 320 if level == 0 else 160
     mesh = build_mesh((-1.0, 1.0), ncell)
     ref = solve_evolution(
@@ -399,37 +388,29 @@ def _prepare_ex3(spec, level=0):
             mesh, spec.degree + 1, _ex3_plain_limit(), spec.slabs, spec.rho, spec.T
         )
     )
-    tq, wq = slab_gauss(grid, 4)
-    hom_u = ode_hom_exact(tq.ravel(), source=_sin2pit).reshape(tq.shape)
-    hom_w = i0_antiderivative(tq.ravel()).reshape(tq.shape)
-    u_table = {float(t): float(v) for t, v in zip(tq.ravel(), hom_u.ravel())}
+    # The convolution needs adaptive quadrature at every time, and every
+    # pairing and strong norm of the sweep asks for the same slab-Gauss times.
+    u_table = {}
 
     def u_right(t, xs):
-        val = u_table.get(float(t))
-        if val is None:
-            val = float(ode_hom_exact(float(t), source=_sin2pit))
-        return np.full(np.shape(xs), val)
+        t = float(t)
+        if t not in u_table:
+            u_table[t] = float(ode_hom_exact(t, source=_sin2pit))
+        return np.full(np.shape(xs), u_table[t])
 
     def v_right(t, xs):
         return (np.asarray(xs) - 0.5) * float(i0_antiderivative(float(t)))
 
-    xs, ws = gauss_panels(np.linspace(0.0, 1.0, 33), 8)
+    grid = spec.grid()
     ref_pair = {}
     for name in _EX3_TESTS:
-        spatial, _ = TEST_DICTIONARY_1D[name]
-        sx = np.ones_like(xs) if spatial is None else spatial(xs)
-        ref_pair[(0, "left", name)] = pairing(
-            ref, name, domain=(-1.0, 0.0), component=0
-        )
-        ref_pair[(1, "left", name)] = pairing(
-            ref, name, domain=(-1.0, 0.0), component=1
-        )
-        ref_pair[(0, "right", name)] = float(np.sum(wq * hom_u)) * float(
-            np.dot(ws, sx)
-        )
-        ref_pair[(1, "right", name)] = float(np.sum(wq * hom_w)) * float(
-            np.dot(ws, (xs - 0.5) * sx)
-        )
+        for k, right in ((0, u_right), (1, v_right)):
+            ref_pair[(k, "left", name)] = pairing(
+                ref, name, domain=(-1.0, 0.0), component=k
+            )
+            ref_pair[(k, "right", name)] = pairing(
+                right, name, domain=(0.0, 1.0), grid=grid, cells=32
+            )
     return {
         "ref": ref,
         "ref_pair": ref_pair,

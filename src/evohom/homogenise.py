@@ -29,7 +29,6 @@ from .fields import (
     Constant,
     Field,
     RegionIndicator,
-    StripeIndicator,
     as_field,
 )
 from .laws import MaterialLaw, MemoryTerm, _omega1_2d
@@ -563,7 +562,6 @@ def build_limit_law(example_id, *, eps0=1.0, mu0=1.0, eps=1.0, mu=1.0, sigma=1.0
             {(0, 0): Constant(0.5), (1, 1): one},
             {(0, 0): Constant(0.5)},
             nu0=0.5,
-            pos_constant=0.5,
             dim=1,
             domain=(0.0, 1.0),
             component_names=("u", "v"),

@@ -36,7 +36,6 @@ import numpy as np
 from .analytic import series_material_law
 from .fields import (
     Constant,
-    Field,
     RegionIndicator,
     Separable2D,
     SineOsc,
@@ -88,7 +87,6 @@ class MaterialLaw:
         memory=None,
         series=None,
         nu0=0.0,
-        pos_constant=None,
         dim=1,
         domain=(0.0, 1.0),
         component_names=None,
@@ -103,7 +101,6 @@ class MaterialLaw:
         )
         self.series = MappingProxyType(dict(series or {}))
         self.nu0 = float(nu0)
-        self.pos_constant = pos_constant
         self.dim = int(dim)
         self.domain = domain
         if component_names is None:
@@ -301,10 +298,6 @@ class MemoryAugmentation:
     original: MaterialLaw
     slots: tuple = dataclass_field(default=())
 
-    @property
-    def a_extension(self):
-        return "zero-blocks"
-
     def eliminate(self, z, points):
         """Schur complement of z*M0-hat + M1-hat onto the original components."""
         z = complex(z)
@@ -439,7 +432,6 @@ def example_material(example_id, n=1, *, eps0=1.0, mu0=1.0, eps=1.0, mu=1.0, sig
             {(0, 0): stripe, (1, 1): one},
             {(0, 0): 1.0 - stripe},
             nu0=0.5,
-            pos_constant=0.5,
             dim=1,
             domain=(0.0, 1.0),
             component_names=("u", "v"),

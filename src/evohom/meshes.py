@@ -39,9 +39,6 @@ class Mesh1D:
     def widths(self):
         return np.diff(self.boundaries)
 
-    def cell_bounds(self, ci):
-        return float(self.boundaries[ci]), float(self.boundaries[ci + 1])
-
     def cell_containing(self, x):
         """Index of the cell containing x (scalar or array).
 

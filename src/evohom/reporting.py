@@ -3,13 +3,17 @@
 The laboratory's reported quantities are unweighted space-time L2 inner
 products over [0, T] x domain: pairings of a solution (discrete or oracle)
 against a fixed dictionary of test functions, and strong norms of
-differences against a reference.  Time integration uses per-slab Gauss
-rules of degree >= 4 (:func:`slab_gauss`).  Space integration takes the one
-1-D path of :mod:`evohom.spaces`: pairings use exact load vectors
-(:func:`restricted_load`), strong norms evaluate each solution with
-:func:`eval_matrix_1d` (a Kronecker product of two for tensor spaces) at the
-Gauss points of the partition that :func:`merge_cuts` merges from the cells
-of all discrete operands, and oracle callables use composite Gauss panels.
+differences against a reference.  Time takes one path: the 4-point per-slab
+Gauss rule (:func:`slab_gauss`) of the first discrete operand's grid (or a
+callable pairing's explicit grid), at whose times discrete solutions are
+read by :meth:`TimeGrid.evaluate` (through
+:meth:`EvolutionSolution.coefficients_at` for strong norms).  Space takes
+the one 1-D path of :mod:`evohom.spaces`: a solution pairing sums
+``(component, load vector)`` terms from :func:`restricted_load`, strong
+norms evaluate each solution with :func:`eval_matrix_1d` (a Kronecker
+product of two for tensor spaces) at the Gauss points of the partition that
+:func:`merge_cuts` merges from the cells of all discrete operands, and
+callable or constant operands of both go through one evaluator.
 """
 
 import csv
@@ -66,26 +70,15 @@ VECTOR_TEST_DICTIONARY = {
 }
 
 
+# Gauss points per panel of a callable pairing and per strong-norm cell.
+_PAIRING_POINTS = 8
+_NORM_POINTS = 3
+
+
 def slab_gauss(grid, npts=4):
     """Per-slab Gauss nodes/weights on [0, T]: arrays of shape (M, npts)."""
     tq, wq = gauss_panels(grid.t_points, npts)
     return tq.reshape(-1, npts), wq.reshape(-1, npts)
-
-
-def _slab_values(sol, component, r, tq):
-    """r . c(t) at the slab-Gauss nodes tq (num_slabs, nt) -> same shape."""
-    sl = sol.problem.component_slice(component)
-    a0 = sol.coeffs[:, 0, sl] @ r
-    a1 = sol.coeffs[:, 1, sl] @ r
-    pts = np.asarray(sol.grid.t_points)
-    tau = (tq - pts[:-1, None]) / np.diff(pts)[:, None]
-    return a0[:, None] + (2.0 * tau - 1.0) * a1[:, None]
-
-
-def _temporal_values(temporal, tq):
-    if temporal is None:
-        return np.ones_like(tq)
-    return np.asarray(temporal(tq), dtype=float)
 
 
 def _resolve_scalar_test(v):
@@ -103,81 +96,79 @@ def _resolve_scalar_test(v):
     raise ValueError("dictionary mismatch: unsupported test function spec")
 
 
-def pairing(u, v, domain=None, component=0, *, grid=None, nt=4, nx=8, cells=64):
+def _load_terms(sol, v, domain, component):
+    """A test function as ``(component, load vector)`` terms and a temporal factor.
+
+    Vector dictionary names give one term per non-vanishing flux component
+    (1, 2) of a 2-D solution; anything else is one scalar term.
+    """
+    spaces = sol.problem.spaces
+    if isinstance(v, str) and v in VECTOR_TEST_DICTIONARY and (
+        v not in TEST_DICTIONARY_1D
+        or isinstance(spaces[min(1, len(spaces) - 1)], TensorSpace)
+    ):
+        if len(spaces) < 3 or not all(
+            isinstance(spaces[k], TensorSpace) for k in (1, 2)
+        ):
+            raise ValueError(
+                "dictionary mismatch: vector tests need a 2-D flux pair"
+            )
+        dx, dy = ((None, None), (None, None)) if domain is None else domain
+        terms = []
+        for k, term in zip((1, 2), VECTOR_TEST_DICTIONARY[v]):
+            if term is not None:
+                fx, fy = term
+                r = np.kron(
+                    restricted_load(spaces[k].sx, fx, *dx),
+                    restricted_load(spaces[k].sy, fy, *dy),
+                )
+                terms.append((k, r))
+        return terms, None
+    spatial, temporal = _resolve_scalar_test(v)
+    space = spaces[component]
+    if isinstance(space, TensorSpace):
+        raise ValueError(
+            "dictionary mismatch: scalar test on a 2-D component; "
+            "use the vector test dictionary"
+        )
+    lo, hi = (None, None) if domain is None else domain
+    return [(component, restricted_load(space, spatial, lo, hi))], temporal
+
+
+def pairing(u, v, domain=None, component=0, *, grid=None, cells=64):
     """Unweighted space-time L2 pairing of ``u`` against a test function.
 
     ``u`` is an EvolutionSolution (exact load-vector path), or a callable
     ``u(t, xs)`` / scalar together with an explicit ``grid`` and 1-D
-    ``domain`` interval (composite-Gauss oracle path).  ``v`` is a test
+    ``domain`` interval (``cells`` composite-Gauss panels).  ``v`` is a test
     dictionary name, a ``(spatial, temporal)`` pair, or a spatial callable.
     Vector dictionary names pair the flux components (1, 2) of a 2-D
     solution.  ``domain`` restricts the spatial integral.
     """
     if isinstance(u, EvolutionSolution):
-        spaces = u.problem.spaces
-        if isinstance(v, str) and v in VECTOR_TEST_DICTIONARY and (
-            v not in TEST_DICTIONARY_1D
-            or isinstance(spaces[min(1, len(spaces) - 1)], TensorSpace)
-        ):
-            return _pairing_vector(u, v, domain, nt)
-        spatial, temporal = _resolve_scalar_test(v)
-        space = spaces[component]
-        if isinstance(space, TensorSpace):
-            raise ValueError(
-                "dictionary mismatch: scalar test on a 2-D component; "
-                "use the vector test dictionary"
-            )
-        lo, hi = (None, None) if domain is None else domain
-        r = restricted_load(space, spatial, lo, hi)
-        tq, wq = slab_gauss(u.grid, nt)
-        vals = _slab_values(u, component, r, tq)
-        return float(np.sum(wq * _temporal_values(temporal, tq) * vals))
-    # oracle/callable path (1-D)
-    if grid is None or not isinstance(grid, TimeGrid):
-        raise ValueError("callable pairings need an explicit TimeGrid")
-    if domain is None:
-        raise ValueError("callable pairings need an explicit domain interval")
-    spatial, temporal = _resolve_scalar_test(v)
-    xs, ws = gauss_panels(np.linspace(domain[0], domain[1], int(cells) + 1), nx)
-    wsv = ws * coeff_values(spatial, xs)
-    fn = (lambda t, x: np.full_like(x, float(u))) if np.isscalar(u) else u
-    tq, wq = slab_gauss(grid, nt)
-    gt = _temporal_values(temporal, tq)
-    acc = 0.0
-    for m in range(tq.shape[0]):
-        for q in range(tq.shape[1]):
-            acc += wq[m, q] * gt[m, q] * float(
-                np.dot(wsv, np.asarray(fn(tq[m, q], xs), dtype=float))
-            )
-    return acc
-
-
-def _pairing_vector(u, name, domain, nt):
-    comps = VECTOR_TEST_DICTIONARY[name]
-    spaces = u.problem.spaces
-    if len(spaces) < 3 or not all(
-        isinstance(spaces[k], TensorSpace) for k in (1, 2)
-    ):
-        raise ValueError(
-            "dictionary mismatch: vector tests need a 2-D flux pair"
-        )
-    if domain is None:
-        dx = dy = (None, None)
+        terms, temporal = _load_terms(u, v, domain, component)
+        tq, wq = slab_gauss(u.grid)
+        # Project each slab's coefficients onto the load before reading them
+        # in time, so no (times x DOFs) array is formed.
+        spatial_pairings = [
+            u.grid.evaluate(u.coeffs[:, :, u.problem.component_slice(k)] @ r, tq)
+            for k, r in terms
+        ]
     else:
-        dx, dy = domain
-    tq, wq = slab_gauss(u.grid, nt)
-    acc = 0.0
-    for k, term in zip((1, 2), comps):
-        if term is None:
-            continue
-        fx, fy = term
-        space = spaces[k]
-        r = np.kron(
-            restricted_load(space.sx, fx, dx[0], dx[1]),
-            restricted_load(space.sy, fy, dy[0], dy[1]),
+        if grid is None or not isinstance(grid, TimeGrid):
+            raise ValueError("callable pairings need an explicit TimeGrid")
+        if domain is None:
+            raise ValueError("callable pairings need an explicit domain interval")
+        spatial, temporal = _resolve_scalar_test(v)
+        xs, ws = gauss_panels(
+            np.linspace(domain[0], domain[1], int(cells) + 1), _PAIRING_POINTS
         )
-        acc += float(np.sum(wq * _slab_values(u, k, r, tq)))
-    return acc
+        tq, wq = slab_gauss(grid)
+        values = _evaluator(u, component, (xs,), None)(tq.ravel())
+        wsv = ws * coeff_values(spatial, xs)
+        spatial_pairings = [(wsv @ values).reshape(tq.shape)]
+    w = wq if temporal is None else wq * np.asarray(temporal(tq), dtype=float)
+    return sum(float(np.sum(w * p)) for p in spatial_pairings)
 
 
 def _evaluator(obj, component, pts, emat):
@@ -188,25 +179,23 @@ def _evaluator(obj, component, pts, emat):
     """
     if isinstance(obj, EvolutionSolution):
         e = emat(obj.problem.spaces[component])
-        sl = obj.problem.component_slice(component)
-        return lambda ts: e @ np.stack(
-            [obj.coefficient_at(t)[sl] for t in ts], axis=1
-        )
+        return lambda ts: e @ obj.coefficients_at(ts, component).T
     if np.isscalar(obj):
-        const = np.full((pts[0].size, 1), float(obj))
-        return lambda ts: const
+        return lambda ts: np.full((pts[0].size, len(ts)), float(obj))
     return lambda ts: np.stack(
         [np.asarray(obj(t, *pts), dtype=float) for t in ts], axis=1
     )
 
 
-def strong_norm_diff(u, ref, component=0, subdomain=None, *, nt=4, nx=3):
+def strong_norm_diff(u, ref, component=0, subdomain=None):
     """Space-time L2 norm of (u - ref) on a component over a subdomain.
 
     ``u`` and ``ref`` are EvolutionSolutions on possibly different meshes
-    (evaluated on the union-cell Gauss points of the finer partition),
-    callables ``f(t, xs)`` / ``f(t, xg, yg)``, or constants.  At least one
-    must be a discrete solution; its grid supplies the time rule.
+    and time grids (evaluated on the union-cell Gauss points of the finer
+    partition), callables ``f(t, xs)`` / ``f(t, xg, yg)``, or constants.  At
+    least one must be a discrete solution; the first one's grid supplies
+    the time rule.  Values are formed one slab at a time: a whole-grid
+    array would not fit in memory for the finest 2-D runs.
     """
     sols = [o for o in (u, ref) if isinstance(o, EvolutionSolution)]
     if not sols:
@@ -219,8 +208,8 @@ def strong_norm_diff(u, ref, component=0, subdomain=None, *, nt=4, nx=3):
         sx, sy = (None, None) if subdomain is None else subdomain
         xcuts = merge_cuts([s.sx for s in spaces], *(sx or (None, None)))
         ycuts = merge_cuts([s.sy for s in spaces], *(sy or (None, None)))
-        xs, wx = gauss_panels(xcuts, nx)
-        ys, wy = gauss_panels(ycuts, nx)
+        xs, wx = gauss_panels(xcuts, _NORM_POINTS)
+        ys, wy = gauss_panels(ycuts, _NORM_POINTS)
         ws = np.kron(wx, wy)
         pts = (np.repeat(xs, ys.size), np.tile(ys, xs.size))
 
@@ -230,7 +219,8 @@ def strong_norm_diff(u, ref, component=0, subdomain=None, *, nt=4, nx=3):
             ).tocsr()
 
     else:
-        xs, ws = gauss_panels(merge_cuts(spaces, *(subdomain or (None, None))), nx)
+        cuts = merge_cuts(spaces, *(subdomain or (None, None)))
+        xs, ws = gauss_panels(cuts, _NORM_POINTS)
         pts = (xs,)
 
         def emat(space):
@@ -238,7 +228,7 @@ def strong_norm_diff(u, ref, component=0, subdomain=None, *, nt=4, nx=3):
 
     fu = _evaluator(u, component, pts, emat)
     fr = _evaluator(ref, component, pts, emat)
-    tq, wq = slab_gauss(sols[0].grid, nt)
+    tq, wq = slab_gauss(sols[0].grid)
     acc = 0.0
     for m in range(tq.shape[0]):
         d = fu(tq[m]) - fr(tq[m])

@@ -20,7 +20,13 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .operators import assemble_law_masses
-from .timequad import TRACE_LEFT, TimeGrid, build_radau_rule, temporal_matrices
+from .timequad import (
+    TRACE_LEFT,
+    TimeGrid,
+    build_radau_rule,
+    temporal_basis,
+    temporal_matrices,
+)
 
 
 class EvolutionProblem:
@@ -98,8 +104,7 @@ def _slab_matrix(problem, rule):
 
 
 def _slab_rhs(problem, rule, prev_trace_vec):
-    tau = (rule.nodes - rule.t_left) / rule.h
-    basis = np.stack([np.ones_like(tau), 2.0 * tau - 1.0])  # (2, nq)
+    basis = temporal_basis((rule.nodes - rule.t_left) / rule.h)  # (2, nq)
     rhs = np.zeros(2 * problem.ndof)
     for g, b in problem.forcing:
         gvals = np.asarray([g(t) for t in rule.nodes], dtype=float)
@@ -140,22 +145,23 @@ class EvolutionSolution:
         """Value at t_m from slab m (1-based): U^0 + U^1."""
         return self.coeffs[m - 1, 0] + self.coeffs[m - 1, 1]
 
-    def left_value(self, m):
-        """Limit from the right at t_{m-1} on slab m: U^0 - U^1."""
-        return self.coeffs[m - 1, 0] - self.coeffs[m - 1, 1]
+    def coefficients_at(self, ts, component=None):
+        """Spatial coefficients at the times ts in (0, T], right-continuous.
+
+        Returns an array of shape ``np.shape(ts) + (ndof,)``: all stacked
+        DOFs, or those of one component (see :meth:`TimeGrid.evaluate`).
+        """
+        sl = slice(None)
+        if component is not None:
+            sl = self.problem.component_slice(component)
+        return self.grid.evaluate(self.coeffs[:, :, sl], ts)
 
     def coefficient_at(self, t):
-        """Stacked spatial coefficients at time t in (0, T], right-continuous."""
-        t = float(t)
-        if not 0.0 < t <= self.grid.T + 1e-12:
-            raise ValueError(f"t = {t} outside (0, {self.grid.T}]")
-        m = self.grid.slab_containing(t)
-        t_left, t_right = self.grid.slab(m)
-        tau = (t - t_left) / (t_right - t_left)
-        return self.coeffs[m - 1, 0] + (2.0 * tau - 1.0) * self.coeffs[m - 1, 1]
+        """Stacked spatial coefficients at one time t in (0, T]."""
+        return self.coefficients_at(float(t))
 
     def component_at(self, t, i):
-        return self.coefficient_at(t)[self.problem.component_slice(i)]
+        return self.coefficients_at(float(t), i)
 
 
 def solve_evolution(problem):

@@ -43,6 +43,8 @@ from .fields import Field, Separable2D
 from .meshes import Mesh1D, TensorMesh2D
 
 _NODE_TOL = 1e-10
+# Gauss points per piece of a load vector.
+_LOAD_POINTS = 8
 
 
 def gauss_rule(npts):
@@ -123,12 +125,13 @@ class NodalLineSpace(LineSpace):
         if degree < 1:
             raise ValueError("nodal line spaces need degree >= 1")
         super().__init__(mesh, degree, np.linspace(0.0, 1.0, degree + 1), degree)
-        k, nc = self.degree, self.mesh.ncells
+        k = self.degree
         self.periodic = bool(periodic)
-        node_x = np.empty(self.nfull)
-        for c in range(nc):
-            a, b = self.mesh.cell_bounds(c)
-            node_x[c * k : (c + 1) * k + 1] = a + (b - a) * np.linspace(0, 1, k + 1)
+        # Cell c owns nodes c*k ... c*k + k - 1; the last cell also owns the
+        # right end.
+        lefts = self.mesh.boundaries[:-1, None]
+        cell_nodes = lefts + self.mesh.widths[:, None] * self.basis.nodes
+        node_x = np.append(cell_nodes[:, :k].ravel(), cell_nodes[-1, k])
         self.node_positions = node_x
 
         if periodic and constraints:
@@ -139,17 +142,17 @@ class NodalLineSpace(LineSpace):
             cols = np.concatenate([np.arange(self.nfull - 1), [0]])
             self.P = sp.csr_matrix((data, (rows, cols)), shape=(self.nfull, self.nfull - 1))
         else:
-            drop = set()
-            for x0 in constraints:
-                hits = np.nonzero(np.abs(node_x - float(x0)) <= _NODE_TOL)[0]
-                if hits.size == 0:
-                    raise ValueError(f"constraint point {x0} is not a node")
-                drop.add(int(hits[0]))
-            keep = [i for i in range(self.nfull) if i not in drop]
-            data = np.ones(len(keep))
+            cons = np.asarray(constraints, dtype=float).reshape(-1, 1)
+            hits = np.abs(node_x - cons) <= _NODE_TOL  # (constraint, node)
+            missed = cons[~hits.any(axis=1), 0]
+            if missed.size:
+                raise ValueError(f"constraint point {missed[0]} is not a node")
+            keep = np.ones(self.nfull, dtype=bool)
+            keep[hits.argmax(axis=1)] = False  # first matching node
+            kept = np.flatnonzero(keep)
             self.P = sp.csr_matrix(
-                (data, (np.asarray(keep), np.arange(len(keep)))),
-                shape=(self.nfull, len(keep)),
+                (np.ones(kept.size), (kept, np.arange(kept.size))),
+                shape=(self.nfull, kept.size),
             )
 
 
@@ -246,7 +249,7 @@ def _piece_basis(space, cuts, xs, deriv=0):
     return cells, vals.reshape(-1, cells.size, npts)
 
 
-def gram1d(row, col, coeff=None, drow=0, dcol=0, npts=None):
+def gram1d(row, col, coeff=None, drow=0, dcol=0):
     """Weighted Gram matrix  G_ij = int coeff * d^drow(row_i) * d^dcol(col_j).
 
     Integration runs over the union mesh of the two spaces (and the
@@ -259,8 +262,7 @@ def gram1d(row, col, coeff=None, drow=0, dcol=0, npts=None):
     scale, _, bp = _coeff_pieces(coeff)
     if hi <= lo + _NODE_TOL or scale == 0.0:
         return sp.csr_matrix((row.ndof, col.ndof))
-    if npts is None:
-        npts = max(4, (row.degree + col.degree) // 2 + 2)
+    npts = max(4, (row.degree + col.degree) // 2 + 2)
     cuts = merge_cuts((row, col), extra=bp(lo, hi))
     xs, w = gauss_panels(cuts, npts)
     w = (w * coeff_values(coeff, xs)).reshape(-1, npts)
@@ -278,7 +280,7 @@ def gram1d(row, col, coeff=None, drow=0, dcol=0, npts=None):
     return (row.P.T @ g_full @ col.P).tocsr()
 
 
-def restricted_load(space, f, lo=None, hi=None, npts=8):
+def restricted_load(space, f, lo=None, hi=None):
     """Load vector  b_i = int_{lo}^{hi} f * space_i  (default: the whole span).
 
     The interval is split at the cell boundaries and at the breakpoints of a
@@ -286,9 +288,10 @@ def restricted_load(space, f, lo=None, hi=None, npts=8):
     """
     _, _, bp = _coeff_pieces(f)
     cuts = merge_cuts([space], lo, hi, bp(*space.span))
-    xs, w = gauss_panels(cuts, npts)
+    xs, w = gauss_panels(cuts, _LOAD_POINTS)
     cells, basis = _piece_basis(space, cuts, xs)
-    local = np.einsum("ikq,kq->ki", basis, (w * coeff_values(f, xs)).reshape(-1, npts))
+    w = (w * coeff_values(f, xs)).reshape(-1, _LOAD_POINTS)
+    local = np.einsum("ikq,kq->ki", basis, w)
     out = np.zeros(space.nfull)
     np.add.at(out, space.cell_full_dofs(cells), local)
     return space.P.T @ out

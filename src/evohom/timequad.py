@@ -10,7 +10,11 @@ which is exactly what the dG(1) bilinear form needs.
 
 The temporal basis on each slab is the shifted Legendre pair
 l0(t) = 1, l1(t) = 2*(t - t_{m-1})/h - 1, so l1 = -1 at the left and +1
-at the right end of the slab.
+at the right end of the slab.  This module is the only one that knows it:
+:func:`temporal_basis` evaluates the pair at local coordinates,
+:meth:`TimeGrid.locate` maps global times to (slab, local coordinate)
+under the half-open slab rule, and :meth:`TimeGrid.evaluate` combines the
+two to read per-slab dG(1) coefficients at any times.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "TimeGrid",
+    "temporal_basis",
     "WeightedRadauRule",
     "weighted_moments",
     "build_radau_rule",
@@ -30,9 +35,19 @@ __all__ = [
     "TRACE_RIGHT",
 ]
 
+
+def temporal_basis(tau):
+    """Values (l0, l1) of the dG(1) basis at local coordinates tau in [0, 1].
+
+    Returns an array of shape ``(2,) + np.shape(tau)``.
+    """
+    tau = np.asarray(tau, dtype=float)
+    return np.stack([np.ones_like(tau), 2.0 * tau - 1.0])
+
+
 # Values of (l0, l1) at the slab endpoints.
-TRACE_LEFT = np.array([1.0, -1.0])
-TRACE_RIGHT = np.array([1.0, 1.0])
+TRACE_LEFT = temporal_basis(0.0)
+TRACE_RIGHT = temporal_basis(1.0)
 
 
 class TimeGrid:
@@ -74,21 +89,41 @@ class TimeGrid:
             raise IndexError(f"slab index {m} out of range 1..{self.num_slabs}")
         return float(self.t_points[m - 1]), float(self.t_points[m])
 
-    def slab_length(self, m):
-        a, b = self.slab(m)
-        return b - a
-
     def slab_containing(self, t):
         """Index m of the slab with t in (t_{m-1}, t_m] (right-continuous).
 
         At an interior grid point t = t_m the point belongs to slab m,
-        not slab m+1, per the half-open convention.
+        not slab m+1, per the half-open convention.  ``t`` is a scalar
+        (an int is returned) or an array (an integer array of its shape).
         """
         tp = self.t_points
-        if not (tp[0] < t <= tp[-1]):
-            raise ValueError(f"t={t} outside (0, {tp[-1]}]")
+        t = np.asarray(t, dtype=float)
+        outside = ~((tp[0] < t) & (t <= tp[-1]))
+        if np.any(outside):
+            raise ValueError(f"t={t[outside][0]} outside (0, {tp[-1]}]")
         # searchsorted with side='left' maps t in (t_{m-1}, t_m] to m
-        return int(np.searchsorted(tp, t, side="left"))
+        m = np.searchsorted(tp, t, side="left")
+        return int(m) if m.ndim == 0 else m
+
+    def locate(self, ts):
+        """Slab indices m and local coordinates tau in (0, 1] of the times ts.
+
+        Slabs follow :meth:`slab_containing`; tau = (t - t_{m-1}) / h_m.
+        """
+        m = self.slab_containing(ts)
+        left = self.t_points[m - 1]
+        return m, (np.asarray(ts, dtype=float) - left) / (self.t_points[m] - left)
+
+    def evaluate(self, coeffs, ts):
+        """Values at the times ts of a dG(1) function on this grid.
+
+        ``coeffs[m - 1, i]`` multiplies l_i on slab m and may carry trailing
+        axes; the result has shape ``np.shape(ts) + coeffs.shape[2:]``.
+        """
+        m, tau = self.locate(ts)
+        trailing = (1,) * (coeffs.ndim - 2)
+        l0, l1 = temporal_basis(tau).reshape((2,) + np.shape(tau) + trailing)
+        return l0 * coeffs[m - 1, 0] + l1 * coeffs[m - 1, 1]
 
     def is_uniform(self, rtol=1e-12):
         h = np.diff(self.t_points)
@@ -198,11 +233,6 @@ def build_radau_rule(slab, rho):
     )
 
 
-def _basis01(tau):
-    """(l0, l1) at local coordinate tau in [0, 1]."""
-    return np.array([1.0, 2.0 * tau - 1.0])
-
-
 def temporal_matrices(rule):
     """dG(1) temporal blocks for one slab under the given Radau rule.
 
@@ -217,7 +247,7 @@ def temporal_matrices(rule):
     """
     h = rule.h
     taus = (rule.nodes - rule.t_left) / h
-    B = np.stack([_basis01(tau) for tau in taus])  # (node, basis)
+    B = temporal_basis(taus).T  # (node, basis)
     dB = np.tile(np.array([0.0, 2.0 / h]), (2, 1))  # l0' = 0, l1' = 2/h
     W = rule.weights
     T0 = np.einsum("q,qj,qi->ij", W, B, B)

@@ -24,7 +24,7 @@ from evohom.experiments import (
     solution_norms,
 )
 import evohom.experiments as experiments
-from evohom.reporting import ConvergenceReport, fit_rate
+from evohom.reporting import ConvergenceReport, fit_rate, pairing
 from evohom.solver import solve_evolution
 
 ORACLE_PAIR_X_N1 = 0.2427626039834412
@@ -230,6 +230,22 @@ class TestSweepMechanics:
         assert lines[-1].startswith("EX1,0,error,nan")
         assert any(",pair_u_x," in line for line in lines)
         assert calls == [1]
+
+
+class TestEX2Sweep:
+    def test_no_roundoff_rows_for_conserved_mean(self):
+        # v's mean is conserved at 0, so its pairings with "1" and "t" are
+        # roundoff and are not reported
+        report = convergence_sweep(ExperimentSpec("EX2", (1, 2, 4)))
+        quantities = report.quantities()
+        assert "pair_u_1" in quantities and "pair_u_t" in quantities
+        assert "pair_v_x" in quantities
+        names = {q for _, q, _ in report.rows}
+        for q in ("pair_v_1", "pair_v_t", "slope_pair_v_1", "slope_pair_v_t"):
+            assert q not in names
+        sol = solve_evolution(build_run("EX2", 2))
+        assert abs(pairing(sol, "1", component=1)) <= 1e-12
+        assert abs(pairing(sol, "t", component=1)) <= 1e-12
 
 
 class TestReferenceSelfConsistency:

@@ -202,7 +202,6 @@ class TestAugmentation:
         aug = augment_memory(law)
         assert aug.law.ncomp == 4
         assert aug.law.is_instant
-        assert aug.a_extension == "zero-blocks"
         (slot,) = aug.slots
         assert slot.parent == 2
         assert slot.index == 3

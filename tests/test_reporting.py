@@ -29,7 +29,7 @@ from evohom.timequad import TimeGrid
 ORACLE_PAIRING_X_N1 = 0.2427626039834412
 
 
-def _linear_solution(ncells=4, span=(0.0, 1.0), fn=None, u0=None, slabs=8):
+def _linear_solution(ncells=4, span=(0.0, 1.0), fn=None, u0=None, slabs=8, grid=None):
     """Solve M u' = b with b the load of ``fn``: u(t, x) = t * fn_proj(x)."""
     mesh = build_mesh(span, ncells)
     space = build_space(mesh, "cg", 1)
@@ -40,7 +40,7 @@ def _linear_solution(ncells=4, span=(0.0, 1.0), fn=None, u0=None, slabs=8):
         (space,),
         None,
         op,
-        TimeGrid.uniform(2.0, slabs),
+        grid or TimeGrid.uniform(2.0, slabs),
         forcing=((lambda t: 1.0, b),),
         u0=u0,
         m0mat=mass,
@@ -200,6 +200,19 @@ class TestStrongNormDiff:
         assert strong_norm_diff(sol, lambda t, xg, yg: t * xg, component=1) <= 1e-12
         val = strong_norm_diff(sol, 0.0, component=1)
         assert val == pytest.approx(math.sqrt(512.0) / 3.0, rel=1e-12)
+
+    def test_nonuniform_grids_exact(self):
+        # u = c*t is reproduced exactly by dG(1) on any time grid
+        c = 1.5
+        a = _linear_solution(fn=c, grid=TimeGrid([0.0, 0.1, 0.35, 0.4, 1.2, 2.0]))
+        b = _linear_solution(
+            ncells=6, fn=c, grid=TimeGrid([0.0, 0.7, 0.75, 1.5, 1.55, 2.0])
+        )
+        assert strong_norm_diff(a, lambda t, xs: np.full_like(xs, c * t)) <= 1e-12
+        assert pairing(a, "t") == pytest.approx(c * 8.0 / 3.0, rel=1e-14)
+        # b's slabs do not match the rule grid of a, and vice versa
+        assert strong_norm_diff(a, b) <= 1e-12
+        assert strong_norm_diff(b, a) <= 1e-12
 
     def test_incompatible_components(self):
         a = _linear_solution()

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evohom.analytic import ode_exact
 from evohom.fields import Constant, RegionIndicator, SineOsc
@@ -263,6 +265,45 @@ class TestSolutionInterface:
             sol.coefficient_at(0.0)
         with pytest.raises(ValueError):
             sol.coefficient_at(1.5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=12),
+        st.lists(st.floats(min_value=1e-9, max_value=1.0), max_size=20),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_coefficients_at_matches_pointwise(self, steps, fracs, seed):
+        # random dG(1) coefficients of a two-component problem on a random
+        # non-uniform grid, read at grid points and random times
+        grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
+        space = GaussLineSpace(build_mesh((0.0, 1.0), 2), 1)
+        spaces = (space, space)
+        mass = sp.identity(2 * space.ndof, format="csr")
+        problem = EvolutionProblem(
+            spaces,
+            None,
+            assemble_skew_operator("zero", spaces),
+            grid,
+            m0mat=mass,
+            m1mat=mass,
+        )
+        coeffs = np.random.default_rng(seed).standard_normal(
+            (grid.num_slabs, 2, problem.ndof)
+        )
+        sol = EvolutionSolution(problem, coeffs)
+        ts = np.concatenate([grid.t_points[1:], grid.T * np.asarray(fracs)])
+        block = sol.coefficients_at(ts)
+        assert block.shape == (ts.size, problem.ndof)
+        for t, row in zip(ts, block):
+            assert np.array_equal(row, sol.coefficient_at(t))
+        for i in range(2):
+            comp = sol.coefficients_at(ts, i)
+            assert np.array_equal(comp, block[:, problem.component_slice(i)])
+            for t, row in zip(ts, comp):
+                assert np.array_equal(row, sol.component_at(t, i))
+        # grid point t_m carries the right trace of slab m
+        for m in range(1, grid.num_slabs + 1):
+            assert np.array_equal(block[m - 1], sol.right_trace(m))
 
     def test_coeffs_read_only(self):
         sol = solve_evolution(_scalar_problem())
