@@ -125,9 +125,22 @@ class TimeGrid:
         l0, l1 = temporal_basis(tau).reshape((2,) + np.shape(tau) + trailing)
         return l0 * coeffs[m - 1, 0] + l1 * coeffs[m - 1, 1]
 
-    def is_uniform(self, rtol=1e-12):
+    def length_classes(self):
+        """Class label of each slab (0-based, in order of first appearance).
+
+        A slab joins the class of the first slab not yet labelled when its
+        length h satisfies |h - h_first| <= 1e-12 * h_first, so the slabs
+        of a class share the first one's slab matrix to roundoff (the
+        lengths of a ``uniform`` grid differ by a few ulps).
+        """
         h = np.diff(self.t_points)
-        return bool(np.all(np.abs(h - h[0]) <= rtol * h[0]))
+        labels = np.full(h.size, -1)
+        label = 0
+        while (free := np.flatnonzero(labels < 0)).size:
+            first = h[free[0]]
+            labels[free[np.abs(h[free] - first) <= 1e-12 * first]] = label
+            label += 1
+        return labels
 
 
 def weighted_moments(h, rho, k_max):

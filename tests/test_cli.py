@@ -82,6 +82,16 @@ class TestRun:
         assert code == 2
         assert "solver failure" in err
 
+    def test_coalescing_time_pencil_maps_to_2(self, capsys):
+        # slabs of length 4 at rho = 4: rho*h = 16 is refused by the solver
+        code, _, err = run_cli(
+            capsys,
+            "run", "--example", "EX1", "--n", "2", "--slabs", "2", "--T", "8",
+            "--rho", "4",
+        )
+        assert code == 2
+        assert "rho*h = 16" in err
+
     def test_unknown_example(self, capsys):
         code, _, err = run_cli(capsys, "run", "--example", "EX9", "--n", "1")
         assert code == 3

@@ -1,14 +1,19 @@
 """Tests for the space-time dG(1) slab march."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
+import evohom.solver as solver
 from evohom.analytic import ode_exact
+from evohom.experiments import build_run
 from evohom.fields import Constant, RegionIndicator, SineOsc
 from evohom.laws import MaterialLaw, MemoryTerm, augment_memory, example_material
 from evohom.meshes import build_mesh
@@ -49,7 +54,8 @@ def _scalar_problem(m0=1.0, m1=1.0, grid=None, forcing=(), u0=0.0, rho=0.0):
 
 
 class TestExactReproduction:
-    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    # rho = 16 puts rho*h at 2, where cond(V) of the temporal pencil is 14
+    @pytest.mark.parametrize("rho", [0.0, 1.0, 16.0])
     def test_constant_steady_state(self, rho):
         # d/dt u + u = 1 with u(0) = 1 stays at 1 exactly
         problem = _scalar_problem(
@@ -409,3 +415,70 @@ class TestTwoDimensionalSmoke:
         sol = solve_evolution(problem)
         assert np.all(np.isfinite(sol.coeffs))
         assert np.max(np.abs(sol.right_trace(4))) > 1e-8
+
+
+def _benchmark_workloads():
+    """The benchmark's workload module, loaded from its file (read-only)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPencilSolve:
+    """The complex N x N slab solve against the real 2N x 2N slab system."""
+
+    # lengths 0.05 (three times), 0.12, 0.08 and 0.15
+    GRID = TimeGrid(np.array([0.0, 0.05, 0.1, 0.22, 0.3, 0.35, 0.5]))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.7, 2.0])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("example", ["EX3", "EX4"])
+    def test_matches_real_slab_system(self, example, degree, rho):
+        problem = _benchmark_workloads().on_grid(
+            build_run(example, 1, degree=degree, rho=rho), self.GRID.t_points
+        )
+        sol = solve_evolution(problem)
+        prev_ref = prev = problem.m0mat @ problem.u0
+        for m in range(1, self.GRID.num_slabs + 1):
+            K, b_ref = assemble_slab_system(problem, m, prev_ref)
+            x = splu(K).solve(b_ref)
+            y = np.concatenate(sol.coeffs[m - 1])
+            assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
+            _, b = assemble_slab_system(problem, m, prev)
+            assert np.linalg.norm(K @ y - b) <= 1e-10 * np.linalg.norm(b)
+            prev_ref = problem.m0mat @ (x[: problem.ndof] + x[problem.ndof :])
+            prev = problem.m0mat @ sol.right_trace(m)
+
+    def _count_factorisations(self, monkeypatch, grid, rho=0.0):
+        calls = []
+
+        def counting_splu(matrix):
+            calls.append(matrix.shape)
+            return splu(matrix)
+
+        monkeypatch.setattr(solver, "splu", counting_splu)
+        problem = _scalar_problem(
+            grid=grid, forcing=[(lambda t: 1.0, np.array([1.0]))], rho=rho
+        )
+        solve_evolution(problem)
+        assert all(shape == (1, 1) for shape in calls)  # N, not 2N, unknowns
+        return len(calls)
+
+    def test_one_factorisation_on_uniform_grid(self, monkeypatch):
+        # the 30 lengths of this grid take 6 distinct values a few ulps apart
+        assert self._count_factorisations(monkeypatch, TimeGrid.uniform(2.0, 30)) == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_one_factorisation_per_length_on_graded_grid(self, monkeypatch, seed):
+        # 8 geometric start-up slabs of distinct lengths and a uniform tail
+        grid = TimeGrid(_benchmark_workloads().graded_points(seed))
+        assert grid.num_slabs == 15
+        assert self._count_factorisations(monkeypatch, grid, rho=1.0) == 9
+
+    @pytest.mark.parametrize("rho_h", [8.0, 16.0, 100.0])
+    def test_coalescing_pencil_raises(self, rho_h):
+        problem = _scalar_problem(grid=TimeGrid.uniform(1.0, 4), rho=4.0 * rho_h)
+        with pytest.raises(ArithmeticError, match=f"rho\\*h = {rho_h:.3g}"):
+            solve_evolution(problem)
