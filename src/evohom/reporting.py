@@ -10,10 +10,11 @@ read by :meth:`TimeGrid.evaluate` (through
 :meth:`EvolutionSolution.coefficients_at` for strong norms).  Space takes
 the one 1-D path of :mod:`evohom.spaces`: a solution pairing sums
 ``(component, load vector)`` terms from :func:`restricted_load`, strong
-norms evaluate each solution with :func:`eval_matrix_1d` (a Kronecker
-product of two for tensor spaces) at the Gauss points of the partition that
-:func:`merge_cuts` merges from the cells of all discrete operands, and
-callable or constant operands of both go through one evaluator.
+norms evaluate each solution with :func:`eval_matrix_1d` at the Gauss points
+of the partition that :func:`merge_cuts` merges from the cells of all
+discrete operands (on tensor spaces one matrix per direction, applied in
+turn: sum factorisation), and callable or constant operands of both go
+through one evaluator.
 """
 
 import csv
@@ -21,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .solver import EvolutionSolution
 from .spaces import (
@@ -171,15 +171,16 @@ def pairing(u, v, domain=None, component=0, *, grid=None, cells=64):
     return sum(float(np.sum(w * p)) for p in spatial_pairings)
 
 
-def _evaluator(obj, component, pts, emat):
+def _evaluator(obj, component, pts, point_values):
     """Return fn(ts) -> values of obj at the points (rows) and times ts (columns).
 
-    ``obj`` is a solution (evaluated through ``emat(space)``), a callable
+    ``obj`` is a solution (its coefficients at ts, one row per time, mapped
+    to point values by ``point_values(space)``), a callable
     ``obj(t, *pts)`` or a constant.
     """
     if isinstance(obj, EvolutionSolution):
-        e = emat(obj.problem.spaces[component])
-        return lambda ts: e @ obj.coefficients_at(ts, component).T
+        f = point_values(obj.problem.spaces[component])
+        return lambda ts: f(obj.coefficients_at(ts, component))
     if np.isscalar(obj):
         return lambda ts: np.full((pts[0].size, len(ts)), float(obj))
     return lambda ts: np.stack(
@@ -194,8 +195,12 @@ def strong_norm_diff(u, ref, component=0, subdomain=None):
     and time grids (evaluated on the union-cell Gauss points of the finer
     partition), callables ``f(t, xs)`` / ``f(t, xg, yg)``, or constants.  At
     least one must be a discrete solution; the first one's grid supplies
-    the time rule.  Values are formed one slab at a time: a whole-grid
-    array would not fit in memory for the finest 2-D runs.
+    the time rule.  On tensor spaces the 2-D points are the y-major product
+    of the 1-D ones, and a solution is evaluated by sum factorisation: its
+    coefficients, reshaped to (times, nx, ny), are multiplied by the x
+    evaluation matrix along x and then by the y one along y, so no 2-D
+    evaluation matrix is formed.  Values are formed one slab at a time: a
+    whole-grid array would not fit in memory for the finest 2-D runs.
     """
     sols = [o for o in (u, ref) if isinstance(o, EvolutionSolution)]
     if not sols:
@@ -210,29 +215,41 @@ def strong_norm_diff(u, ref, component=0, subdomain=None):
         ycuts = merge_cuts([s.sy for s in spaces], *(sy or (None, None)))
         xs, wx = gauss_panels(xcuts, _NORM_POINTS)
         ys, wy = gauss_panels(ycuts, _NORM_POINTS)
-        ws = np.kron(wx, wy)
-        pts = (np.repeat(xs, ys.size), np.tile(ys, xs.size))
+        ws = np.kron(wy, wx)
+        pts = (np.tile(xs, ys.size), np.repeat(ys, xs.size))
 
-        def emat(space):
-            return sp.kron(
-                eval_matrix_1d(space.sx, xs), eval_matrix_1d(space.sy, ys)
-            ).tocsr()
+        def point_values(space):
+            ex = eval_matrix_1d(space.sx, xs)
+            ey = eval_matrix_1d(space.sy, ys)
+            nx, ny = space.sx.ndof, space.sy.ndof
+
+            def f(c):
+                # ex along x, then ey along y.  Only the two small arrays
+                # before the last product are transposed; that product
+                # lands in (ys, xs, times) order, i.e. (points, times).
+                nt = len(c)
+                a = ex @ c.reshape(nt, nx, ny).transpose(1, 0, 2).reshape(nx, -1)
+                a = a.reshape(-1, nt, ny).transpose(2, 0, 1).reshape(ny, -1)
+                return (ey @ a).reshape(-1, nt)
+
+            return f
 
     else:
         cuts = merge_cuts(spaces, *(subdomain or (None, None)))
         xs, ws = gauss_panels(cuts, _NORM_POINTS)
         pts = (xs,)
 
-        def emat(space):
-            return eval_matrix_1d(space, xs)
+        def point_values(space):
+            e = eval_matrix_1d(space, xs)
+            return lambda c: e @ c.T
 
-    fu = _evaluator(u, component, pts, emat)
-    fr = _evaluator(ref, component, pts, emat)
+    fu = _evaluator(u, component, pts, point_values)
+    fr = _evaluator(ref, component, pts, point_values)
     tq, wq = slab_gauss(sols[0].grid)
     acc = 0.0
     for m in range(tq.shape[0]):
         d = fu(tq[m]) - fr(tq[m])
-        acc += float(wq[m] @ (ws @ (d * d)))
+        acc += float(wq[m] @ (ws @ np.square(d, out=d)))
     return math.sqrt(max(acc, 0.0))
 
 

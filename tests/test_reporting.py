@@ -8,18 +8,23 @@ import pytest
 import scipy.sparse as sp
 
 from evohom.analytic import ode_exact, ode_hom_exact
+from evohom.experiments import ExperimentSpec, _ex45_problem, _run_ex45
+from evohom.homogenise import build_limit_law
 from evohom.meshes import build_mesh
 from evohom.operators import assemble_skew_operator
 from evohom.reporting import (
+    _NORM_POINTS,
     ConvergenceReport,
+    eval_matrix_1d,
     fit_rate,
     pairing,
     restricted_load,
+    slab_gauss,
     strong_norm_diff,
     write_csv,
 )
 from evohom.solver import EvolutionProblem, solve_evolution
-from evohom.spaces import build_space
+from evohom.spaces import build_space, gauss_panels, merge_cuts
 from evohom.timequad import TimeGrid
 
 # Independently derived by dense tensor-Gauss quadrature of the analytic
@@ -49,11 +54,11 @@ def _linear_solution(ncells=4, span=(0.0, 1.0), fn=None, u0=None, slabs=8, grid=
     return solve_evolution(problem)
 
 
-def _vector_solution():
-    """2-D flux pair with vx(t,x,y) = t*x and vy = 0 exactly."""
-    mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), (2, 2))
+def _vector_solution(cells=(2, 2), span=((-2.0, 2.0), (-2.0, 2.0)), degree=0):
+    """2-D flux pair with vx(t,x,y) = t*x and vy = 0 exactly (RT of ``degree``)."""
+    mesh = build_mesh(span, cells)
     su = build_space(mesh, "q", 1, zero_trace=True)
-    rt = build_space(mesh, "rt", 0)
+    rt = build_space(mesh, "rt", degree)
     spaces = (su, rt.vx, rt.vy)
     op = assemble_skew_operator("zero", (su,))
     from evohom.operators import extend_with_zero_components
@@ -200,6 +205,65 @@ class TestStrongNormDiff:
         assert strong_norm_diff(sol, lambda t, xg, yg: t * xg, component=1) <= 1e-12
         val = strong_norm_diff(sol, 0.0, component=1)
         assert val == pytest.approx(math.sqrt(512.0) / 3.0, rel=1e-12)
+
+    def test_tensor_point_order(self):
+        # anisotropic mesh and domain: swapping x and y would pair t*x with
+        # a y-grid of another extent and cell count
+        sol = _vector_solution(cells=(3, 5), span=((-2.0, 2.0), (-1.0, 1.0)))
+        val = strong_norm_diff(sol, lambda t, xg, yg: t * xg + yg, component=1)
+        assert val == pytest.approx(math.sqrt(16.0 / 3.0), rel=1e-12)
+
+    def test_tensor_subdomain_cut_inside_a_cell(self):
+        sol = _vector_solution(cells=(3, 5), span=((-2.0, 2.0), (-1.0, 1.0)))
+        box = ((0.0, 2.0), (-1.0, 0.5))  # y = 0.5 lies inside (0.2, 0.6)
+        val = strong_norm_diff(sol, 0.0, component=1, subdomain=box)
+        assert val == pytest.approx(math.sqrt(32.0 / 3.0), rel=1e-12)
+
+    def test_tensor_cross_mesh_and_degree(self):
+        span = ((-2.0, 2.0), (-1.0, 1.0))
+        a = _vector_solution(cells=(3, 5), span=span, degree=0)
+        b = _vector_solution(cells=(2, 4), span=span, degree=1)
+        assert strong_norm_diff(a, b, component=1) <= 1e-12
+        assert strong_norm_diff(b, a, component=1) <= 1e-12
+
+    @pytest.mark.parametrize("subdomain", [None, ((-1.0, 0.3), (-0.7, 2.0))])
+    def test_tensor_matches_kronecker_evaluation(self, subdomain):
+        # Against one 2-D evaluation matrix kron(Ex, Ey) per operand.  EX5's
+        # oscillating law has no memory but its limit has: the memory (dgq)
+        # component is compared between limits of degree 1 and 2.
+        spec = ExperimentSpec("EX5", slabs=4)
+        span = ((-2.0, 2.0), (-2.0, 2.0))
+
+        def limit(cells, degree):
+            law = build_limit_law("EX5")
+            problem = _ex45_problem(
+                build_mesh(span, cells), degree, law, spec.slabs, spec.rho, spec.T
+            )
+            return solve_evolution(problem)
+
+        sol = solve_evolution(_run_ex45("EX5", 1, 1, spec.slabs, spec.rho, spec.T))
+        lim, ref = limit((12, 6), 1), limit((8, 8), 2)
+        assert len(sol.problem.spaces) == 3 and len(ref.problem.spaces) == 4
+        cases = [(sol, k) for k in range(3)] + [(lim, 3)]
+        tq, wq = slab_gauss(sol.grid)
+        dx, dy = subdomain or ((None, None), (None, None))
+        for u, k in cases:
+            spaces = [s.problem.spaces[k] for s in (u, ref)]
+            xs, wx = gauss_panels(merge_cuts([s.sx for s in spaces], *dx), _NORM_POINTS)
+            ys, wy = gauss_panels(merge_cuts([s.sy for s in spaces], *dy), _NORM_POINTS)
+            eu, er = (
+                sp.kron(eval_matrix_1d(s.sx, xs), eval_matrix_1d(s.sy, ys)).tocsr()
+                for s in spaces
+            )
+            ws = np.kron(wx, wy)
+            acc = 0.0
+            for m in range(tq.shape[0]):
+                d = eu @ u.coefficients_at(tq[m], k).T
+                d -= er @ ref.coefficients_at(tq[m], k).T
+                acc += wq[m] @ (ws @ (d * d))
+            val = strong_norm_diff(u, ref, component=k, subdomain=subdomain)
+            assert val > 0.0
+            assert val == pytest.approx(math.sqrt(acc), rel=1e-13, abs=0.0)
 
     def test_nonuniform_grids_exact(self):
         # u = c*t is reproduced exactly by dG(1) on any time grid
