@@ -292,7 +292,9 @@ def _build_parser():
     p_sweep = sub.add_parser("sweep", help="convergence study over n")
     _add_run_knobs(p_sweep, need_n=False)
     p_sweep.add_argument("--out", help="also write the report CSV here")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    p_sweep.add_argument(
+        "--jobs", type=int, default=1, help="parallel solves, reference included"
+    )
     p_sweep.add_argument(
         "--reference-level",
         type=int,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import i0_antiderivative, ode_exact, ode_hom_exact
+from .blas import one_blas_thread
 from .fields import Constant, SineOsc
 from .homogenise import build_limit_law
 from .laws import MaterialLaw, augment_memory, example_material
@@ -31,6 +32,7 @@ from .reporting import (
     ConvergenceReport,
     fit_rate,
     pairing,
+    slab_gauss,
     strong_norm_diff,
     write_csv,
 )
@@ -264,6 +266,20 @@ def build_run(example, n, *, degree=1, slabs=64, rho=0.0, T=2.0):
     return _run_ex45(spec.example, n, spec.degree, spec.slabs, spec.rho, spec.T)
 
 
+def _solve_run(spec, n):
+    """The oscillatory run of the spec's family at index n, solved."""
+    return solve_evolution(
+        build_run(
+            spec.example,
+            n,
+            degree=spec.degree,
+            slabs=spec.slabs,
+            rho=spec.rho,
+            T=spec.T,
+        )
+    )
+
+
 def solution_norms(sol):
     """Space-time L2 norm of every component (diagnostic/stability check)."""
     names = (
@@ -294,10 +310,7 @@ def _prepare_ex1(spec, level=0):
     return {"ref_pair": ref_pair}
 
 
-def _item_ex1(spec, ctx, n):
-    sol = solve_evolution(
-        _run_ex1(n, spec.degree, spec.slabs, spec.rho, spec.T)
-    )
+def _report_ex1(spec, ctx, n, sol):
     rows = []
     for name in _SCALAR_TESTS:
         val = abs(pairing(sol, name) - ctx["ref_pair"][name])
@@ -349,10 +362,7 @@ def _prepare_ex2(spec, level=0):
     return {"ref": ref, "ref_pair": ref_pair}
 
 
-def _item_ex2(spec, ctx, n):
-    sol = solve_evolution(
-        _run_ex2(n, spec.degree, spec.slabs, spec.rho, spec.T)
-    )
+def _report_ex2(spec, ctx, n, sol):
     rows = []
     for comp, tag, names in _EX2_TESTS:
         for name in names:
@@ -394,20 +404,19 @@ def _prepare_ex3(spec, level=0):
             mesh, spec.degree + 1, _ex3_plain_limit(), spec.slabs, spec.rho, spec.T
         )
     )
-    # The convolution needs adaptive quadrature at every time, and every
-    # pairing and strong norm of the sweep asks for the same slab-Gauss times.
-    u_table = {}
+    # Every pairing and strong norm of the sweep reads the convolution at the
+    # slab-Gauss times of the spec's grid (the runs' grid), so it is
+    # computed there, all at once.
+    grid = spec.grid()
+    tq = slab_gauss(grid)[0].ravel()
+    u_table = dict(zip(tq.tolist(), ode_hom_exact(tq, source=_sin2pit).tolist()))
 
     def u_right(t, xs):
-        t = float(t)
-        if t not in u_table:
-            u_table[t] = float(ode_hom_exact(t, source=_sin2pit))
-        return np.full(np.shape(xs), u_table[t])
+        return np.full(np.shape(xs), u_table[float(t)])
 
     def v_right(t, xs):
         return (np.asarray(xs) - 0.5) * float(i0_antiderivative(float(t)))
 
-    grid = spec.grid()
     ref_pair = {}
     for name in _EX3_TESTS:
         for k, right in ((0, u_right), (1, v_right)):
@@ -425,10 +434,7 @@ def _prepare_ex3(spec, level=0):
     }
 
 
-def _item_ex3(spec, ctx, n):
-    sol = solve_evolution(
-        _run_ex3(n, spec.degree, spec.slabs, spec.rho, spec.T)
-    )
+def _report_ex3(spec, ctx, n, sol):
     rows = []
     for comp, tag in ((0, "u"), (1, "v")):
         for side, dom in (("left", (-1.0, 0.0)), ("right", (0.0, 1.0))):
@@ -475,10 +481,7 @@ def _prepare_ex45(spec, level=0):
     return {"ref": ref, "ref_pair": ref_pair}
 
 
-def _item_ex45(spec, ctx, n):
-    sol = solve_evolution(
-        _run_ex45(spec.example, n, spec.degree, spec.slabs, spec.rho, spec.T)
-    )
+def _report_ex45(spec, ctx, n, sol):
     rows = [(n, "strong_u", strong_norm_diff(sol, ctx["ref"], 0))]
     sv = math.hypot(
         strong_norm_diff(sol, ctx["ref"], 1), strong_norm_diff(sol, ctx["ref"], 2)
@@ -490,41 +493,64 @@ def _item_ex45(spec, ctx, n):
     return rows
 
 
+# Per family: (prepare the reference, report one solved run against it).
 _DRIVERS = {
-    "EX1": (_prepare_ex1, _item_ex1),
-    "EX2": (_prepare_ex2, _item_ex2),
-    "EX3": (_prepare_ex3, _item_ex3),
-    "EX4": (_prepare_ex45, _item_ex45),
-    "EX5": (_prepare_ex45, _item_ex45),
+    "EX1": (_prepare_ex1, _report_ex1),
+    "EX2": (_prepare_ex2, _report_ex2),
+    "EX3": (_prepare_ex3, _report_ex3),
+    "EX4": (_prepare_ex45, _report_ex45),
+    "EX5": (_prepare_ex45, _report_ex45),
 }
 
 
 def convergence_sweep(spec, out=None, jobs=1, reference_level=0):
     """Run one family over its n-list and report all quantities.
 
-    The n-independent reference is prepared once and shared; distinct n
-    run in a thread pool when ``jobs`` > 1 (rows are emitted in n-order
-    either way, so reports are deterministic).  ``reference_level`` = 1
-    swaps in the alternative reference resolution for self-consistency
-    studies.  On failure the partial CSV is flushed with an error row
-    before the exception propagates.
+    The n-independent reference is prepared once and shared.  With ``jobs``
+    = 1 it is prepared first and the runs follow in ascending n, each
+    solved, reported and dropped before the next, so at most one run is
+    held.  With ``jobs`` > 1 the reference and the runs share one thread
+    pool: the reference is submitted first and the runs longest first
+    (descending n); each run task solves, waits for the reference, reports
+    and drops its solution.  Rows are emitted in n-order either way and do
+    not depend on ``jobs``.  The reference and the runs are solved and
+    reported with one BLAS thread (:func:`one_blas_thread`), so the pool's
+    threads do not compete with BLAS threads for the cores.
+    ``reference_level`` = 1 swaps in the alternative reference resolution
+    for self-consistency studies.  On failure, the reference's included,
+    the partial CSV is flushed with an error row before the exception
+    propagates.
     """
     if not isinstance(spec, ExperimentSpec):
         raise TypeError("convergence_sweep expects an ExperimentSpec")
-    prepare, item = _DRIVERS[spec.example]
-    ctx = prepare(spec, level=int(reference_level))
+    prepare, report_run = _DRIVERS[spec.example]
+    level = int(reference_level)
     rows = []
     try:
-        if int(jobs) <= 1:
-            for n in spec.n_list:
-                rows.extend(item(spec, ctx, n))
-        else:
-            with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-                futures = [
-                    pool.submit(item, spec, ctx, n) for n in spec.n_list
-                ]
-                for fut in futures:
-                    rows.extend(fut.result())
+        with one_blas_thread():
+            if int(jobs) <= 1:
+                ctx = prepare(spec, level=level)
+                for n in spec.n_list:
+                    rows.extend(report_run(spec, ctx, n, _solve_run(spec, n)))
+            else:
+                with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
+                    # submitted first, so a worker has taken it before any
+                    # run waits for it: the waits cannot fill the pool
+                    reference = pool.submit(prepare, spec, level=level)
+
+                    def run(n):
+                        sol = _solve_run(spec, n)
+                        return report_run(spec, reference.result(), n, sol)
+
+                    futures = {
+                        n: pool.submit(run, n) for n in reversed(spec.n_list)
+                    }
+                    try:
+                        for n in spec.n_list:
+                            rows.extend(futures[n].result())
+                    finally:
+                        for fut in futures.values():
+                            fut.cancel()  # runs not yet started, on failure
     except Exception:
         if out is not None:
             write_csv(

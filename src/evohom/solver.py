@@ -34,6 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .blas import one_blas_thread
 from .operators import assemble_law_masses
 from .timequad import (
     TRACE_LEFT,
@@ -199,33 +200,44 @@ def _temporal_pencil(rule):
 
 
 def solve_evolution(problem):
-    """March all slabs; one complex factorisation per class of slab lengths."""
-    grid = problem.grid
-    coeffs = np.zeros((grid.num_slabs, 2, problem.ndof))
-    spatial = (problem.m1mat + problem.operator.matrix).tocsr()
-    prev = problem.m0mat @ problem.u0
-    labels = grid.length_classes()
-    last = {label: m for m, label in enumerate(labels, start=1)}
-    factors = {}
-    for m, label in enumerate(labels, start=1):
-        rule = build_radau_rule(grid.slab(m), problem.rho)
-        if label not in factors:
-            lam, v, w = _temporal_pencil(rule)
-            try:
-                lu = splu((lam * problem.m0mat + spatial).tocsc())
-            except RuntimeError as exc:
-                raise RuntimeError(f"singular slab system at slab {m}: {exc}") from exc
-            factors[label] = lu, v, w
-        lu, v, w = factors[label]
-        if last[label] == m:
-            del factors[label]  # no later slab has this length
-        b = _slab_rhs(problem, rule, prev)
-        # elementwise, not w @ b: numpy sends that complex-by-real product to
-        # a threaded BLAS gemv, measured at 6 ms instead of 0.02 ms per slab
-        # of EX4 at n = 2 on 2 vCPUs
-        z = lu.solve(w[0] * b[0] + w[1] * b[1])
-        if not np.all(np.isfinite(z)):
-            raise RuntimeError(f"singular slab system at slab {m}: non-finite solve")
-        coeffs[m - 1] = 2.0 * np.outer(v, z).real
-        prev = problem.m0mat @ (coeffs[m - 1, 0] + coeffs[m - 1, 1])
-    return EvolutionSolution(problem, coeffs)
+    """March all slabs; one complex factorisation per class of slab lengths.
+
+    The pencil, the factorisations and the march run with one BLAS thread
+    (:func:`one_blas_thread`): SuperLU's BLAS calls on these systems gain no
+    wall time from more threads, only CPU time, and a sweep that runs
+    solves in parallel threads would have them compete for the same cores.
+    """
+    with one_blas_thread():
+        grid = problem.grid
+        coeffs = np.zeros((grid.num_slabs, 2, problem.ndof))
+        spatial = (problem.m1mat + problem.operator.matrix).tocsr()
+        prev = problem.m0mat @ problem.u0
+        labels = grid.length_classes()
+        last = {label: m for m, label in enumerate(labels, start=1)}
+        factors = {}
+        for m, label in enumerate(labels, start=1):
+            rule = build_radau_rule(grid.slab(m), problem.rho)
+            if label not in factors:
+                lam, v, w = _temporal_pencil(rule)
+                try:
+                    lu = splu((lam * problem.m0mat + spatial).tocsc())
+                except RuntimeError as exc:
+                    raise RuntimeError(
+                        f"singular slab system at slab {m}: {exc}"
+                    ) from exc
+                factors[label] = lu, v, w
+            lu, v, w = factors[label]
+            if last[label] == m:
+                del factors[label]  # no later slab has this length
+            b = _slab_rhs(problem, rule, prev)
+            # elementwise, not w @ b: numpy sends that complex-by-real product
+            # to a threaded BLAS gemv, measured at 6 ms instead of 0.02 ms per
+            # slab of EX4 at n = 2 on 2 vCPUs
+            z = lu.solve(w[0] * b[0] + w[1] * b[1])
+            if not np.all(np.isfinite(z)):
+                raise RuntimeError(
+                    f"singular slab system at slab {m}: non-finite solve"
+                )
+            coeffs[m - 1] = 2.0 * np.outer(v, z).real
+            prev = problem.m0mat @ (coeffs[m - 1, 0] + coeffs[m - 1, 1])
+        return EvolutionSolution(problem, coeffs)

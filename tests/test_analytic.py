@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.special import i0 as scipy_i0
 
 from evohom.analytic import (
@@ -103,6 +103,22 @@ class TestBesselI0:
         with pytest.raises(ValueError):
             bessel_i0(51.0)
 
+    def test_matches_scalar_series_loop(self):
+        # the same series, summed one argument at a time: each entry stops
+        # at its own first term below the tail, so the sums are identical
+        def series(v):
+            q, term, total, m = 0.25 * v * v, 1.0, 1.0, 0
+            while True:
+                m += 1
+                term *= q / (m * m)
+                total += term
+                if term <= 1e-15 * total:
+                    return total
+
+        xs = np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 300)])
+        assert bessel_i0(xs).tolist() == [series(v) for v in xs]
+        assert bessel_i0(xs.reshape(-1, 7)).shape == (43, 7)
+
 
 class TestOdeHomExact:
     def test_at_zero(self):
@@ -117,6 +133,23 @@ class TestOdeHomExact:
             assert i0_antiderivative(t) == pytest.approx(
                 conv_i0(lambda s: 1.0, t), rel=1e-9
             )
+
+    def test_conv_i0_matches_adaptive_quadrature(self):
+        # times of the EX3 reference and beyond, all at once, against one
+        # adaptive quad per time of scipy's I_0
+        def source(s):
+            return math.sin(2.0 * math.pi * s) + 0.5 * math.cos(math.pi * s)
+
+        ts = np.concatenate([[0.0], np.linspace(0.01, 2.0, 25), [3.7, 7.9]])
+        want = [
+            quad(lambda s: scipy_i0(t - s) * source(s), 0.0, t, epsrel=1e-12)[0]
+            for t in ts
+        ]
+        got = conv_i0(source, ts)
+        assert got.shape == ts.shape
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+        assert conv_i0(source, 0.0) == 0.0
+        assert conv_i0(source, ts[5]) == pytest.approx(got[5], rel=1e-15)
 
     @pytest.mark.parametrize("t", sorted(CONV_SIN_ORACLE))
     def test_sine_source_frozen(self, t):

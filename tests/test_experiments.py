@@ -203,11 +203,18 @@ class TestSweepMechanics:
             convergence_sweep("EX1")
 
     def test_jobs_deterministic(self):
-        # EX4 runs complex SuperLU factorisations in the worker threads
-        for spec in (ExperimentSpec("EX1", (1, 2, 4)), ExperimentSpec("EX4", (1, 2))):
+        # EX4 runs complex SuperLU factorisations in the worker threads; at
+        # jobs > 1 the reference is solved alongside the runs, longest first
+        for spec in (
+            ExperimentSpec("EX1", (1, 2, 4)),
+            ExperimentSpec("EX3", (1, 2)),
+            ExperimentSpec("EX4", (1, 2)),
+        ):
             seq = convergence_sweep(spec, jobs=1)
-            par = convergence_sweep(spec, jobs=2)
-            assert seq.rows == par.rows
+            ns = [n for n, q, _ in seq.rows if not q.startswith("slope_")]
+            assert ns == sorted(ns) and set(ns) == set(spec.n_list)
+            for jobs in (2, 3):
+                assert convergence_sweep(spec, jobs=jobs).rows == seq.rows
 
     def test_csv_written(self, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -224,7 +231,7 @@ class TestSweepMechanics:
     def test_failure_flushes_error_row(self, tmp_path, monkeypatch):
         calls = []
 
-        def boom(spec, ctx, n):
+        def boom(spec, ctx, n, sol):
             if n > 1:
                 raise RuntimeError("synthetic failure")
             calls.append(n)
@@ -239,6 +246,20 @@ class TestSweepMechanics:
         assert lines[-1].startswith("EX1,0,error,nan")
         assert any(",pair_u_x," in line for line in lines)
         assert calls == [1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reference_failure_flushes_error_row(self, tmp_path, monkeypatch, jobs):
+        def failing_reference(spec, level=0):
+            raise RuntimeError("reference failed")
+
+        _, report = experiments._DRIVERS["EX3"]
+        monkeypatch.setitem(
+            experiments._DRIVERS, "EX3", (failing_reference, report)
+        )
+        path = tmp_path / "partial.csv"
+        with pytest.raises(RuntimeError, match="reference failed"):
+            convergence_sweep(ExperimentSpec("EX3", (1, 2)), out=path, jobs=jobs)
+        assert path.read_text().splitlines()[-1] == "EX3,0,error,nan"
 
 
 class TestEX2Sweep:
