@@ -404,18 +404,19 @@ def _prepare_ex3(spec, level=0):
             mesh, spec.degree + 1, _ex3_plain_limit(), spec.slabs, spec.rho, spec.T
         )
     )
-    # Every pairing and strong norm of the sweep reads the convolution at the
-    # slab-Gauss times of the spec's grid (the runs' grid), so it is
-    # computed there, all at once.
+    # Every pairing and strong norm of the sweep reads the limit at the
+    # slab-Gauss times of the spec's grid (the runs' grid), so its time
+    # factors are computed there, all at once.
     grid = spec.grid()
     tq = slab_gauss(grid)[0].ravel()
     u_table = dict(zip(tq.tolist(), ode_hom_exact(tq, source=_sin2pit).tolist()))
+    v_table = dict(zip(tq.tolist(), i0_antiderivative(tq).tolist()))
 
     def u_right(t, xs):
         return np.full(np.shape(xs), u_table[float(t)])
 
     def v_right(t, xs):
-        return (np.asarray(xs) - 0.5) * float(i0_antiderivative(float(t)))
+        return (np.asarray(xs) - 0.5) * v_table[float(t)]
 
     ref_pair = {}
     for name in _EX3_TESTS:
@@ -506,51 +507,48 @@ _DRIVERS = {
 def convergence_sweep(spec, out=None, jobs=1, reference_level=0):
     """Run one family over its n-list and report all quantities.
 
-    The n-independent reference is prepared once and shared.  With ``jobs``
-    = 1 it is prepared first and the runs follow in ascending n, each
-    solved, reported and dropped before the next, so at most one run is
-    held.  With ``jobs`` > 1 the reference and the runs share one thread
-    pool: the reference is submitted first and the runs longest first
-    (descending n); each run task solves, waits for the reference, reports
-    and drops its solution.  Rows are emitted in n-order either way and do
-    not depend on ``jobs``.  The reference and the runs are solved and
-    reported with one BLAS thread (:func:`one_blas_thread`), so the pool's
-    threads do not compete with BLAS threads for the cores.
+    The n-independent reference is prepared once and shared.  The
+    reference and the runs share one pool of ``jobs`` threads (``jobs`` >=
+    1, else ValueError before anything is solved or written): the
+    reference is submitted first and the runs longest first (descending
+    n); each run task solves, waits for the reference, reports and drops
+    its solution.  Rows are emitted in n-order and do not depend on
+    ``jobs``.  The reference and the runs are solved and reported with one
+    BLAS thread (:func:`one_blas_thread`), so the pool's threads do not
+    compete with BLAS threads for the cores.
     ``reference_level`` = 1 swaps in the alternative reference resolution
     for self-consistency studies.  On failure, the reference's included,
     the partial CSV is flushed with an error row before the exception
-    propagates.
+    propagates; a run that starts after the reference failed is not
+    solved.
     """
     if not isinstance(spec, ExperimentSpec):
         raise TypeError("convergence_sweep expects an ExperimentSpec")
+    jobs = int(jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     prepare, report_run = _DRIVERS[spec.example]
     level = int(reference_level)
     rows = []
     try:
-        with one_blas_thread():
-            if int(jobs) <= 1:
-                ctx = prepare(spec, level=level)
+        with one_blas_thread(), ThreadPoolExecutor(max_workers=jobs) as pool:
+            # submitted first, so a worker has taken it before any run
+            # waits for it: the waits cannot fill the pool
+            reference = pool.submit(prepare, spec, level=level)
+
+            def run(n):
+                if reference.done():
+                    reference.result()  # a failed reference: skip the solve
+                sol = _solve_run(spec, n)
+                return report_run(spec, reference.result(), n, sol)
+
+            futures = {n: pool.submit(run, n) for n in reversed(spec.n_list)}
+            try:
                 for n in spec.n_list:
-                    rows.extend(report_run(spec, ctx, n, _solve_run(spec, n)))
-            else:
-                with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-                    # submitted first, so a worker has taken it before any
-                    # run waits for it: the waits cannot fill the pool
-                    reference = pool.submit(prepare, spec, level=level)
-
-                    def run(n):
-                        sol = _solve_run(spec, n)
-                        return report_run(spec, reference.result(), n, sol)
-
-                    futures = {
-                        n: pool.submit(run, n) for n in reversed(spec.n_list)
-                    }
-                    try:
-                        for n in spec.n_list:
-                            rows.extend(futures[n].result())
-                    finally:
-                        for fut in futures.values():
-                            fut.cancel()  # runs not yet started, on failure
+                    rows.extend(futures[n].result())
+            finally:
+                for fut in futures.values():
+                    fut.cancel()  # runs not yet started, on failure
     except Exception:
         if out is not None:
             write_csv(

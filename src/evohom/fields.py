@@ -15,9 +15,8 @@ aligned with them), a finite bound on its values (by interval
 arithmetic), whether it is piecewise constant (then breakpoint-aligned
 midpoint sampling integrates it exactly), and a period if it has one.
 
-A plain-text grammar serialises the trees:  numbers, ``sin_osc(n)``,
+``serialize_field`` renders a tree as plain text:  numbers, ``sin_osc(n)``,
 ``stripe(n)``, ``region(a,b)``, ``+``, ``-``, ``*``, ``/``, parentheses.
-``parse_field`` reads it back.
 
 Two-dimensional coefficients on tensor-product meshes are sums of
 separable terms fx(x)*fy(y); see :class:`Separable2D`.
@@ -26,7 +25,6 @@ separable terms fx(x)*fy(y); see :class:`Separable2D`.
 from __future__ import annotations
 
 import math
-import re
 
 import numpy as np
 
@@ -41,7 +39,6 @@ __all__ = [
     "Reciprocal",
     "Separable2D",
     "as_field",
-    "parse_field",
     "serialize_field",
 ]
 
@@ -81,10 +78,6 @@ class Field:
     def bounds(self):
         """Interval-arithmetic bounds (lo, hi) with lo <= field <= hi."""
         raise NotImplementedError
-
-    def sup_bound(self):
-        lo, hi = self.bounds()
-        return max(abs(lo), abs(hi))
 
     def period(self):
         """A period of the field, ANY_PERIOD for constants, None if aperiodic."""
@@ -375,10 +368,6 @@ class Separable2D:
     def of_x(cls, fx):
         return cls([(fx, Constant(1.0))])
 
-    @classmethod
-    def of_y(cls, fy):
-        return cls([(Constant(1.0), fy)])
-
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -392,9 +381,6 @@ class Separable2D:
 
     def breakpoints_y(self, a, b):
         return _union_breakpoints([fy for _, fy in self.terms], a, b)
-
-    def sup_bound(self):
-        return sum(fx.sup_bound() * fy.sup_bound() for fx, fy in self.terms)
 
     def is_piecewise_constant(self):
         return all(
@@ -437,125 +423,6 @@ def _as_separable(obj):
     if isinstance(obj, (int, float)):
         return Separable2D.constant(float(obj))
     raise TypeError(f"cannot interpret {obj!r} as a 2D coefficient")
-
-
-# ---------------------------------------------------------------------------
-# plain-text grammar
-# ---------------------------------------------------------------------------
-
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[()+\-*/,]))"
-)
-
-
-def _tokenize(text):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"cannot tokenize field expression at: {text[pos:]!r}")
-        pos = m.end()
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-    tokens.append(("end", None))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ValueError(f"expected {op!r}, got {val!r}")
-
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.next()
-            rhs = self.parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.next()
-            rhs = self.parse_factor()
-            node = Product(node, rhs) if op == "*" else Product(node, Reciprocal(rhs))
-        return node
-
-    def parse_factor(self):
-        kind, val = self.peek()
-        if (kind, val) == ("op", "-"):
-            self.next()
-            return Product(Constant(-1.0), self.parse_factor())
-        if (kind, val) == ("op", "("):
-            self.next()
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        if kind == "num":
-            self.next()
-            return Constant(val)
-        if kind == "name":
-            self.next()
-            self.expect_op("(")
-            args = [self.parse_expr()]
-            while self.peek() == ("op", ","):
-                self.next()
-                args.append(self.parse_expr())
-            self.expect_op(")")
-            return _make_atom(val, args)
-        raise ValueError(f"unexpected token {val!r}")
-
-
-def _const_value(node):
-    if isinstance(node, Constant):
-        return node.value
-    if isinstance(node, Product):
-        return _const_value(node.left) * _const_value(node.right)
-    raise ValueError("expected a numeric argument")
-
-
-def _make_atom(name, args):
-    if name == "sin_osc":
-        return SineOsc(int(_const_value(args[0])))
-    if name == "stripe":
-        return StripeIndicator(int(_const_value(args[0])))
-    if name == "region":
-        if len(args) != 2:
-            raise ValueError("region(a, b) takes two arguments")
-        return RegionIndicator(_const_value(args[0]), _const_value(args[1]))
-    raise ValueError(f"unknown field atom {name!r}")
-
-
-def parse_field(text):
-    """Parse the plain-text field grammar back into an expression tree."""
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
-    if parser.peek()[0] != "end":
-        raise ValueError("trailing input in field expression")
-    return node
 
 
 def _fmt_num(v):

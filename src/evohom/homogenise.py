@@ -7,8 +7,8 @@ Covers four things:
   the classical mean formulas, plus the dual route that inverts pointwise,
   homogenises, and inverts back,
 * Schur-type block quantities of a two-part splitting (the four operators
-  that characterise block convergence), their block inverse, and a probe
-  metric between two operators' quantities,
+  that characterise block convergence) and a probe metric between two
+  operators' quantities,
 * the registry of limit material laws of the built-in example families,
   with memory entries in rational form.
 
@@ -36,7 +36,6 @@ from .laws import MaterialLaw, MemoryTerm, _omega1_2d
 __all__ = [
     "EffectiveTensor",
     "SchurQuad",
-    "block_inverse",
     "build_limit_law",
     "cell_problem_fem",
     "cell_problem_oracle",
@@ -158,15 +157,6 @@ class EffectiveTensor:
         m = np.asarray(self.matrix, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def d(self):
-        return self.matrix.shape[0]
-
-    def coercivity(self):
-        """Smallest eigenvalue of the symmetric part."""
-        sym = 0.5 * (self.matrix + self.matrix.T)
-        return float(np.linalg.eigvalsh(sym).min())
 
     def __repr__(self):
         return f"EffectiveTensor({self.matrix.tolist()})"
@@ -415,7 +405,7 @@ class SchurQuad:
 
     q00 = inv(a00), q10 = a10 inv(a00), q01 = inv(a00) a01,
     qS = a11 - a10 inv(a00) a01.  Together with the split they determine
-    the operator uniquely (see :meth:`reconstruct`).
+    the operator uniquely.
     """
 
     q00: np.ndarray
@@ -427,20 +417,6 @@ class SchurQuad:
 
     def quantities(self):
         return self.q00, self.q10, self.q01, self.qS
-
-    def reconstruct(self):
-        """The unique operator with these quantities (dense)."""
-        a00 = np.linalg.inv(self.q00)
-        a01 = a00 @ self.q01
-        a10 = self.q10 @ a00
-        a11 = self.qS + self.q10 @ a00 @ self.q01
-        n = a00.shape[0] + a11.shape[0]
-        out = np.zeros((n, n), dtype=a00.dtype)
-        out[np.ix_(self.idx0, self.idx0)] = a00
-        out[np.ix_(self.idx0, self.idx1)] = a01
-        out[np.ix_(self.idx1, self.idx0)] = a10
-        out[np.ix_(self.idx1, self.idx1)] = a11
-        return out
 
 
 def schur_blocks(a, split=None):
@@ -471,27 +447,6 @@ def schur_blocks(a, split=None):
         idx0=i0,
         idx1=i1,
     )
-
-
-def block_inverse(a, split=None):
-    """Dense inverse of ``a`` assembled from the 2x2 block formula.
-
-    inv = [[q00 + q01 S^-1 q10, -q01 S^-1], [-S^-1 q10, S^-1]] with
-    S the Schur complement.  Raises for a singular 00-block or Schur
-    complement.
-    """
-    quad = schur_blocks(a, split)
-    try:
-        sinv = np.linalg.inv(quad.qS)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular Schur complement") from exc
-    n = quad.q00.shape[0] + quad.qS.shape[0]
-    out = np.zeros((n, n), dtype=np.result_type(quad.q00, sinv))
-    out[np.ix_(quad.idx0, quad.idx0)] = quad.q00 + quad.q01 @ sinv @ quad.q10
-    out[np.ix_(quad.idx0, quad.idx1)] = -quad.q01 @ sinv
-    out[np.ix_(quad.idx1, quad.idx0)] = -sinv @ quad.q10
-    out[np.ix_(quad.idx1, quad.idx1)] = sinv
-    return out
 
 
 def default_probes(n):

@@ -11,8 +11,8 @@ pointwise-multiplication) material law.  Each entry ``(i, j)`` may carry
   ``z*(sqrt(1 - z^{-2}) - 1)`` (so that ``M(z) = sqrt(1 - z^{-2})`` there when
   the instant part is 1).
 
-Evaluation returns the pointwise block matrices of ``M(z)``; the symbol used
-in well-posedness scans is ``z*M(z) = z*M0 + M1(z)``.
+Evaluation returns the pointwise block matrices of ``M(z)``;
+``material_symbol`` returns the symbol ``z*M(z) = z*M0 + M1(z)``.
 
 The text serialisation used by the CLI extends the 1-D coefficient grammar
 (``constants, sin_osc(n), stripe(n), region(a,b), +, -, *``) with
@@ -44,8 +44,6 @@ from .fields import (
 )
 
 EXAMPLE_IDS = ("EX1", "EX2", "EX3", "EX4", "EX5", "MAXWELL")
-
-_DEFAULT_IMAG_OFFSETS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
 @dataclass(frozen=True)
@@ -120,10 +118,6 @@ class MaterialLaw:
         """True when M1 does not depend on z (no memory, no series part)."""
         return not self.memory and not self.series
 
-    def entry_keys(self):
-        keys = set(self.m0) | set(self.m1) | set(self.memory) | set(self.series)
-        return sorted(keys)
-
     def __repr__(self):
         kind = "instant" if self.is_instant else "z-dependent"
         return (
@@ -183,92 +177,11 @@ def material_symbol(law, z, points):
     return complex(z) * eval_material_law(law, z, points)
 
 
-def norm_bound(law, z):
-    """A tree-derived upper bound for sup_x ||M(z)(x)|| (max row sum)."""
-    z = complex(z)
-    if z.real <= law.nu0:
-        raise ValueError(f"Re z = {z.real} must exceed nu0 = {law.nu0}")
-    rows = np.zeros(law.ncomp)
-    zinv_mag = 1.0 / abs(z)
-    for (i, _), f in law.m0.items():
-        rows[i] += f.sup_bound()
-    for (i, _), f in law.m1.items():
-        rows[i] += zinv_mag * f.sup_bound()
-    for (i, _), terms in law.memory.items():
-        for term in terms:
-            rows[i] += (
-                zinv_mag * abs(term.c) / abs(term.a + term.b * z) * term.region.sup_bound()
-            )
-    if law.series:
-        bump = abs(series_material_law(z) - 1.0)
-        for (i, _), region in law.series.items():
-            rows[i] += bump * region.sup_bound()
-    return float(rows.max())
-
-
 def _axis_samples(a, b, breakpoints, dense):
     cuts = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})
     mids = [0.5 * (lo + hi) for lo, hi in zip(cuts, cuts[1:])]
     pts = np.unique(np.concatenate([np.linspace(a, b, dense), np.asarray(mids)]))
     return pts
-
-
-def default_x_grid(law, dense=257):
-    """Breakpoint-aware sample grid over the law's domain."""
-    fields_1d, fields_2d = [], []
-    for mapping in (law.m0, law.m1, law.series):
-        for f in mapping.values():
-            (fields_2d if law.dim == 2 else fields_1d).append(f)
-    for terms in law.memory.values():
-        for t in terms:
-            (fields_2d if law.dim == 2 else fields_1d).append(t.region)
-    if law.dim == 1:
-        a, b = law.domain
-        bps = [p for f in fields_1d for p in f.breakpoints(a, b)]
-        return _axis_samples(a, b, bps, dense)
-    (ax, bx), (ay, by) = law.domain
-    bx_pts = [p for f in fields_2d for p in f.breakpoints_x(ax, bx)]
-    by_pts = [p for f in fields_2d for p in f.breakpoints_y(ay, by)]
-    dense_axis = max(9, int(math.isqrt(dense)))
-    xs = _axis_samples(ax, bx, bx_pts, dense_axis)
-    ys = _axis_samples(ay, by, by_pts, dense_axis)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel()])
-
-
-def default_z_grid(nu0, n_re=12, span=10.0, imag_offsets=_DEFAULT_IMAG_OFFSETS):
-    """Log-spaced real offsets above nu0 crossed with 8 imaginary offsets.
-
-    For real-coefficient laws the symbol is conjugate-symmetric, so only
-    nonnegative imaginary offsets are sampled.
-    """
-    re = nu0 + np.logspace(math.log10(0.01), math.log10(span), n_re)
-    grid = re[:, None] + 1j * np.asarray(imag_offsets)[None, :]
-    return grid.ravel()
-
-
-def wellposedness_scan(law, nu0=None, z_grid=None, x_grid=None):
-    """Sampled positivity constant: min eig of the Hermitian part of zM(z).
-
-    Returns the minimum over the sample grids; a nonpositive value is a
-    valid (failing) report, not an error.
-    """
-    if nu0 is None:
-        nu0 = law.nu0
-    if z_grid is None:
-        z_grid = default_z_grid(nu0)
-    z_grid = np.atleast_1d(np.asarray(z_grid, dtype=complex))
-    if np.any(z_grid.real <= nu0):
-        raise ValueError("z grid must satisfy Re z > nu0")
-    if x_grid is None:
-        x_grid = default_x_grid(law)
-    worst = math.inf
-    for z in z_grid:
-        symbol = material_symbol(law, z, x_grid)
-        herm = 0.5 * (symbol + np.conj(np.swapaxes(symbol, -1, -2)))
-        eigs = np.linalg.eigvalsh(herm)
-        worst = min(worst, float(eigs.min()))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +210,6 @@ class MemoryAugmentation:
     law: MaterialLaw
     original: MaterialLaw
     slots: tuple = dataclass_field(default=())
-
-    def eliminate(self, z, points):
-        """Schur complement of z*M0-hat + M1-hat onto the original components."""
-        z = complex(z)
-        symbol = material_symbol(self.law, z, points)
-        n = self.original.ncomp
-        if not self.slots:
-            return symbol
-        a00 = symbol[:, :n, :n]
-        a01 = symbol[:, :n, n:]
-        a10 = symbol[:, n:, :n]
-        a11 = symbol[:, n:, n:]
-        return a00 - a01 @ np.linalg.solve(a11, a10)
 
 
 def _is_indicator(f, law_dim, domain):

@@ -49,9 +49,6 @@ class Mesh1D:
         idx = np.clip(idx, 0, self.ncells - 1)
         return int(idx) if idx.ndim == 0 else idx
 
-    def has_boundary_at(self, x, tol=_ALIGN_TOL):
-        return bool(np.any(np.abs(self.boundaries - x) <= tol))
-
     def __repr__(self):
         a, b = self.span
         return f"Mesh1D({self.ncells} cells on [{a}, {b}])"

@@ -60,13 +60,6 @@ class SkewBlockOperator:
     def ndof(self):
         return int(self.offsets[-1])
 
-    def skewness_defect(self):
-        """max |A + A^T| over the pattern, relative to max |A| (0 for A=0)."""
-        a = self.matrix
-        defect = abs(a + a.T).max()
-        scale = abs(a).max()
-        return defect / scale if scale > 0 else defect
-
 
 def _blocks_to_matrix(blocks, offsets):
     n = len(offsets) - 1

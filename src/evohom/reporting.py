@@ -291,9 +291,6 @@ class ConvergenceReport:
             if got != ns:
                 raise ValueError(f"quantity {q!r} missing for some n")
 
-    def ns(self):
-        return tuple(sorted({n for n, _, _ in self.rows if n > 0}))
-
     def quantities(self):
         return tuple(sorted({q for n, q, _ in self.rows if n > 0}))
 
@@ -308,9 +305,6 @@ class ConvergenceReport:
             if rn == n and q == quantity:
                 return v
         raise KeyError(f"no row ({n}, {quantity!r})")
-
-    def slope(self, quantity):
-        return fit_rate(self.series(quantity))
 
     def write(self, path):
         write_csv(path, self.example, self.rows)

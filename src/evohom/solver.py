@@ -38,6 +38,7 @@ from .blas import one_blas_thread
 from .operators import assemble_law_masses
 from .timequad import (
     TRACE_LEFT,
+    TRACE_RIGHT,
     TimeGrid,
     build_radau_rule,
     temporal_basis,
@@ -156,8 +157,8 @@ class EvolutionSolution:
         return self.problem.grid
 
     def right_trace(self, m):
-        """Value at t_m from slab m (1-based): U^0 + U^1."""
-        return self.coeffs[m - 1, 0] + self.coeffs[m - 1, 1]
+        """Value at t_m from slab m (1-based)."""
+        return TRACE_RIGHT @ self.coeffs[m - 1]
 
     def coefficients_at(self, ts, component=None):
         """Spatial coefficients at the times ts in (0, T], right-continuous.
@@ -169,13 +170,6 @@ class EvolutionSolution:
         if component is not None:
             sl = self.problem.component_slice(component)
         return self.grid.evaluate(self.coeffs[:, :, sl], ts)
-
-    def coefficient_at(self, t):
-        """Stacked spatial coefficients at one time t in (0, T]."""
-        return self.coefficients_at(float(t))
-
-    def component_at(self, t, i):
-        return self.coefficients_at(float(t), i)
 
 
 # Largest accepted condition number of the pencil's eigenvector matrix V;
@@ -239,5 +233,5 @@ def solve_evolution(problem):
                     f"singular slab system at slab {m}: non-finite solve"
                 )
             coeffs[m - 1] = 2.0 * np.outer(v, z).real
-            prev = problem.m0mat @ (coeffs[m - 1, 0] + coeffs[m - 1, 1])
+            prev = problem.m0mat @ (TRACE_RIGHT @ coeffs[m - 1])
         return EvolutionSolution(problem, coeffs)

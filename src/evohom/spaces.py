@@ -114,9 +114,6 @@ class LineSpace:
         t = (np.asarray(xs, dtype=float) - b[ci]) / h
         return self.basis.eval(t, deriv) / h**deriv
 
-    def mass(self, coeff=None):
-        return gram1d(self, self, coeff=coeff)
-
 
 class NodalLineSpace(LineSpace):
     """H1-conforming Lagrange elements, optionally periodic or constrained."""
@@ -328,9 +325,6 @@ class TensorSpace:
     def ndof(self):
         return self.sx.ndof * self.sy.ndof
 
-    def mass(self, coeff=None):
-        return gram2d(self, self, coeff=coeff)
-
     def __repr__(self):
         return f"TensorSpace({self.sx.ndof} x {self.sy.ndof} DOFs)"
 
@@ -374,10 +368,6 @@ class RTSpace:
         self.vy = TensorSpace(
             GaussLineSpace(mesh.x, k), NodalLineSpace(mesh.y, k + 1)
         )
-
-    @property
-    def components(self):
-        return self.vx, self.vy
 
     @property
     def ndof(self):

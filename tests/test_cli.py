@@ -151,6 +151,16 @@ class TestSweep:
         assert code == 3
         assert "unknown key 'colour'" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, capsys, tmp_path, jobs):
+        out_file = tmp_path / "report.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--example", "EX1", "--jobs", jobs, "--out", str(out_file)
+        )
+        assert code == 3
+        assert "jobs must be at least 1" in err
+        assert out == "" and not out_file.exists()
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--config", "/nonexistent.cfg")
         assert code == 3

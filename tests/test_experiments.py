@@ -256,10 +256,20 @@ class TestSweepMechanics:
         monkeypatch.setitem(
             experiments._DRIVERS, "EX3", (failing_reference, report)
         )
+        solved = []
+        solve_run = experiments._solve_run
+
+        def counted_solve(spec, n):
+            solved.append(n)
+            return solve_run(spec, n)
+
+        monkeypatch.setattr(experiments, "_solve_run", counted_solve)
         path = tmp_path / "partial.csv"
         with pytest.raises(RuntimeError, match="reference failed"):
             convergence_sweep(ExperimentSpec("EX3", (1, 2)), out=path, jobs=jobs)
         assert path.read_text().splitlines()[-1] == "EX3,0,error,nan"
+        if jobs == 1:  # the reference fails before any run starts
+            assert solved == []
 
 
 class TestEX2Sweep:

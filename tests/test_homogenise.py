@@ -15,7 +15,6 @@ from evohom.fields import (
 )
 from evohom.homogenise import (
     EffectiveTensor,
-    block_inverse,
     build_limit_law,
     cell_problem_oracle,
     default_probes,
@@ -26,7 +25,7 @@ from evohom.homogenise import (
     schur_blocks,
     schur_distance,
 )
-from evohom.laws import augment_memory, eval_material_law
+from evohom.laws import augment_memory, eval_material_law, serialize_law
 
 
 class TestIntegralMean:
@@ -69,7 +68,7 @@ class TestStratified:
         t = homogenise_stratified([[one_plus, 0.0], [0.0, one_plus]], 1.0)
         assert np.allclose(t.matrix, np.diag([4.0 / 3.0, 1.5]), atol=1e-13)
         assert "1/m(1/a11)" in t.provenance[0][0]
-        assert t.coercivity() > 1.0
+        assert np.linalg.eigvalsh(0.5 * (t.matrix + t.matrix.T)).min() > 1.0
 
     def test_constant_medium(self):
         c = 2.7
@@ -200,19 +199,30 @@ class TestSchurQuantities:
         assert np.max(np.abs(quad.q01)) == 0.0
         assert np.allclose(quad.qS, np.eye(2))
 
+    @staticmethod
+    def _assert_definitions(a, quad, i0, i1):
+        """q00 a00 = I, q10 a00 = a10, a00 q01 = a01, qS + a10 q01 = a11."""
+        a00, a01 = a[np.ix_(i0, i0)], a[np.ix_(i0, i1)]
+        a10, a11 = a[np.ix_(i1, i0)], a[np.ix_(i1, i1)]
+        assert np.max(np.abs(quad.q00 @ a00 - np.eye(len(i0)))) <= 1e-12
+        assert np.max(np.abs(quad.q10 @ a00 - a10)) <= 1e-12
+        assert np.max(np.abs(a00 @ quad.q01 - a01)) <= 1e-12
+        assert np.max(np.abs(quad.qS + a10 @ quad.q01 - a11)) <= 1e-12
+
     def test_reconstruction(self):
         rng = np.random.default_rng(11)
         q = rng.normal(size=(6, 6))
         a = q @ q.T + 6.0 * np.eye(6)
         quad = schur_blocks(a, 3)
-        assert np.max(np.abs(quad.reconstruct() - a)) <= 1e-12
+        self._assert_definitions(a, quad, np.arange(3), np.arange(3, 6))
 
     def test_noncontiguous_split(self):
         rng = np.random.default_rng(2)
         q = rng.normal(size=(4, 4))
         a = q @ q.T + 4.0 * np.eye(4)
-        quad = schur_blocks(a, (np.array([0, 2]), np.array([1, 3])))
-        assert np.max(np.abs(quad.reconstruct() - a)) <= 1e-12
+        i0, i1 = np.array([0, 2]), np.array([1, 3])
+        quad = schur_blocks(a, (i0, i1))
+        self._assert_definitions(a, quad, i0, i1)
 
     def test_singular_00_rejected(self):
         with pytest.raises(ValueError, match="singular 00-block"):
@@ -221,29 +231,6 @@ class TestSchurQuantities:
     def test_bad_split(self):
         with pytest.raises(ValueError, match="partition"):
             schur_blocks(np.eye(4), (np.array([0, 1]), np.array([1, 2, 3])))
-
-
-class TestBlockInverse:
-    def test_two_by_two(self):
-        inv = block_inverse(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(inv, np.array([[2, -1], [-1, 2]]) / 3.0, atol=1e-14)
-
-    def test_diagonal(self):
-        d = np.array([2.0, 4.0, 5.0, 10.0])
-        inv = block_inverse(np.diag(d), 2)
-        assert np.allclose(inv, np.diag(1.0 / d), atol=1e-14)
-
-    def test_matches_dense_inverse(self):
-        rng = np.random.default_rng(5)
-        q = rng.normal(size=(8, 8))
-        a = q @ q.T + 8.0 * np.eye(8)
-        inv = block_inverse(a, 4)
-        assert np.max(np.abs(inv - np.linalg.inv(a))) <= 1e-10
-        assert np.max(np.abs(a @ inv - np.eye(8))) <= 1e-12
-
-    def test_singular_schur_rejected(self):
-        with pytest.raises(ValueError, match="singular Schur complement"):
-            block_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]), 1)
 
 
 def _dct_basis(n):
@@ -364,6 +351,27 @@ class TestLimitLaws:
         assert aug.law.ncomp == 7
         assert aug.law.is_instant
 
+    @pytest.mark.parametrize(
+        "example, text",
+        [
+            (
+                "EX2",
+                "law EX2-limit\n  dim 1\n  components u, v\n  nu0 0.5\n"
+                "  M0[u,u] = 0.5\n  M0[v,v] = 1\n  M1[u,u] = 0.5",
+            ),
+            (
+                "EX3",
+                "law EX3-limit\n  dim 1\n  components u, v\n  nu0 1\n"
+                "  M0[u,u] = 1\n  M0[v,v] = 1\n"
+                "  M[u,u] += (bessel_series() - 1) * (region(0,1))\n"
+                "  M[v,v] += (bessel_series() - 1) * (region(0,1))",
+            ),
+        ],
+    )
+    def test_text(self, example, text):
+        # the law as `evohom limits` prints it
+        assert serialize_law(build_limit_law(example)) == text
+
     def test_ex1_rejected(self):
         with pytest.raises(ValueError, match="series law"):
             build_limit_law("EX1")
@@ -386,7 +394,3 @@ class TestEffectiveTensorType:
         t = EffectiveTensor(np.eye(2))
         with pytest.raises(ValueError):
             t.matrix[0, 0] = 2.0
-
-    def test_coercivity(self):
-        t = EffectiveTensor(np.array([[2.0, 1.0], [0.0, 2.0]]))
-        assert t.coercivity() == pytest.approx(1.5)

@@ -24,7 +24,7 @@ from evohom.reporting import (
     write_csv,
 )
 from evohom.solver import EvolutionProblem, solve_evolution
-from evohom.spaces import build_space, gauss_panels, merge_cuts
+from evohom.spaces import build_space, gauss_panels, gram1d, gram2d, merge_cuts
 from evohom.timequad import TimeGrid
 
 # Independently derived by dense tensor-Gauss quadrature of the analytic
@@ -39,7 +39,7 @@ def _linear_solution(ncells=4, span=(0.0, 1.0), fn=None, u0=None, slabs=8, grid=
     mesh = build_mesh(span, ncells)
     space = build_space(mesh, "cg", 1)
     op = assemble_skew_operator("zero", (space,))
-    mass = space.mass()
+    mass = gram1d(space, space)
     b = restricted_load(space, fn if fn is not None else 1.0)
     problem = EvolutionProblem(
         (space,),
@@ -65,7 +65,7 @@ def _vector_solution(cells=(2, 2), span=((-2.0, 2.0), (-2.0, 2.0)), degree=0):
 
     op = extend_with_zero_components(op, [rt.vx.ndof, rt.vy.ndof])
     mass = sp.block_diag(
-        [su.mass(), rt.vx.mass(), rt.vy.mass()], format="csr"
+        [gram2d(su, su), gram2d(rt.vx, rt.vx), gram2d(rt.vy, rt.vy)], format="csr"
     )
     b = np.concatenate(
         [
@@ -176,7 +176,7 @@ class TestStrongNormDiff:
         mesh = build_mesh((0.0, 1.0), 4)
         space = build_space(mesh, "cg", 1)
         op = assemble_skew_operator("zero", (space,))
-        mass = space.mass()
+        mass = gram1d(space, space)
         problem = EvolutionProblem(
             (space,),
             None,
@@ -320,9 +320,8 @@ class TestConvergenceReport:
             (0, "slope_pair_u_x", -1.0),
         ]
         rep = ConvergenceReport("EX1", tuple(rows))
-        assert rep.ns() == (1, 2, 4)
         assert rep.quantities() == ("pair_u_x",)
-        assert rep.slope("pair_u_x") == pytest.approx(-1.0, abs=1e-10)
+        assert fit_rate(rep.series("pair_u_x")) == pytest.approx(-1.0, abs=1e-10)
         assert rep.value(2, "pair_u_x") == 0.12
         path = tmp_path / "rep.csv"
         rep.write(path)

@@ -86,7 +86,7 @@ class TestExactReproduction:
             assert sol.right_trace(m)[0] == pytest.approx(a + b * tm, abs=1e-11)
             # interior value at the slab midpoint
             tmid = 0.5 * sum(problem.grid.slab(m))
-            assert sol.coefficient_at(tmid)[0] == pytest.approx(
+            assert sol.coefficients_at(tmid)[0] == pytest.approx(
                 a + b * tmid, abs=1e-11
             )
 
@@ -138,7 +138,7 @@ class TestConvergenceOrders:
             t0, t1 = problem.grid.slab(m)
             pts = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gauss_x
             w = 0.5 * (t1 - t0) * gauss_w
-            vals = np.array([sol.coefficient_at(t)[0] for t in pts])
+            vals = np.array([sol.coefficients_at(t)[0] for t in pts])
             total += float(w @ (vals - np.sin(pts)) ** 2)
         return math.sqrt(total)
 
@@ -180,7 +180,7 @@ class TestOscillatingODEFamily:
             pts = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gauss_x
             w = 0.5 * (t1 - t0) * gauss_w
             for t, wq in zip(pts, w):
-                diff = sol.coefficient_at(t) - ode_exact(n, t, nodes)
+                diff = sol.coefficients_at(t) - ode_exact(n, t, nodes)
                 total += wq * float(wts @ diff**2)
         err = math.sqrt(total)
         assert err <= 1e-3
@@ -263,14 +263,14 @@ class TestSolutionInterface:
         sol = solve_evolution(problem)
         # interior grid point belongs to the earlier slab (right-continuous)
         t2 = problem.grid.slab(2)[1]
-        assert sol.coefficient_at(t2)[0] == pytest.approx(
+        assert sol.coefficients_at(t2)[0] == pytest.approx(
             sol.right_trace(2)[0], abs=1e-14
         )
-        assert sol.coefficient_at(t2)[0] == pytest.approx(c * t2, abs=1e-12)
+        assert sol.coefficients_at(t2)[0] == pytest.approx(c * t2, abs=1e-12)
         with pytest.raises(ValueError):
-            sol.coefficient_at(0.0)
+            sol.coefficients_at(0.0)
         with pytest.raises(ValueError):
-            sol.coefficient_at(1.5)
+            sol.coefficients_at(1.5)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -301,12 +301,12 @@ class TestSolutionInterface:
         block = sol.coefficients_at(ts)
         assert block.shape == (ts.size, problem.ndof)
         for t, row in zip(ts, block):
-            assert np.array_equal(row, sol.coefficient_at(t))
+            assert np.array_equal(row, sol.coefficients_at(t))
         for i in range(2):
             comp = sol.coefficients_at(ts, i)
             assert np.array_equal(comp, block[:, problem.component_slice(i)])
             for t, row in zip(ts, comp):
-                assert np.array_equal(row, sol.component_at(t, i))
+                assert np.array_equal(row, sol.coefficients_at(t, i))
         # grid point t_m carries the right trace of slab m
         for m in range(1, grid.num_slabs + 1):
             assert np.array_equal(block[m - 1], sol.right_trace(m))
@@ -344,7 +344,7 @@ class TestSolutionInterface:
             m1mat=collocated_mass(space, 0.0),
         )
         sol = solve_evolution(problem)
-        vals = eval_matrix_1d(space, np.array([0.1, 0.6])) @ sol.component_at(0.5, 0)
+        vals = eval_matrix_1d(space, np.array([0.1, 0.6])) @ sol.coefficients_at(0.5, 0)
         assert np.allclose(vals, 0.5, atol=1e-12)  # u = t, constant in x
 
 
