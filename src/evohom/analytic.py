@@ -20,10 +20,10 @@ is 1/sqrt(z^2 - 1) = (z*M(z))^{-1}, which ties the two together.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "ode_exact",
@@ -31,35 +31,33 @@ __all__ = [
     "i0_antiderivative",
     "ode_hom_exact",
     "conv_i0",
-    "SeriesLaw",
     "series_material_law",
     "series_closed_form",
     "laplace_i0",
 ]
 
 
-def ode_exact(n, t, x, source=None):
-    """Solution of d/dt u + sin(2*pi*n*x) u = f, u(0) = 0, at (t, x).
+def _check_times(t):
+    """Raise unless every time in ``t`` is finite and nonnegative."""
+    ts = np.asarray(t, dtype=float)
+    if not np.all((ts >= 0.0) & (ts < math.inf)):
+        raise ValueError("time must be finite and nonnegative")
+    return ts
 
-    For the default unit-step source (f = 1 for t > 0) the closed form
-    (1 - e^{-t s})/s is used, continuously extended by t at s = 0.  For a
-    callable source f(t), the convolution int_0^t e^{-(t-r) s} f(r) dr is
-    evaluated by adaptive quadrature to 1e-10.  Vectorised over x.
+
+def ode_exact(n, t, x):
+    """Solution of d/dt u + sin(2*pi*n*x) u = 1, u(0) = 0, at (t, x).
+
+    The closed form (1 - e^{-t s})/s for the unit-step source, continuously
+    extended by t at s = 0.  Vectorised over x.
     """
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    _check_times(t)
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("positions must be finite")
     s = np.sin(2.0 * math.pi * n * x)
-    if source is None:
-        out = np.where(s == 0.0, t, -np.expm1(-t * np.where(s == 0.0, 1.0, s)) / np.where(s == 0.0, 1.0, s))
-        return out if out.ndim else float(out)
-    scalars = np.atleast_1d(s)
-    vals = np.empty_like(scalars)
-    for i, si in enumerate(scalars):
-        val, _ = quad(lambda r: math.exp(-(t - r) * si) * source(r), 0.0, t, epsabs=1e-12, epsrel=1e-10, limit=200)
-        vals[i] = val
-    vals = vals.reshape(s.shape)
-    return vals if vals.ndim else float(vals)
+    out = np.where(s == 0.0, t, -np.expm1(-t * np.where(s == 0.0, 1.0, s)) / np.where(s == 0.0, 1.0, s))
+    return out if out.ndim else float(out)
 
 
 def bessel_i0(x):
@@ -71,7 +69,7 @@ def bessel_i0(x):
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0):
         raise ValueError("I_0 series oracle defined for nonnegative arguments")
-    if np.any(xs > 50.0):
+    if not np.all(xs <= 50.0):
         raise ValueError("argument outside the supported range [0, 50]")
     q = 0.25 * xs * xs
     term = np.ones_like(xs)
@@ -91,9 +89,7 @@ def i0_antiderivative(t):
 
     int_0^t I_0 = sum_m t^{2m+1} / ((m!)^2 4^m (2m+1)).
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts < 0.0):
-        raise ValueError("time must be nonnegative")
+    ts = np.atleast_1d(_check_times(t))
     out = np.empty_like(ts)
     for i, v in enumerate(ts):
         q = 0.25 * v * v
@@ -119,8 +115,7 @@ def ode_hom_exact(t, source=None):
     The unit-step source integrates the I_0 series termwise (no
     quadrature error); callable sources use the fixed rule of :func:`conv_i0`.
     """
-    if np.any(np.asarray(t) < 0.0):
-        raise ValueError("time must be nonnegative")
+    _check_times(t)
     if source is None:
         return i0_antiderivative(t)
     return conv_i0(source, t)
@@ -140,9 +135,7 @@ def conv_i0(source, t):
     exact to roundoff for sources smooth on the unit time scale.
     ``source`` is called on scalars.
     """
-    ts = np.asarray(t, dtype=float)
-    if np.any(ts < 0.0):
-        raise ValueError("time must be nonnegative")
+    ts = _check_times(t)
     panels = max(1, math.ceil(float(np.max(ts, initial=0.0))))
     gx, gw = np.polynomial.legendre.leggauss(_CONV_POINTS)
     u = (np.arange(panels)[:, None] + 0.5 * (gx + 1.0)).ravel() / panels
@@ -153,69 +146,57 @@ def conv_i0(source, t):
     return out if out.ndim else float(out)
 
 
-class SeriesLaw:
-    """The double-series limit material law with certified truncation.
+# Relative truncation tolerance of the series law: the inner series is
+# summed to a tenth of it, the outer one to it.
+_SERIES_TOL = 1e-12
 
-    Evaluation sums the inner series S(z) = sum_m (2m)!/((2^m m!)^2) z^{-2m}
-    with a geometric tail bound in |z^{-2}|, then the outer alternating
-    geometric series in (-S) with tail |S|^{J+1}/(1-|S|).  Both bounds are
-    a posteriori; the truncation orders actually used are recorded.
+
+def series_material_law(z):
+    """M(z) = 1 + sum_j (-sum_m (2m)!/((2^m m!)^2) z^{-2m})^j.
+
+    The inner series S(z) = sum_m (2m)!/((2^m m!)^2) z^{-2m} is summed with
+    a geometric tail bound in |z^{-2}|, then the outer alternating geometric
+    series in (-S) with tail |S|^{J+1}/(1-|S|).  Both bounds are a
+    posteriori.  Requires a finite z with |z^{-2}| < 1 and |S(z)| < 1.
     """
-
-    def __init__(self, tol=1e-12):
-        self.tol = float(tol)
-        self.m_max = 0
-        self.j_max = 0
-
-    def inner_sum(self, z, tol=None):
-        """S(z) with tail bound <= tol; requires |z^{-2}| < 1."""
-        tol = self.tol if tol is None else tol
-        w = 1.0 / (complex(z) * complex(z))
-        aw = abs(w)
-        if aw >= 1.0:
-            raise ValueError("series law evaluated outside its convergence region |z^-2| < 1")
-        c = 1.0
-        wp = 1.0 + 0.0j
-        total = 0.0 + 0.0j
-        m = 0
-        while True:
-            m += 1
-            c *= (2.0 * m - 1.0) / (2.0 * m)  # c_m = (2m)!/(4^m (m!)^2)
-            wp *= w
-            term = c * wp
-            total += term
-            # tail: coefficients decrease, so |tail| <= |term| * aw/(1-aw)
-            if abs(term) * aw / (1.0 - aw) <= tol * max(1.0, abs(total)):
-                break
-            if m > 10_000:
-                raise ArithmeticError("inner series failed to converge")
-        self.m_max = max(self.m_max, m)
-        return total
-
-    def __call__(self, z, tol=None):
-        tol = self.tol if tol is None else tol
-        S = self.inner_sum(z, tol=0.1 * tol)
-        aS = abs(S)
-        if aS >= 1.0:
-            raise ValueError("outer series diverges: |S(z)| >= 1 (need Re z > 2)")
-        term = 1.0 + 0.0j
-        total = 1.0 + 0.0j
-        j = 0
-        while True:
-            j += 1
-            term *= -S
-            total += term
-            if abs(term) * aS / (1.0 - aS) <= tol * max(1.0, abs(total)):
-                break
-            if j > 100_000:
-                raise ArithmeticError("outer series failed to converge")
-        self.j_max = max(self.j_max, j)
-        return total
-
-
-def series_material_law(z, tol=1e-12):
-    """M(z) = 1 + sum_j (-sum_m (2m)!/((2^m m!)^2) z^{-2m})^j."""
-    return SeriesLaw(tol=tol)(z)
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"series law needs a finite argument, got z = {z}")
+    w = 1.0 / (z * z)
+    aw = abs(w)
+    if not aw < 1.0:
+        raise ValueError("series law evaluated outside its convergence region |z^-2| < 1")
+    inner_tol = 0.1 * _SERIES_TOL
+    c = 1.0
+    wp = 1.0 + 0.0j
+    S = 0.0 + 0.0j
+    m = 0
+    while True:
+        m += 1
+        c *= (2.0 * m - 1.0) / (2.0 * m)  # c_m = (2m)!/(4^m (m!)^2)
+        wp *= w
+        term = c * wp
+        S += term
+        # tail: coefficients decrease, so |tail| <= |term| * aw/(1-aw)
+        if abs(term) * aw / (1.0 - aw) <= inner_tol * max(1.0, abs(S)):
+            break
+        if m > 10_000:
+            raise ArithmeticError("inner series failed to converge")
+    aS = abs(S)
+    if aS >= 1.0:
+        raise ValueError("outer series diverges: |S(z)| >= 1 (need Re z > 2)")
+    term = 1.0 + 0.0j
+    total = 1.0 + 0.0j
+    j = 0
+    while True:
+        j += 1
+        term *= -S
+        total += term
+        if abs(term) * aS / (1.0 - aS) <= _SERIES_TOL * max(1.0, abs(total)):
+            break
+        if j > 100_000:
+            raise ArithmeticError("outer series failed to converge")
+    return total
 
 
 def series_closed_form(z):
@@ -224,19 +205,25 @@ def series_closed_form(z):
     return complex(np.sqrt(1.0 - 1.0 / (z * z)))
 
 
-def laplace_i0(z, tol=1e-8, points_per_unit=8):
+# Truncation tail bound of laplace_i0, and its Gauss-Legendre panels per
+# unit of time.
+_LAPLACE_TOL = 1e-10
+_LAPLACE_PANELS = 8
+
+
+def laplace_i0(z):
     """Truncated Laplace transform int_0^{T*} e^{-z t} I_0(t) dt.
 
     T* is chosen from the bound I_0(t) <= e^t so the truncation tail
-    e^{(1-Re z) T*}/(Re z - 1) stays below tol; the finite integral uses
-    composite Gauss-Legendre panels on an analytic integrand.
+    e^{(1-Re z) T*}/(Re z - 1) stays below _LAPLACE_TOL; the finite
+    integral uses composite Gauss-Legendre panels on an analytic integrand.
     """
     z = complex(z)
-    if z.real <= 1.0:
-        raise ValueError("Laplace transform of I_0 needs Re z > 1")
-    T = math.log(1.0 / (tol * (z.real - 1.0))) / (z.real - 1.0)
+    if not (cmath.isfinite(z) and z.real > 1.0):
+        raise ValueError("Laplace transform of I_0 needs a finite z with Re z > 1")
+    T = math.log(1.0 / (_LAPLACE_TOL * (z.real - 1.0))) / (z.real - 1.0)
     T = min(max(T, 1.0), 50.0)
-    n_panels = max(8, int(points_per_unit * T))
+    n_panels = max(8, int(_LAPLACE_PANELS * T))
     gx, gw = np.polynomial.legendre.leggauss(12)
     edges = np.linspace(0.0, T, n_panels + 1)
     total = 0.0 + 0.0j

@@ -8,9 +8,12 @@ parallel threads they compete with those threads for the same cores.
 :func:`one_blas_thread` sets both libraries to one thread while a block
 runs and then restores the count they had.
 
-The libraries are reached through ``ctypes`` on first use; a library that
-cannot be found (another platform, another BLAS build) is left alone.
-Nothing happens at import and no environment variable is read or set.
+The libraries are found and loaded through ``ctypes`` when this module is
+imported, so their start-up (OpenBLAS starts its helper threads, which
+busy-wait for about 0.1 s) is paid by the import and not by the first
+block.  A library that cannot be found (another platform, another BLAS
+build) is left alone.  Thread counts change only inside a block, and no
+environment variable is read or set.
 """
 
 import contextlib
@@ -61,7 +64,7 @@ def _thread_controls(libraries):
 # state that guards it is too: nested and concurrent blocks share one cap,
 # the first entry saves the counts and the last exit restores them.
 _lock = threading.Lock()
-_controls = None  # loaded on first entry
+_controls = _thread_controls(_OPENBLAS)
 _depth = 0
 _saved = []
 
@@ -72,11 +75,9 @@ def one_blas_thread():
 
     Re-entrant and safe to enter from several threads at once.
     """
-    global _controls, _depth, _saved
+    global _depth, _saved
     with _lock:
         if _depth == 0:
-            if _controls is None:
-                _controls = _thread_controls(_OPENBLAS)
             _saved = [(set_, get()) for get, set_ in _controls]
             for set_, _ in _saved:
                 set_(1)

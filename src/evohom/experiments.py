@@ -122,11 +122,11 @@ class ExperimentSpec:
         if int(self.degree) < 1:
             raise ValueError("element degree must be >= 1")
         object.__setattr__(self, "degree", int(self.degree))
-        if not float(self.T) > 0.0:
-            raise ValueError("final time must be positive")
+        if not 0.0 < float(self.T) < math.inf:
+            raise ValueError("final time must be positive and finite")
         object.__setattr__(self, "T", float(self.T))
-        if float(self.rho) < 0.0:
-            raise ValueError("the quadrature weight rho must be >= 0")
+        if not 0.0 <= float(self.rho) < math.inf:
+            raise ValueError("the quadrature weight rho must be finite and >= 0")
         object.__setattr__(self, "rho", float(self.rho))
 
     def grid(self):
@@ -298,7 +298,7 @@ def solution_norms(sol):
 # ---------------------------------------------------------------------------
 
 
-def _prepare_ex1(spec, level=0):
+def _prepare_ex1(spec, level):
     def hom(t, xs):
         return np.full(np.shape(xs), ode_hom_exact(t))
 
@@ -318,14 +318,15 @@ def _report_ex1(spec, ctx, n, sol):
     return rows
 
 
-def oracle_pairing_series(n_list, name="x", *, T=2.0, slabs=64, cells=None):
+def oracle_pairing_series(n_list, name="x", *, cells=None):
     """EX1 pairings from the analytic solutions alone (no discretisation).
 
-    For each n the value |<u_n - u_hom, v>| over [0, T] x (0, 1) is
-    computed by composite Gauss quadrature of the closed-form solutions;
-    the spatial rule resolves the oscillation (>= 8 cells per period).
+    For each n the value |<u_n - u_hom, v>| over [0, 2] x (0, 1) is
+    computed by composite Gauss quadrature of the closed-form solutions, in
+    time on the grid of the family's default run (64 slabs); the spatial
+    rule resolves the oscillation (>= 8 cells per period).
     """
-    grid = TimeGrid.uniform(float(T), int(slabs))
+    grid = ExperimentSpec("EX1").grid()
     out = []
     for n in n_list:
         n = int(n)
@@ -341,7 +342,7 @@ def oracle_pairing_series(n_list, name="x", *, T=2.0, slabs=64, cells=None):
 # ---------------------------------------------------------------------------
 
 
-def _prepare_ex2(spec, level=0):
+def _prepare_ex2(spec, level):
     ncell = 160 if level == 0 else 240
     mesh = build_mesh((0.0, 1.0), ncell)
     ref = solve_evolution(
@@ -396,7 +397,7 @@ def _ex3_plain_limit():
     )
 
 
-def _prepare_ex3(spec, level=0):
+def _prepare_ex3(spec, level):
     ncell = 320 if level == 0 else 160
     mesh = build_mesh((-1.0, 1.0), ncell)
     ref = solve_evolution(
@@ -465,7 +466,7 @@ def _report_ex3(spec, ctx, n, sol):
 # ---------------------------------------------------------------------------
 
 
-def _prepare_ex45(spec, level=0):
+def _prepare_ex45(spec, level):
     ncell = 40 if level == 0 else 56
     mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), (ncell, ncell))
     ref = solve_evolution(

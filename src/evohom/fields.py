@@ -8,15 +8,14 @@ The oscillating-coefficient examples only ever use four atoms:
                            extended 1/n-periodically over the real line
     RegionIndicator(a, b)  1 on the interval [a, b)
 
-combined by +, -, * and scalar multiples (plus reciprocals, needed by
-the stratified homogenisation formulas).  Every tree can report its
+combined by +, -, * and scalar multiples.  Every tree can report its
 discontinuity points inside an interval (so quadrature panels can be
-aligned with them), a finite bound on its values (by interval
-arithmetic), whether it is piecewise constant (then breakpoint-aligned
-midpoint sampling integrates it exactly), and a period if it has one.
+aligned with them), whether it is piecewise constant (then
+breakpoint-aligned midpoint sampling integrates it exactly), and a period
+if it has one.
 
 ``serialize_field`` renders a tree as plain text:  numbers, ``sin_osc(n)``,
-``stripe(n)``, ``region(a,b)``, ``+``, ``-``, ``*``, ``/``, parentheses.
+``stripe(n)``, ``region(a,b)``, ``+``, ``-``, ``*``, parentheses.
 
 Two-dimensional coefficients on tensor-product meshes are sums of
 separable terms fx(x)*fy(y); see :class:`Separable2D`.
@@ -36,7 +35,6 @@ __all__ = [
     "RegionIndicator",
     "Sum",
     "Product",
-    "Reciprocal",
     "Separable2D",
     "as_field",
     "serialize_field",
@@ -75,10 +73,6 @@ class Field:
         """Sorted discontinuity/kink points strictly inside (a, b)."""
         return np.array([])
 
-    def bounds(self):
-        """Interval-arithmetic bounds (lo, hi) with lo <= field <= hi."""
-        raise NotImplementedError
-
     def period(self):
         """A period of the field, ANY_PERIOD for constants, None if aperiodic."""
         return None
@@ -93,10 +87,6 @@ class Field:
         return abs(ratio - round(ratio)) <= _PERIOD_RTOL and round(ratio) >= 1
 
     def is_piecewise_constant(self):
-        return False
-
-    def is_smooth(self):
-        """True when the field has no breakpoints anywhere (analytic)."""
         return False
 
     # -- algebra ---------------------------------------------------------
@@ -138,16 +128,10 @@ class Constant(Field):
         x = np.asarray(x, dtype=float)
         return np.full_like(x, self.value)
 
-    def bounds(self):
-        return (self.value, self.value)
-
     def period(self):
         return ANY_PERIOD
 
     def is_piecewise_constant(self):
-        return True
-
-    def is_smooth(self):
         return True
 
     def __repr__(self):
@@ -166,14 +150,8 @@ class SineOsc(Field):
         x = np.asarray(x, dtype=float)
         return np.sin(2.0 * math.pi * self.n * x)
 
-    def bounds(self):
-        return (-1.0, 1.0)
-
     def period(self):
         return 1.0 / self.n
-
-    def is_smooth(self):
-        return True
 
     def __repr__(self):
         return f"SineOsc({self.n})"
@@ -204,9 +182,6 @@ class StripeIndicator(Field):
         pts = np.arange(k0, k1 + 1) * step
         return pts[(pts > a) & (pts < b)]
 
-    def bounds(self):
-        return (0.0, 1.0)
-
     def period(self):
         return 1.0 / self.n
 
@@ -232,9 +207,6 @@ class RegionIndicator(Field):
 
     def breakpoints(self, a, b):
         return np.array([p for p in (self.a, self.b) if a < p < b])
-
-    def bounds(self):
-        return (0.0, 1.0)
 
     def is_piecewise_constant(self):
         return True
@@ -270,18 +242,11 @@ class Sum(Field):
     def breakpoints(self, a, b):
         return _union_breakpoints(self.terms, a, b)
 
-    def bounds(self):
-        los, his = zip(*(t.bounds() for t in self.terms))
-        return (sum(los), sum(his))
-
     def period(self):
         return _merge_periods([t.period() for t in self.terms])
 
     def is_piecewise_constant(self):
         return all(t.is_piecewise_constant() for t in self.terms)
-
-    def is_smooth(self):
-        return all(t.is_smooth() for t in self.terms)
 
     def __repr__(self):
         return f"Sum({self.terms})"
@@ -298,55 +263,14 @@ class Product(Field):
     def breakpoints(self, a, b):
         return _union_breakpoints([self.left, self.right], a, b)
 
-    def bounds(self):
-        l_lo, l_hi = self.left.bounds()
-        r_lo, r_hi = self.right.bounds()
-        corners = [l_lo * r_lo, l_lo * r_hi, l_hi * r_lo, l_hi * r_hi]
-        return (min(corners), max(corners))
-
     def period(self):
         return _merge_periods([self.left.period(), self.right.period()])
 
     def is_piecewise_constant(self):
         return self.left.is_piecewise_constant() and self.right.is_piecewise_constant()
 
-    def is_smooth(self):
-        return self.left.is_smooth() and self.right.is_smooth()
-
     def __repr__(self):
         return f"Product({self.left!r}, {self.right!r})"
-
-
-class Reciprocal(Field):
-    """1/field, defined only for fields bounded away from zero."""
-
-    def __init__(self, inner):
-        self.inner = as_field(inner)
-        lo, hi = self.inner.bounds()
-        if lo <= 0.0 <= hi:
-            raise ValueError("reciprocal of a field whose bounds straddle zero")
-
-    def __call__(self, x):
-        return 1.0 / self.inner(x)
-
-    def breakpoints(self, a, b):
-        return self.inner.breakpoints(a, b)
-
-    def bounds(self):
-        lo, hi = self.inner.bounds()
-        return tuple(sorted((1.0 / lo, 1.0 / hi)))
-
-    def period(self):
-        return self.inner.period()
-
-    def is_piecewise_constant(self):
-        return self.inner.is_piecewise_constant()
-
-    def is_smooth(self):
-        return self.inner.is_smooth()
-
-    def __repr__(self):
-        return f"Reciprocal({self.inner!r})"
 
 
 class Separable2D:
@@ -381,11 +305,6 @@ class Separable2D:
 
     def breakpoints_y(self, a, b):
         return _union_breakpoints([fy for _, fy in self.terms], a, b)
-
-    def is_piecewise_constant(self):
-        return all(
-            fx.is_piecewise_constant() and fy.is_piecewise_constant() for fx, fy in self.terms
-        )
 
     def __add__(self, other):
         other = _as_separable(other)
@@ -445,6 +364,4 @@ def serialize_field(field):
         return " + ".join(f"({serialize_field(t)})" for t in field.terms)
     if isinstance(field, Product):
         return f"({serialize_field(field.left)})*({serialize_field(field.right)})"
-    if isinstance(field, Reciprocal):
-        return f"(1)/({serialize_field(field.inner)})"
     raise TypeError(f"cannot serialise {field!r}")

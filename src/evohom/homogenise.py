@@ -18,7 +18,7 @@ independent numerical oracle for the stratified formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,11 +35,9 @@ from .laws import MaterialLaw, MemoryTerm, _omega1_2d
 
 __all__ = [
     "EffectiveTensor",
-    "SchurQuad",
     "build_limit_law",
     "cell_problem_fem",
     "cell_problem_oracle",
-    "default_probes",
     "dual_stratified_limit",
     "homogenise_stratified",
     "integral_mean",
@@ -83,9 +81,6 @@ class _DerivedField(Field):
 
     def is_piecewise_constant(self):
         return all(p.is_piecewise_constant() for p in self.parents)
-
-    def is_smooth(self):
-        return all(p.is_smooth() for p in self.parents)
 
     def __repr__(self):
         return f"DerivedField({self.parents})"
@@ -148,10 +143,9 @@ def integral_mean(coeff, period=1.0):
 
 @dataclass(frozen=True)
 class EffectiveTensor:
-    """Constant effective tensor with a provenance note per entry."""
+    """Constant effective tensor."""
 
     matrix: np.ndarray
-    provenance: tuple = ()
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -187,10 +181,17 @@ def _check_periodic_matrix(A, ell):
                 )
 
 
-def _sample_on_period(f, ell, nsamp=4096):
+# Uniform samples per period (on top of the piece midpoints) of the
+# positivity and singularity checks.
+_NSAMP = 4096
+
+
+def _sample_on_period(f, ell):
     cuts = _cuts_on_period(f, ell)
     mids = 0.5 * (cuts[:-1] + cuts[1:])
-    xs = np.concatenate([mids, np.linspace(0.0, ell, nsamp, endpoint=False) + ell / (2 * nsamp)])
+    xs = np.concatenate(
+        [mids, np.linspace(0.0, ell, _NSAMP, endpoint=False) + ell / (2 * _NSAMP)]
+    )
     return f(xs)
 
 
@@ -219,19 +220,15 @@ def homogenise_stratified(a_hat, period=1.0):
     m_inv = integral_mean(_quotient(Constant(1.0), a11), ell)
     c1 = 1.0 / m_inv
     mat = np.zeros((d, d))
-    prov = [["" for _ in range(d)] for _ in range(d)]
     mat[0, 0] = c1
-    prov[0][0] = "1/m(1/a11)"
     r_row = np.zeros(d)  # m(a1j/a11)
     r_col = np.zeros(d)  # m(ai1/a11)
     for j in range(1, d):
         r_row[j] = integral_mean(_quotient(A[0][j], a11), ell)
         mat[0, j] = c1 * r_row[j]
-        prov[0][j] = "m(a1j/a11)/m(1/a11)"
     for i in range(1, d):
         r_col[i] = integral_mean(_quotient(A[i][0], a11), ell)
         mat[i, 0] = c1 * r_col[i]
-        prov[i][0] = "m(ai1/a11)/m(1/a11)"
     for i in range(1, d):
         for j in range(1, d):
             aij = A[i][j]
@@ -240,8 +237,7 @@ def homogenise_stratified(a_hat, period=1.0):
                 [aij, A[i][0], A[0][j], a11],
             )
             mat[i, j] = integral_mean(cross, ell) + c1 * r_col[i] * r_row[j]
-            prov[i][j] = "m(aij - ai1*a1j/a11) + m(ai1/a11)*m(a1j/a11)/m(1/a11)"
-    return EffectiveTensor(mat, tuple(tuple(r) for r in prov))
+    return EffectiveTensor(mat)
 
 
 def pointwise_inverse(a_hat, period=1.0):
@@ -285,11 +281,7 @@ def dual_stratified_limit(a_hat, period=1.0):
     """Invert pointwise, homogenise the inverse family, and invert back."""
     inv = pointwise_inverse(a_hat, period)
     hom = homogenise_stratified(inv, period)
-    back = np.linalg.inv(hom.matrix)
-    prov = tuple(
-        tuple("inverse of dual limit: " + p for p in row) for row in hom.provenance
-    )
-    return EffectiveTensor(back, prov)
+    return EffectiveTensor(np.linalg.inv(hom.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +330,13 @@ def cell_problem_fem(avals, widths):
     return hom
 
 
-def cell_problem_oracle(a_hat, period=1.0, ncells=1024, richardson=True):
+def cell_problem_oracle(a_hat, period=1.0, ncells=1024):
     """Sample a coefficient matrix on a fine aligned mesh and run the FEM.
 
     The mesh is uniform with the entries' breakpoints inserted (so layered
     two-phase media are resolved exactly); coefficients are midpoint
-    sampled.  With ``richardson`` the solve is repeated on the doubled mesh
-    and extrapolated, which removes the leading quadrature error for smooth
+    sampled.  The solve is repeated on the doubled mesh and Richardson
+    extrapolated, which removes the leading quadrature error for smooth
     coefficients.
     """
     A = _normalise_matrix(a_hat)
@@ -372,8 +364,6 @@ def cell_problem_oracle(a_hat, period=1.0, ncells=1024, richardson=True):
         return cell_problem_fem(avals, widths)
 
     t1 = solve(int(ncells))
-    if not richardson:
-        return t1
     t2 = solve(2 * int(ncells))
     return (4.0 * t2 - t1) / 3.0
 
@@ -383,87 +373,30 @@ def cell_problem_oracle(a_hat, period=1.0, ncells=1024, richardson=True):
 # ---------------------------------------------------------------------------
 
 
-def _normalise_split(split, n):
-    if split is None:
-        split = n // 2
-    if isinstance(split, (int, np.integer)):
-        k = int(split)
-        if not 0 < k < n:
-            raise ValueError("split size must be strictly between 0 and n")
-        return np.arange(k), np.arange(k, n)
-    i0 = np.asarray(split[0], dtype=int)
-    i1 = np.asarray(split[1], dtype=int)
-    merged = np.sort(np.concatenate([i0, i1]))
-    if not np.array_equal(merged, np.arange(n)):
-        raise ValueError("split must be a two-part partition of the index range")
-    return i0, i1
+def schur_blocks(a, split):
+    """The four block quantities of ``a`` split after its first ``split`` indices.
 
-
-@dataclass(frozen=True)
-class SchurQuad:
-    """The four block quantities of a two-part splitting of an operator.
-
-    q00 = inv(a00), q10 = a10 inv(a00), q01 = inv(a00) a01,
-    qS = a11 - a10 inv(a00) a01.  Together with the split they determine
-    the operator uniquely.
-    """
-
-    q00: np.ndarray
-    q10: np.ndarray
-    q01: np.ndarray
-    qS: np.ndarray
-    idx0: np.ndarray = field(repr=False, default=None)
-    idx1: np.ndarray = field(repr=False, default=None)
-
-    def quantities(self):
-        return self.q00, self.q10, self.q01, self.qS
-
-
-def schur_blocks(a, split=None):
-    """The four block quantities of ``a`` under the given split.
-
-    ``split`` is an integer (size of the leading part), a pair of index
-    arrays, or None for the half/half default.  Raises for a singular
-    00-block.
+    Returns (q00, q10, q01, qS) = (inv(a00), a10 inv(a00), inv(a00) a01,
+    a11 - a10 inv(a00) a01); together with the split they determine the
+    operator uniquely.  Raises for a split outside (0, n) and for a
+    singular 00-block.
     """
     a = np.asarray(a)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("operator must be square")
-    i0, i1 = _normalise_split(split, n)
-    a00 = a[np.ix_(i0, i0)]
-    a01 = a[np.ix_(i0, i1)]
-    a10 = a[np.ix_(i1, i0)]
-    a11 = a[np.ix_(i1, i1)]
+    k = int(split)
+    if not 0 < k < n:
+        raise ValueError("split size must be strictly between 0 and n")
+    a00, a01, a10, a11 = a[:k, :k], a[:k, k:], a[k:, :k], a[k:, k:]
     try:
         q00 = np.linalg.inv(a00)
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular 00-block") from exc
-    return SchurQuad(
-        q00=q00,
-        q10=a10 @ q00,
-        q01=q00 @ a01,
-        qS=a11 - a10 @ q00 @ a01,
-        idx0=i0,
-        idx1=i1,
-    )
+    return q00, a10 @ q00, q00 @ a01, a11 - a10 @ q00 @ a01
 
 
-def default_probes(n):
-    """Unit-normalised probe dictionary on n equispaced midpoint coordinates.
-
-    Constants, coordinate monomials up to degree 2, and the first four
-    Fourier modes.
-    """
-    x = (np.arange(n) + 0.5) / n
-    probes = [np.ones(n), x, x**2]
-    for k in range(1, 5):
-        probes.append(np.sin(2.0 * np.pi * k * x))
-        probes.append(np.cos(2.0 * np.pi * k * x))
-    return [p / np.linalg.norm(p) for p in probes]
-
-
-def schur_distance(a, b, split=None, probes=None):
+def schur_distance(a, b, split, probes):
     """Probe metric between the block quantities of two operators.
 
     The maximum over the four quantities and probe pairs (u, v) of
@@ -471,17 +404,12 @@ def schur_distance(a, b, split=None, probes=None):
     index parts matching the quantity's row/column spaces.  Zero iff the
     quantities agree on the probe span.
     """
-    a = np.asarray(a)
-    qa = schur_blocks(a, split)
-    qb = schur_blocks(np.asarray(b), split)
-    if probes is None:
-        probes = default_probes(a.shape[0])
-    p0 = [np.asarray(p)[qa.idx0] for p in probes]
-    p1 = [np.asarray(p)[qa.idx1] for p in probes]
-    sides = {0: (p0, p0), 1: (p1, p0), 2: (p0, p1), 3: (p1, p1)}  # (u, v) per quantity
+    k = int(split)
+    p0 = [np.asarray(p)[:k] for p in probes]
+    p1 = [np.asarray(p)[k:] for p in probes]
+    sides = ((p0, p0), (p1, p0), (p0, p1), (p1, p1))  # (u, v) per quantity
     best = 0.0
-    for q, (da, db) in enumerate(zip(qa.quantities(), qb.quantities())):
-        us, vs = sides[q]
+    for da, db, (us, vs) in zip(schur_blocks(a, k), schur_blocks(b, k), sides):
         diff = da - db
         for u in us:
             for v in vs:
@@ -494,10 +422,11 @@ def schur_distance(a, b, split=None, probes=None):
 # ---------------------------------------------------------------------------
 
 
-def build_limit_law(example_id, *, eps0=1.0, mu0=1.0, eps=1.0, mu=1.0, sigma=1.0):
+def build_limit_law(example_id):
     """The closed-form limit material law of an oscillating example family.
 
-    The limits are independent of the oscillation index.  Memory entries
+    The limits are independent of the oscillation index, and all material
+    constants of the families are 1.  Memory entries
     are rational (c/(a + b z)); the first family's limit is not rational
     (it is the Bessel-series law of the analytic module) and is rejected
     here.
@@ -543,9 +472,9 @@ def build_limit_law(example_id, *, eps0=1.0, mu0=1.0, eps=1.0, mu=1.0, sigma=1.0
         return MaterialLaw(
             3,
             {
-                (0, 0): omega1 * 0.5 + ext * eps0,
-                (1, 1): omega1 * 1.5 + ext * mu0,
-                (2, 2): omega1 * (4.0 / 3.0) + ext * mu0,
+                (0, 0): omega1 * 0.5 + ext,
+                (1, 1): omega1 * 1.5 + ext,
+                (2, 2): omega1 * (4.0 / 3.0) + ext,
             },
             {(0, 0): omega1 * 0.5},
             nu0=0.0,
@@ -561,9 +490,9 @@ def build_limit_law(example_id, *, eps0=1.0, mu0=1.0, eps=1.0, mu=1.0, sigma=1.0
         return MaterialLaw(
             3,
             {
-                (0, 0): omega1 * 1.5 + ext * eps0,
-                (1, 1): omega1 * 0.5 + ext * mu0,
-                (2, 2): ext * mu0,
+                (0, 0): omega1 * 1.5 + ext,
+                (1, 1): omega1 * 0.5 + ext,
+                (2, 2): ext,
             },
             {
                 (1, 1): omega1 * 0.5,
@@ -580,23 +509,23 @@ def build_limit_law(example_id, *, eps0=1.0, mu0=1.0, eps=1.0, mu=1.0, sigma=1.0
     if example_id == "MAXWELL":
         omega1 = RegionIndicator(-1.0, 1.0)
         ext = 1.0 - omega1
-        e_mean = omega1 * (eps / 2.0) + ext * eps0
+        e_mean = omega1 * 0.5 + ext
         return MaterialLaw(
             6,
             {
-                (0, 0): ext * eps0,
+                (0, 0): ext,
                 (1, 1): e_mean,
                 (2, 2): e_mean,
-                (3, 3): omega1 * (4.0 * mu / 3.0) + ext * mu0,
-                (4, 4): omega1 * (1.5 * mu) + ext * mu0,
-                (5, 5): omega1 * (1.5 * mu) + ext * mu0,
+                (3, 3): omega1 * (4.0 / 3.0) + ext,
+                (4, 4): omega1 * 1.5 + ext,
+                (5, 5): omega1 * 1.5 + ext,
             },
             {
-                (0, 0): omega1 * (2.0 * sigma),
-                (1, 1): omega1 * (sigma / 2.0),
-                (2, 2): omega1 * (sigma / 2.0),
+                (0, 0): omega1 * 2.0,
+                (1, 1): omega1 * 0.5,
+                (2, 2): omega1 * 0.5,
             },
-            memory={(0, 0): (MemoryTerm(-2.0 * sigma**2, sigma, eps, omega1),)},
+            memory={(0, 0): (MemoryTerm(-2.0, 1.0, 1.0, omega1),)},
             nu0=0.0,
             dim=1,
             domain=(-2.0, 2.0),

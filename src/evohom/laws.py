@@ -27,8 +27,9 @@ Laws are serialised for display/config output only; they are not parsed back.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -146,12 +147,12 @@ def _as_points(law, points):
 def eval_material_law(law, z, points):
     """Pointwise block values of M(z) = M0 + z^{-1} M1(z).
 
-    Returns a complex array of shape ``(npts, ncomp, ncomp)``.  Requires
-    ``Re z > law.nu0``.
+    Returns a complex array of shape ``(npts, ncomp, ncomp)``.  Requires a
+    finite ``z`` with ``Re z > law.nu0``.
     """
     z = complex(z)
-    if z.real <= law.nu0:
-        raise ValueError(f"Re z = {z.real} must exceed nu0 = {law.nu0}")
+    if not (cmath.isfinite(z) and z.real > law.nu0):
+        raise ValueError(f"z = {z}: Re z must exceed nu0 = {law.nu0} and z must be finite")
     pts = _as_points(law, points)
     npts = pts.shape[0]
     out = np.zeros((npts, law.ncomp, law.ncomp), dtype=complex)
@@ -194,9 +195,6 @@ class AugmentedSlot:
     """Bookkeeping for one intrinsic variable added by augment_memory."""
 
     index: int  # component index in the augmented law
-    parent: int  # original (diagonal) component carrying the memory term
-    term: MemoryTerm
-    coupling: float  # off-diagonal entry written into M1-hat
 
 
 @dataclass(frozen=True)
@@ -208,8 +206,7 @@ class MemoryAugmentation:
     """
 
     law: MaterialLaw
-    original: MaterialLaw
-    slots: tuple = dataclass_field(default=())
+    slots: tuple
 
 
 def _is_indicator(f, law_dim, domain):
@@ -247,7 +244,7 @@ def augment_memory(law):
     if law.series:
         raise ValueError("unsupported rational shape: law has a series entry")
     if not law.memory:
-        return MemoryAugmentation(law=law, original=law, slots=())
+        return MemoryAugmentation(law=law, slots=())
 
     m0 = dict(law.m0)
     m1 = dict(law.m1)
@@ -270,9 +267,7 @@ def augment_memory(law):
             m1[(j, w)] = term.region * (-g)
             m1[(w, j)] = term.region * (-g)
             names.append(f"w{len(slots)}_{law.component_names[j]}")
-            slots.append(
-                AugmentedSlot(index=w, parent=j, term=term, coupling=-g)
-            )
+            slots.append(AugmentedSlot(index=w))
 
     hat = MaterialLaw(
         next_index,
@@ -285,7 +280,7 @@ def augment_memory(law):
         label=(law.label + "+mem") if law.label else "augmented",
         formula_level=law.formula_level,
     )
-    return MemoryAugmentation(law=hat, original=law, slots=tuple(slots))
+    return MemoryAugmentation(law=hat, slots=tuple(slots))
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +293,12 @@ def _omega1_2d():
     return Separable2D([(box, box)])
 
 
-def example_material(example_id, n=1, *, eps0=1.0, mu0=1.0, eps=1.0, mu=1.0, sigma=1.0):
+def example_material(example_id, n=1):
     """The oscillating material law of one of the built-in example families.
 
-    ``n`` is the oscillation index (stripe/sine frequency).  The constants
-    ``eps0, mu0`` fill the exterior region of the 2-D/formula-level families
-    and ``eps, mu, sigma`` scale the conductive family; all default to 1.
+    ``n`` is the oscillation index (stripe/sine frequency).  The material
+    constants (exterior permittivity and permeability of the 2-D and
+    formula-level families, the conductive family's scales) are all 1.
     """
     example_id = str(example_id).upper()
     if example_id not in EXAMPLE_IDS:
@@ -358,9 +353,9 @@ def example_material(example_id, n=1, *, eps0=1.0, mu0=1.0, eps=1.0, mu=1.0, sig
         return MaterialLaw(
             3,
             {
-                (0, 0): omega1 * (1.0 - stripe) + ext * eps0,
-                (1, 1): omega1 * (1.0 + stripe) + ext * mu0,
-                (2, 2): omega1 * (1.0 + stripe) + ext * mu0,
+                (0, 0): omega1 * (1.0 - stripe) + ext,
+                (1, 1): omega1 * (1.0 + stripe) + ext,
+                (2, 2): omega1 * (1.0 + stripe) + ext,
             },
             {(0, 0): omega1 * stripe},
             nu0=0.0,
@@ -377,9 +372,9 @@ def example_material(example_id, n=1, *, eps0=1.0, mu0=1.0, eps=1.0, mu=1.0, sig
         return MaterialLaw(
             3,
             {
-                (0, 0): omega1 * (1.0 + stripe) + ext * eps0,
-                (1, 1): omega1 * (1.0 - stripe) + ext * mu0,
-                (2, 2): omega1 * (1.0 - stripe) + ext * mu0,
+                (0, 0): omega1 * (1.0 + stripe) + ext,
+                (1, 1): omega1 * (1.0 - stripe) + ext,
+                (2, 2): omega1 * (1.0 - stripe) + ext,
             },
             {(1, 1): omega1 * stripe, (2, 2): omega1 * stripe},
             nu0=0.0,
@@ -394,9 +389,9 @@ def example_material(example_id, n=1, *, eps0=1.0, mu0=1.0, eps=1.0, mu=1.0, sig
     omega1 = RegionIndicator(-1.0, 1.0)
     stripe = StripeIndicator(n)
     ext = 1.0 - omega1
-    e_coeff = omega1 * (1.0 - stripe) * eps + ext * eps0
-    h_coeff = omega1 * (1.0 + stripe) * mu + ext * mu0
-    cond = omega1 * stripe * sigma
+    e_coeff = omega1 * (1.0 - stripe) + ext
+    h_coeff = omega1 * (1.0 + stripe) + ext
+    cond = omega1 * stripe
     return MaterialLaw(
         6,
         {

@@ -17,8 +17,6 @@ _ALIGN_TOL = 1e-12
 class Mesh1D:
     """Cells of an interval, given by strictly increasing boundaries."""
 
-    dim = 1
-
     def __init__(self, boundaries):
         b = np.asarray(boundaries, dtype=float)
         if b.ndim != 1 or b.size < 2:
@@ -57,15 +55,9 @@ class Mesh1D:
 class TensorMesh2D:
     """Tensor-product mesh of a rectangle."""
 
-    dim = 2
-
     def __init__(self, x_boundaries, y_boundaries):
         self.x = Mesh1D(x_boundaries)
         self.y = Mesh1D(y_boundaries)
-
-    @property
-    def ncells(self):
-        return self.x.ncells, self.y.ncells
 
     @property
     def span(self):

@@ -50,7 +50,6 @@ class SkewBlockOperator:
 
     matrix: sp.csr_matrix
     offsets: np.ndarray  # per-component DOF offsets, length ncomp+1
-    couplings: dict  # (i, j) -> stored D block (the (i-row, j-col) entry)
 
     @property
     def ncomp(self):
@@ -84,7 +83,7 @@ def assemble_skew_operator(structure, spaces):
     if structure not in _STRUCTURES:
         raise ValueError(f"unknown operator structure {structure!r}")
     offsets = component_offsets(spaces)
-    blocks, couplings = {}, {}
+    blocks = {}
 
     if structure == "zero":
         pass
@@ -96,7 +95,6 @@ def assemble_skew_operator(structure, spaces):
         d = gram1d(su, sv, dcol=1)
         blocks[(0, 1)] = d
         blocks[(1, 0)] = (-d.T).tocsr()
-        couplings[(0, 1)] = d
 
     elif structure == "interface-pair":
         if len(spaces) != 2:
@@ -108,7 +106,6 @@ def assemble_skew_operator(structure, spaces):
         d = gram1d(su, sv, coeff=support, dcol=1)
         blocks[(0, 1)] = d
         blocks[(1, 0)] = (-d.T).tocsr()
-        couplings[(0, 1)] = d
 
     elif structure == "div-grad":
         if len(spaces) != 3:
@@ -122,11 +119,9 @@ def assemble_skew_operator(structure, spaces):
         blocks[(0, 2)] = dy
         blocks[(1, 0)] = (-dx.T).tocsr()
         blocks[(2, 0)] = (-dy.T).tocsr()
-        couplings[(0, 1)] = dx
-        couplings[(0, 2)] = dy
 
     matrix = _blocks_to_matrix(blocks, offsets)
-    return SkewBlockOperator(matrix=matrix, offsets=offsets, couplings=couplings)
+    return SkewBlockOperator(matrix=matrix, offsets=offsets)
 
 
 def extend_with_zero_components(op, extra_sizes):
@@ -151,7 +146,6 @@ def extend_with_zero_components(op, extra_sizes):
     return SkewBlockOperator(
         matrix=matrix,
         offsets=offsets.astype(int),
-        couplings=dict(op.couplings),
     )
 
 

@@ -81,19 +81,11 @@ def slab_gauss(grid, npts=4):
     return tq.reshape(-1, npts), wq.reshape(-1, npts)
 
 
-def _resolve_scalar_test(v):
-    """Normalise a scalar test spec into (spatial, temporal)."""
-    if isinstance(v, str):
-        if v not in TEST_DICTIONARY_1D:
-            raise ValueError(
-                f"dictionary mismatch: {v!r} is not a scalar test function"
-            )
-        return TEST_DICTIONARY_1D[v]
-    if isinstance(v, tuple) and len(v) == 2:
-        return v
-    if callable(v) or np.isscalar(v):
-        return (v, None)
-    raise ValueError("dictionary mismatch: unsupported test function spec")
+def _scalar_test(v):
+    """The (spatial, temporal) factors of a scalar test dictionary name."""
+    if v not in TEST_DICTIONARY_1D:
+        raise ValueError(f"dictionary mismatch: {v!r} is not a scalar test function")
+    return TEST_DICTIONARY_1D[v]
 
 
 def _load_terms(sol, v, domain, component):
@@ -103,7 +95,7 @@ def _load_terms(sol, v, domain, component):
     (1, 2) of a 2-D solution; anything else is one scalar term.
     """
     spaces = sol.problem.spaces
-    if isinstance(v, str) and v in VECTOR_TEST_DICTIONARY and (
+    if v in VECTOR_TEST_DICTIONARY and (
         v not in TEST_DICTIONARY_1D
         or isinstance(spaces[min(1, len(spaces) - 1)], TensorSpace)
     ):
@@ -124,7 +116,7 @@ def _load_terms(sol, v, domain, component):
                 )
                 terms.append((k, r))
         return terms, None
-    spatial, temporal = _resolve_scalar_test(v)
+    spatial, temporal = _scalar_test(v)
     space = spaces[component]
     if isinstance(space, TensorSpace):
         raise ValueError(
@@ -141,9 +133,8 @@ def pairing(u, v, domain=None, component=0, *, grid=None, cells=64):
     ``u`` is an EvolutionSolution (exact load-vector path), or a callable
     ``u(t, xs)`` / scalar together with an explicit ``grid`` and 1-D
     ``domain`` interval (``cells`` composite-Gauss panels).  ``v`` is a test
-    dictionary name, a ``(spatial, temporal)`` pair, or a spatial callable.
-    Vector dictionary names pair the flux components (1, 2) of a 2-D
-    solution.  ``domain`` restricts the spatial integral.
+    dictionary name; vector dictionary names pair the flux components
+    (1, 2) of a 2-D solution.  ``domain`` restricts the spatial integral.
     """
     if isinstance(u, EvolutionSolution):
         terms, temporal = _load_terms(u, v, domain, component)
@@ -159,7 +150,7 @@ def pairing(u, v, domain=None, component=0, *, grid=None, cells=64):
             raise ValueError("callable pairings need an explicit TimeGrid")
         if domain is None:
             raise ValueError("callable pairings need an explicit domain interval")
-        spatial, temporal = _resolve_scalar_test(v)
+        spatial, temporal = _scalar_test(v)
         xs, ws = gauss_panels(
             np.linspace(domain[0], domain[1], int(cells) + 1), _PAIRING_POINTS
         )

@@ -123,7 +123,6 @@ class NodalLineSpace(LineSpace):
             raise ValueError("nodal line spaces need degree >= 1")
         super().__init__(mesh, degree, np.linspace(0.0, 1.0, degree + 1), degree)
         k = self.degree
-        self.periodic = bool(periodic)
         # Cell c owns nodes c*k ... c*k + k - 1; the last cell also owns the
         # right end.
         lefts = self.mesh.boundaries[:-1, None]
@@ -214,7 +213,7 @@ def gauss_panels(cuts, npts):
     return (cuts[:-1, None] + h * ref_x).ravel(), (h * ref_w).ravel()
 
 
-def eval_matrix_1d(space, xs, deriv=0):
+def eval_matrix_1d(space, xs):
     """Sparse (len(xs), ndof) point-evaluation matrix of a 1-D space.
 
     A point on an interior cell boundary is evaluated in the cell to its
@@ -222,7 +221,7 @@ def eval_matrix_1d(space, xs, deriv=0):
     """
     xs = np.asarray(xs, dtype=float)
     cells = space.mesh.cell_containing(xs)
-    vals = space.eval_cell(cells, xs, deriv)
+    vals = space.eval_cell(cells, xs)
     full = sp.csr_matrix(
         (
             vals.T.ravel(),

@@ -69,8 +69,8 @@ class TimeGrid:
     @classmethod
     def uniform(cls, T, num_slabs):
         """Uniform grid with `num_slabs` slabs on [0, T]."""
-        if T <= 0.0:
-            raise ValueError("final time must be positive")
+        if not 0.0 < T < math.inf:
+            raise ValueError("final time must be positive and finite")
         if num_slabs < 1:
             raise ValueError("need at least one slab")
         return cls(np.linspace(0.0, float(T), num_slabs + 1))
@@ -155,10 +155,10 @@ def weighted_moments(h, rho, k_max):
     downward-stable recurrence phi_k = (k*phi_{k-1} - e^{-y}) / y otherwise.
     For rho = 0 the moments are h^{k+1}/(k+1) exactly.
     """
-    if h <= 0.0:
-        raise ValueError("slab length h must be positive")
-    if rho < 0.0:
-        raise ValueError("weight rate rho must be nonnegative")
+    if not 0.0 < h < math.inf:
+        raise ValueError("slab length h must be positive and finite")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError("weight rate rho must be finite and nonnegative")
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     if rho == 0.0:
@@ -224,7 +224,7 @@ def build_radau_rule(slab, rho):
     """
     t_left, t_right = float(slab[0]), float(slab[1])
     h = t_right - t_left
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError("slab must have positive length")
     mu0, mu1, mu2 = weighted_moments(h, rho, 2)
     denom = mu1 - h * mu0

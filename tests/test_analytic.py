@@ -14,7 +14,6 @@ from scipy.integrate import quad, solve_ivp
 from scipy.special import i0 as scipy_i0
 
 from evohom.analytic import (
-    SeriesLaw,
     bessel_i0,
     conv_i0,
     i0_antiderivative,
@@ -74,11 +73,6 @@ class TestOdeExact:
                 lambda t, u: 1.0 - s * u, (0.0, t_end), [0.0], rtol=1e-11, atol=1e-12, dense_output=True
             )
             assert ode_exact(1, t_end, x) == pytest.approx(sol.y[0, -1], abs=1e-9)
-
-    def test_callable_source(self):
-        # f(t) = sin(2 pi t) at x with s = 0: u(t) = int_0^t sin(2 pi r) dr
-        val = ode_exact(1, 0.25, 0.0, source=lambda r: math.sin(2.0 * math.pi * r))
-        assert val == pytest.approx((1.0 - math.cos(math.pi / 2.0)) / (2.0 * math.pi), rel=1e-9)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
@@ -179,7 +173,6 @@ class TestSeriesLaw:
 
     def test_monotone_inner_partials(self):
         # for real z > 1 the inner partial sums strictly increase in m
-        law = SeriesLaw()
         z = 1.5
         w = 1.0 / (z * z)
         c, wp, total = 1.0, 1.0, 0.0
@@ -190,13 +183,9 @@ class TestSeriesLaw:
             total += c * wp
             partials.append(total)
         assert all(b > a for a, b in zip(partials, partials[1:]))
-        # and the tolerance-controlled value is consistent with them
-        assert law.inner_sum(z).real > partials[-1]
-
-    def test_truncation_stability(self):
-        coarse = series_material_law(3.0, tol=1e-6)
-        fine = series_material_law(3.0, tol=1e-13)
-        assert abs(coarse - fine) <= 1e-5
+        # and the tolerance-controlled value is consistent with them: the
+        # outer series sums to M = 1/(1 + S), so S = 1/M - 1
+        assert (1.0 / series_material_law(z) - 1.0).real > partials[-1]
 
     def test_divergence_region_rejected(self):
         with pytest.raises(ValueError):
@@ -210,7 +199,7 @@ class TestLaplaceConsistency:
     def test_laplace_matches_symbol(self, z):
         # (z M(z))^{-1} = 1/sqrt(z^2 - 1) = Laplace(I_0)(z)
         lhs = 1.0 / (z * series_material_law(z))
-        rhs = laplace_i0(z, tol=1e-10)
+        rhs = laplace_i0(z)
         assert abs(lhs - rhs) <= 1e-9
 
     def test_rejects_small_abscissa(self):

@@ -224,6 +224,44 @@ class TestDescribe:
         assert "n         1" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--example", "EX1", "--n", "1", "--slabs", "2", "--rho", "nan"),
+        ("run", "--example", "EX1", "--n", "1", "--slabs", "2", "--rho", "inf"),
+        ("run", "--example", "EX1", "--n", "1", "--slabs", "2", "--T", "inf"),
+        ("quadrature", "--h", "nan"),
+        ("quadrature", "--h", "inf"),
+        ("quadrature", "--h", "0.5", "--rho", "nan"),
+        ("limits", "--example", "EX2", "--z", "nan"),
+        ("oracle", "--which", "hom", "--t", "nan"),
+        ("oracle", "--which", "series", "--z", "nan"),
+        ("oracle", "--which", "ode", "--n", "1", "--t", "nan", "--x", "0.25"),
+        ("oracle", "--which", "ode", "--n", "1", "--t", "1.0", "--x", "nan"),
+        ("oracle", "--which", "i0", "--t", "nan"),
+    ],
+    ids=[
+        "run-rho-nan",
+        "run-rho-inf",
+        "run-T-inf",
+        "quadrature-h-nan",
+        "quadrature-h-inf",
+        "quadrature-rho-nan",
+        "limits-z-nan",
+        "oracle-hom-t-nan",
+        "oracle-series-z-nan",
+        "oracle-ode-t-nan",
+        "oracle-ode-x-nan",
+        "oracle-i0-t-nan",
+    ],
+)
+def test_non_finite_number_is_validation_failure(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3, err
+    # at most a header: no value row, so no nan or inf printed
+    assert len(out.splitlines()) <= 1
+    assert "nan" not in out and "inf" not in out
+
 def test_usage_error_is_validation_failure(capsys):
     code, _, err = run_cli(capsys, "sweep", "--example", "EX1", "--bogus")
     assert code == 3

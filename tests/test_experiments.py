@@ -9,7 +9,6 @@ pairing of the oscillating-minus-homogenised solution against v = x is
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -28,8 +27,6 @@ from evohom.reporting import ConvergenceReport, fit_rate, pairing
 from evohom.solver import solve_evolution
 
 ORACLE_PAIR_X_N1 = 0.2427626039834412
-
-RUN_SLOW = os.environ.get("EVOHOM_RUN_SLOW") == "1"
 
 
 class TestExperimentSpec:
@@ -216,6 +213,20 @@ class TestSweepMechanics:
             for jobs in (2, 3):
                 assert convergence_sweep(spec, jobs=jobs).rows == seq.rows
 
+    @pytest.mark.parametrize(
+        "example, n_list", [("EX2", (1, 2, 4)), ("EX3", (2, 4, 8))], ids=["EX2", "EX3"]
+    )
+    def test_degree_two_weighted_sweep(self, example, n_list):
+        # degree 2 (reference at degree 3) under the weighted Radau rule
+        spec = ExperimentSpec(example, n_list, degree=2, rho=0.5)
+        seq = convergence_sweep(spec, jobs=1)
+        assert all(math.isfinite(v) for _, _, v in seq.rows)
+        assert convergence_sweep(spec, jobs=2).rows == seq.rows
+        plain = convergence_sweep(ExperimentSpec(example, n_list, degree=2))
+        assert len(plain.rows) == len(seq.rows)
+        for (n, q, v), (n0, q0, v0) in zip(seq.rows, plain.rows):
+            assert (n, q) == (n0, q0) and v != v0
+
     def test_csv_written(self, tmp_path):
         path = tmp_path / "sweep.csv"
         report = convergence_sweep(ExperimentSpec("EX1", (1, 2, 4)), out=path)
@@ -291,10 +302,16 @@ class TestEX2Sweep:
 class TestReferenceSelfConsistency:
     """Two reference resolutions must tell the same story."""
 
-    def test_ex2_reference_levels_agree(self):
-        spec = ExperimentSpec("EX2", (1, 2))
-        a = convergence_sweep(spec, reference_level=0)
-        b = convergence_sweep(spec, reference_level=1)
+    @pytest.mark.parametrize(
+        "example, n_list",
+        [("EX2", (1, 2)), ("EX3", (2, 4)), ("EX4", (2, 4))],
+        ids=["EX2", "EX3", "EX4"],
+    )
+    def test_reference_levels_agree(self, example, n_list):
+        # jobs=2 only for speed: rows do not depend on jobs
+        spec = ExperimentSpec(example, n_list)
+        a = convergence_sweep(spec, jobs=2, reference_level=0)
+        b = convergence_sweep(spec, jobs=2, reference_level=1)
         for q in a.quantities():
             if q.startswith("slope_"):
                 continue
@@ -305,39 +322,8 @@ class TestReferenceSelfConsistency:
                     or abs(va - vb) < 1e-5
                 )
 
-    @pytest.mark.skipif(not RUN_SLOW, reason="set EVOHOM_RUN_SLOW=1")
-    def test_ex3_reference_levels_agree(self):
-        spec = ExperimentSpec("EX3", (2, 4))
-        a = convergence_sweep(spec, reference_level=0)
-        b = convergence_sweep(spec, reference_level=1)
-        for q in a.quantities():
-            if q.startswith("slope_"):
-                continue
-            for n, va in a.series(q):
-                vb = b.value(n, q)
-                assert (
-                    abs(va - vb) <= 0.1 * max(abs(va), abs(vb))
-                    or abs(va - vb) < 1e-5
-                )
-
-    @pytest.mark.skipif(not RUN_SLOW, reason="set EVOHOM_RUN_SLOW=1")
-    def test_ex4_reference_levels_agree(self):
-        spec = ExperimentSpec("EX4", (2, 4))
-        a = convergence_sweep(spec, reference_level=0)
-        b = convergence_sweep(spec, reference_level=1)
-        for q in a.quantities():
-            if q.startswith("slope_"):
-                continue
-            for n, va in a.series(q):
-                vb = b.value(n, q)
-                assert (
-                    abs(va - vb) <= 0.1 * max(abs(va), abs(vb))
-                    or abs(va - vb) < 1e-5
-                )
-
-    @pytest.mark.skipif(not RUN_SLOW, reason="set EVOHOM_RUN_SLOW=1")
     def test_ex5_dichotomy(self):
-        report = convergence_sweep(ExperimentSpec("EX5", (2, 4, 8, 16)))
+        report = convergence_sweep(ExperimentSpec("EX5", (2, 4, 8, 16)), jobs=2)
         su = report.series("strong_u")
         assert su[0][1] / su[-1][1] >= 4.0
         sv = report.series("strong_v")

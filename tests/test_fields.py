@@ -7,7 +7,6 @@ from evohom.fields import (
     ANY_PERIOD,
     Constant,
     Product,
-    Reciprocal,
     RegionIndicator,
     Separable2D,
     SineOsc,
@@ -21,7 +20,6 @@ class TestAtoms:
     def test_constant(self):
         c = Constant(2.5)
         assert np.allclose(c(np.array([0.0, 1.0, -3.0])), 2.5)
-        assert c.bounds() == (2.5, 2.5)
         assert c.period() == ANY_PERIOD
         assert c.is_piecewise_constant()
 
@@ -30,9 +28,7 @@ class TestAtoms:
         x = np.array([0.0, 1.0 / 12.0])
         assert np.allclose(s(x), [0.0, 1.0])
         assert s.period() == pytest.approx(1.0 / 3.0)
-        assert s.bounds() == (-1.0, 1.0)
         assert not s.is_piecewise_constant()
-        assert s.is_smooth()
 
     def test_stripe_values(self):
         st = StripeIndicator(1)
@@ -77,20 +73,6 @@ class TestAlgebra:
         g = Product(f, Constant(3.0))
         assert g(0.25) == 6.0
 
-    def test_bounds_interval_arithmetic(self):
-        f = 2.0 * SineOsc(1) - 3.0
-        lo, hi = f.bounds()
-        assert lo == pytest.approx(-5.0)
-        assert hi == pytest.approx(-1.0)
-
-    def test_reciprocal(self):
-        f = Reciprocal(1.0 + StripeIndicator(1))
-        assert f(0.25) == 0.5
-        assert f(0.75) == 1.0
-        assert f.bounds() == (0.5, 1.0)
-        with pytest.raises(ValueError):
-            Reciprocal(SineOsc(1))  # straddles zero
-
     def test_period_merge(self):
         assert (1.0 + StripeIndicator(2)).period() == pytest.approx(0.5)
         # mixed indices: the coarser period 1 contains two fine periods
@@ -133,7 +115,7 @@ class TestGrammar:
             RegionIndicator(-1.0, 1.0),
             1.0 + 2.0 * StripeIndicator(3),
             Product(SineOsc(1), RegionIndicator(0.0, 1.0)),
-            Reciprocal(1.0 + StripeIndicator(1)),
+            -SineOsc(2),
             Sum([Constant(1.0), Product(Constant(-1.0), RegionIndicator(-1.0, 1.0))]),
         ],
     )
@@ -151,7 +133,7 @@ class TestGrammar:
             (RegionIndicator(-1.0, 1.0), "region(-1,1)"),
             (1.0 + 2.0 * StripeIndicator(3), "(1) + ((2)*(stripe(3)))"),
             (Product(SineOsc(1), RegionIndicator(0.0, 1.0)), "(sin_osc(1))*(region(0,1))"),
-            (Reciprocal(1.0 + StripeIndicator(1)), "(1)/((1) + (stripe(1)))"),
+            (-SineOsc(2), "(-1)*(sin_osc(2))"),
             (
                 Sum([Constant(1.0), Product(Constant(-1.0), RegionIndicator(-1.0, 1.0))]),
                 "(1) + ((-1)*(region(-1,1)))",

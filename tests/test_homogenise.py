@@ -8,7 +8,6 @@ import pytest
 from evohom.analytic import series_closed_form
 from evohom.fields import (
     Constant,
-    Reciprocal,
     RegionIndicator,
     SineOsc,
     StripeIndicator,
@@ -17,7 +16,6 @@ from evohom.homogenise import (
     EffectiveTensor,
     build_limit_law,
     cell_problem_oracle,
-    default_probes,
     dual_stratified_limit,
     homogenise_stratified,
     integral_mean,
@@ -37,7 +35,7 @@ class TestIntegralMean:
         assert abs(integral_mean(SineOsc(n), 1.0)) <= 1e-13
 
     def test_reciprocal_piecewise(self):
-        f = Reciprocal(Constant(1.0) + StripeIndicator(1))
+        ((f,),) = pointwise_inverse([[Constant(1.0) + StripeIndicator(1)]], 1.0)
         assert integral_mean(f, 1.0) == pytest.approx(0.75, rel=1e-14)
 
     def test_constant_any_period(self):
@@ -67,7 +65,6 @@ class TestStratified:
         one_plus = Constant(1.0) + StripeIndicator(1)
         t = homogenise_stratified([[one_plus, 0.0], [0.0, one_plus]], 1.0)
         assert np.allclose(t.matrix, np.diag([4.0 / 3.0, 1.5]), atol=1e-13)
-        assert "1/m(1/a11)" in t.provenance[0][0]
         assert np.linalg.eigvalsh(0.5 * (t.matrix + t.matrix.T)).min() > 1.0
 
     def test_constant_medium(self):
@@ -186,51 +183,39 @@ class TestDualLimit:
 
 class TestSchurQuantities:
     def test_two_by_two(self):
-        quad = schur_blocks(np.array([[2.0, 1.0], [1.0, 2.0]]), 1)
-        assert quad.q00[0, 0] == pytest.approx(0.5)
-        assert quad.q10[0, 0] == pytest.approx(0.5)
-        assert quad.q01[0, 0] == pytest.approx(0.5)
-        assert quad.qS[0, 0] == pytest.approx(1.5)
+        q00, q10, q01, qS = schur_blocks(np.array([[2.0, 1.0], [1.0, 2.0]]), 1)
+        assert q00[0, 0] == pytest.approx(0.5)
+        assert q10[0, 0] == pytest.approx(0.5)
+        assert q01[0, 0] == pytest.approx(0.5)
+        assert qS[0, 0] == pytest.approx(1.5)
 
     def test_identity(self):
-        quad = schur_blocks(np.eye(4), 2)
-        assert np.allclose(quad.q00, np.eye(2))
-        assert np.max(np.abs(quad.q10)) == 0.0
-        assert np.max(np.abs(quad.q01)) == 0.0
-        assert np.allclose(quad.qS, np.eye(2))
-
-    @staticmethod
-    def _assert_definitions(a, quad, i0, i1):
-        """q00 a00 = I, q10 a00 = a10, a00 q01 = a01, qS + a10 q01 = a11."""
-        a00, a01 = a[np.ix_(i0, i0)], a[np.ix_(i0, i1)]
-        a10, a11 = a[np.ix_(i1, i0)], a[np.ix_(i1, i1)]
-        assert np.max(np.abs(quad.q00 @ a00 - np.eye(len(i0)))) <= 1e-12
-        assert np.max(np.abs(quad.q10 @ a00 - a10)) <= 1e-12
-        assert np.max(np.abs(a00 @ quad.q01 - a01)) <= 1e-12
-        assert np.max(np.abs(quad.qS + a10 @ quad.q01 - a11)) <= 1e-12
+        q00, q10, q01, qS = schur_blocks(np.eye(4), 2)
+        assert np.allclose(q00, np.eye(2))
+        assert np.max(np.abs(q10)) == 0.0
+        assert np.max(np.abs(q01)) == 0.0
+        assert np.allclose(qS, np.eye(2))
 
     def test_reconstruction(self):
+        # q00 a00 = I, q10 a00 = a10, a00 q01 = a01, qS + a10 q01 = a11
         rng = np.random.default_rng(11)
         q = rng.normal(size=(6, 6))
         a = q @ q.T + 6.0 * np.eye(6)
-        quad = schur_blocks(a, 3)
-        self._assert_definitions(a, quad, np.arange(3), np.arange(3, 6))
-
-    def test_noncontiguous_split(self):
-        rng = np.random.default_rng(2)
-        q = rng.normal(size=(4, 4))
-        a = q @ q.T + 4.0 * np.eye(4)
-        i0, i1 = np.array([0, 2]), np.array([1, 3])
-        quad = schur_blocks(a, (i0, i1))
-        self._assert_definitions(a, quad, i0, i1)
+        q00, q10, q01, qS = schur_blocks(a, 3)
+        a00, a01, a10, a11 = a[:3, :3], a[:3, 3:], a[3:, :3], a[3:, 3:]
+        assert np.max(np.abs(q00 @ a00 - np.eye(3))) <= 1e-12
+        assert np.max(np.abs(q10 @ a00 - a10)) <= 1e-12
+        assert np.max(np.abs(a00 @ q01 - a01)) <= 1e-12
+        assert np.max(np.abs(qS + a10 @ q01 - a11)) <= 1e-12
 
     def test_singular_00_rejected(self):
         with pytest.raises(ValueError, match="singular 00-block"):
             schur_blocks(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
 
     def test_bad_split(self):
-        with pytest.raises(ValueError, match="partition"):
-            schur_blocks(np.eye(4), (np.array([0, 1]), np.array([1, 2, 3])))
+        for split in (0, 4):
+            with pytest.raises(ValueError, match="strictly between 0 and n"):
+                schur_blocks(np.eye(4), split)
 
 
 def _dct_basis(n):
@@ -239,6 +224,15 @@ def _dct_basis(n):
     v[:, 0] *= np.sqrt(1.0 / n)
     v[:, 1:] *= np.sqrt(2.0 / n)
     return v
+
+
+def _unit_probes(n):
+    """Constants, x, x^2 and the first four Fourier modes on n midpoints."""
+    x = (np.arange(n) + 0.5) / n
+    probes = [np.ones(n), x, x**2]
+    for k in range(1, 5):
+        probes += [np.sin(2.0 * np.pi * k * x), np.cos(2.0 * np.pi * k * x)]
+    return [p / np.linalg.norm(p) for p in probes]
 
 
 def _stripe_vs_mean_distance(n_osc, nfull=256, k_low=4):
@@ -268,7 +262,7 @@ class TestSchurDistance:
         rng = np.random.default_rng(4)
         q = rng.normal(size=(8, 8))
         a = q @ q.T + 8.0 * np.eye(8)
-        assert schur_distance(a, a, 4) == 0.0
+        assert schur_distance(a, a, 4, _unit_probes(8)) == 0.0
 
     def test_stripe_mean_convergence(self):
         d4 = _stripe_vs_mean_distance(4)
@@ -281,15 +275,8 @@ class TestSchurDistance:
         rng = np.random.default_rng(9)
         q = rng.normal(size=(16, 16))
         a = q @ q.T + 16.0 * np.eye(16)
-        d = schur_distance(a, a * (1.0 + 1e-9), 8)
+        d = schur_distance(a, a * (1.0 + 1e-9), 8, _unit_probes(16))
         assert d <= 1e-7
-
-    def test_default_probes_shape(self):
-        probes = default_probes(32)
-        assert len(probes) == 11
-        for p in probes:
-            assert p.shape == (32,)
-            assert np.linalg.norm(p) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestLimitLaws:

@@ -1,5 +1,6 @@
 """Source hygiene: every imported name in the package is used or exported,
-and every definition in the package has a caller outside the unit tests."""
+every definition in the package has a caller outside the unit tests, and
+every parameter with a default is passed by such a caller."""
 
 import ast
 from pathlib import Path
@@ -137,3 +138,106 @@ def test_every_definition_has_a_caller():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     callers = [p.read_text(encoding="utf-8") for p in CALLERS]
     assert set(uncalled_definitions(modules, callers)) - CALLED_BY_LIBRARY == set()
+
+
+def _calls(tree):
+    """(callee name, positional count, keyword names, unpacks) of every call;
+    the callee name is that of an ast.Name or the attribute of an
+    ast.Attribute, and ``unpacks`` marks a ``*`` or ``**`` argument."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            unpacks = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            )
+            yield name, len(node.args), {k.arg for k in node.keywords}, unpacks
+
+
+def _functions(body, prefix="", cls=None):
+    """(qualified name, callee name, bound arguments, node) of every function
+    and method, nested ones included; dunder methods are skipped except a
+    class's ``__init__``, which is called by the class name.  A method's
+    calls do not fill its first argument (``self`` or ``cls``; the package
+    has no static methods)."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}{node.name}.", node.name)
+        elif isinstance(node, defs):
+            bound = int(cls is not None)
+            if cls is not None and node.name == "__init__":
+                yield f"{prefix}{node.name}", cls, bound, node
+            elif not _is_dunder(node.name):
+                yield f"{prefix}{node.name}", node.name, bound, node
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+
+
+def unset_parameters(modules, callers=()):
+    """``module.function(parameter)`` of each defaulted parameter in
+    ``modules`` (module name -> source) that no call in ``modules`` or in
+    the ``callers`` sources passes: by keyword, by filling its position, or
+    through ``*``/``**`` unpacking.  Calls are matched by name."""
+    trees = {mod: ast.parse(src) for mod, src in modules.items()}
+    calls = {}
+    for tree in [*trees.values(), *(ast.parse(src) for src in callers)]:
+        for name, npos, keywords, unpacks in _calls(tree):
+            calls.setdefault(name, []).append((npos, keywords, unpacks))
+    unset = []
+    for mod, tree in trees.items():
+        for qualname, callee, bound, node in _functions(tree.body):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, positional[i].arg) for i in range(first, len(positional))]
+            defaulted += [
+                (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            for index, param in defaulted:
+                if not any(
+                    unpacks or param in keywords or (index is not None and npos > index - bound)
+                    for npos, keywords, unpacks in calls.get(callee, ())
+                ):
+                    unset.append(f"{mod}.{qualname}({param})")
+    return sorted(unset)
+
+
+def test_scanner_finds_an_unset_parameter():
+    modules = {
+        "a": (
+            "def f(x, by_position=1, by_keyword=2, unset=3, *, flag=False):\n"
+            "    return x\n"
+            "class Box:\n"
+            "    def __init__(self, size=1, colour=None):\n"
+            "        self.size = size\n"
+            "    def grow(self, step=1, spare=0):\n"
+            "        return self.size + step\n"
+            "    def __eq__(self, other=None):\n"
+            "        return False\n"
+            "def g(*args, extra=0):\n"
+            "    def inner(y=0):\n"
+            "        return y\n"
+            "    return inner()\n"
+        ),
+        "b": "from a import f, g, Box\nf(0, 1, by_keyword=5)\nBox(2).grow(3)\ng(**{})\n",
+    }
+    # the caller's own ``f(...)`` in a docstring is no call
+    caller = '"""f(0, 1, 2, 3, flag=True)"""\n'
+    assert unset_parameters(modules, [caller]) == [
+        "a.Box.__init__(colour)",
+        "a.Box.grow(spare)",
+        "a.f(flag)",
+        "a.f(unset)",
+        "a.g.inner(y)",
+    ]
+
+
+def test_every_parameter_is_set():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    callers = [p.read_text(encoding="utf-8") for p in CALLERS]
+    assert unset_parameters(modules, callers) == []

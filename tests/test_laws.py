@@ -20,16 +20,16 @@ def _omega1_2d():
     return Separable2D([(box, box)])
 
 
-def _ex5_limit_like(eps0=1.0, mu0=1.0):
+def _ex5_limit_like():
     """Hand-built copy of the memory-bearing 2-D limit law (for unit tests)."""
     omega1 = _omega1_2d()
     ext = 1.0 - omega1
     return MaterialLaw(
         3,
         {
-            (0, 0): omega1 * 1.5 + ext * eps0,
-            (1, 1): omega1 * 0.5 + ext * mu0,
-            (2, 2): ext * mu0,
+            (0, 0): omega1 * 1.5 + ext,
+            (1, 1): omega1 * 0.5 + ext,
+            (2, 2): ext,
         },
         {(1, 1): omega1 * 0.5, (2, 2): omega1 * 2.0},
         memory={(2, 2): [MemoryTerm(-2.0, 1.0, 1.0, omega1)]},
@@ -51,28 +51,28 @@ def _eliminate(aug, z, points):
     )
 
 
-def _maxwell_limit_like(eps=1.0, mu=1.0, sigma=1.0, eps0=1.0, mu0=1.0):
+def _maxwell_limit_like():
     """Hand-built copy of the conductive limit law (stratified coordinate)."""
     omega1 = RegionIndicator(-1.0, 1.0)
     ext = 1.0 - omega1
-    e_tan = omega1 * (eps / 2.0) + ext * eps0
-    h_tan = omega1 * (1.5 * mu) + ext * mu0
+    e_tan = omega1 * 0.5 + ext
+    h_tan = omega1 * 1.5 + ext
     return MaterialLaw(
         6,
         {
-            (0, 0): ext * eps0,
+            (0, 0): ext,
             (1, 1): e_tan,
             (2, 2): e_tan,
-            (3, 3): omega1 * (4.0 * mu / 3.0) + ext * mu0,
+            (3, 3): omega1 * (4.0 / 3.0) + ext,
             (4, 4): h_tan,
             (5, 5): h_tan,
         },
         {
-            (0, 0): omega1 * (2.0 * sigma),
-            (1, 1): omega1 * (sigma / 2.0),
-            (2, 2): omega1 * (sigma / 2.0),
+            (0, 0): omega1 * 2.0,
+            (1, 1): omega1 * 0.5,
+            (2, 2): omega1 * 0.5,
         },
-        memory={(0, 0): [MemoryTerm(-2.0 * sigma**2, sigma, eps, omega1)]},
+        memory={(0, 0): [MemoryTerm(-2.0, 1.0, 1.0, omega1)]},
         nu0=0.0,
         dim=1,
         domain=(-2.0, 2.0),
@@ -104,7 +104,7 @@ class TestEval:
         assert np.allclose(np.diag(vals[0].real), [0.5, 2.0, 2.0])
         # off-stripe inside: diag(1, 1, 1)
         assert np.allclose(vals[1], np.eye(3))
-        # exterior: diag(eps0, mu0, mu0) = identity by default
+        # exterior: the identity
         assert np.allclose(vals[2], np.eye(3))
 
     def test_memory_entry_value(self):
@@ -116,7 +116,7 @@ class TestEval:
     def test_maxwell_memory_entry_value(self):
         law = _maxwell_limit_like()
         vals = eval_material_law(law, 1.0, np.array([0.2]))
-        # (1/z) * 2*(1 - sigma*(sigma + z*eps)^{-1})*sigma = 1 at z=1
+        # (1/z) * 2*(1 - (1 + z)^{-1}) = 1 at z=1
         assert vals[0, 0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_z_at_or_below_nu0(self):
@@ -139,10 +139,10 @@ class TestEval:
         assert law.formula_level
         assert law.ncomp == 6
         vals = eval_material_law(law, 2.0, np.array([0.1, 1.5]))
-        # inside, on-stripe: E entries 0 + sigma/z, H entries 2*mu
+        # inside, on-stripe: E entries 0 + 1/z, H entries 2
         assert vals[0, 0, 0] == pytest.approx(0.5)
         assert vals[0, 3, 3] == pytest.approx(2.0)
-        # exterior: diag(eps0 I3, mu0 I3)
+        # exterior: the identity
         assert np.allclose(vals[1], np.eye(6))
 
 
@@ -203,9 +203,7 @@ class TestAugmentation:
         assert aug.law.ncomp == 4
         assert aug.law.is_instant
         (slot,) = aug.slots
-        assert slot.parent == 2
         assert slot.index == 3
-        assert slot.coupling == pytest.approx(-2.0)
         inside, outside = (0.0, 0.0), (1.5, 1.5)
         assert aug.law.m0[(3, 3)](*inside) == pytest.approx(2.0)
         assert aug.law.m0[(3, 3)](*outside) == pytest.approx(0.0)
@@ -227,8 +225,10 @@ class TestAugmentation:
         aug = augment_memory(law)
         assert aug.law.ncomp == 7
         (slot,) = aug.slots
-        assert slot.parent == 0
-        assert slot.coupling == pytest.approx(-2.0)  # -sqrt(-2c) = -2*sigma
+        # the slot couples to E1 with -sqrt(-2c) = -2 inside the region
+        assert slot.index == 6
+        assert aug.law.m1[(0, 6)](np.array([0.3]))[0] == pytest.approx(-2.0)
+        assert aug.law.m1[(6, 0)](np.array([0.3]))[0] == pytest.approx(-2.0)
         pts = np.array([0.3, -0.7, 1.6])
         s = _eliminate(aug, 2.0, pts)
         ref = material_symbol(law, 2.0, pts)

@@ -37,7 +37,7 @@ class TestBuildMesh:
             ((-2.0, 2.0), (-2.0, 2.0)), (10, 80), alignment=1, osc_region=(-1.0, 1.0)
         )
         assert isinstance(mesh, TensorMesh2D)
-        assert mesh.ncells == (10, 80)
+        assert (mesh.x.ncells, mesh.y.ncells) == (10, 80)
         inner = mesh.x.boundaries[(mesh.x.boundaries > -1 - 1e-12) & (mesh.x.boundaries < 1 + 1e-12)]
         assert np.allclose(np.diff(inner), 0.25)
         for p in (-1.0, 1.0):
@@ -135,7 +135,11 @@ class TestLineSpaces:
         coeffs = space.node_positions.copy()  # interpolates f(x) = x
         xs = np.array([0.1, 0.77, 1.5, 2.0])
         assert np.allclose(eval_matrix_1d(space, xs) @ coeffs, xs)
-        assert np.allclose(eval_matrix_1d(space, xs, deriv=1) @ coeffs, 1.0)
+        cells = mesh.cell_containing(xs)
+        slopes = np.einsum(
+            "li,il->i", space.eval_cell(cells, xs, 1), coeffs[space.cell_full_dofs(cells)]
+        )
+        assert np.allclose(slopes, 1.0)
 
     @pytest.mark.parametrize(
         "make",
@@ -152,7 +156,8 @@ class TestLineSpaces:
         # at every mesh boundary (interior ones and both ends) and at random
         # interior points, the value is that of the polynomial of the cell
         # Mesh1D.cell_containing picks, rebuilt per point by interpolating
-        # the cell's nodal values
+        # the cell's nodal values; values are read through eval_matrix_1d,
+        # derivatives through eval_cell (as gram1d reads them)
         mesh = Mesh1D([0.0, 0.2, 0.5, 0.6, 1.0])
         space = make(mesh)
         rng = np.random.default_rng(7)
@@ -162,7 +167,13 @@ class TestLineSpaces:
         if nodes is None:
             nodes = space.nodes_global
         xs = np.concatenate([mesh.boundaries, rng.uniform(0.0, 1.0, 5)])
-        got = eval_matrix_1d(space, xs, deriv=deriv) @ coeffs
+        if deriv == 0:
+            got = eval_matrix_1d(space, xs) @ coeffs
+        else:
+            cells = mesh.cell_containing(xs)
+            got = np.einsum(
+                "li,il->i", space.eval_cell(cells, xs, deriv), full[space.cell_full_dofs(cells)]
+            )
         for x, value in zip(xs, got):
             dofs = space.cell_full_dofs(mesh.cell_containing(x))
             poly = np.polynomial.Polynomial.fit(nodes[dofs], full[dofs], len(dofs) - 1)
