@@ -29,8 +29,8 @@ from .analytic import (
 )
 from .experiments import (
     ExperimentSpec,
-    build_run,
     convergence_sweep,
+    run_problem,
     solution_norms,
 )
 from .homogenise import build_limit_law
@@ -151,10 +151,7 @@ def _add_run_knobs(parser, *, need_n):
 def _cmd_run(args):
     spec = _merge_spec(args, need_n=True)
     n = spec.n_list[0]
-    problem = build_run(
-        spec.example, n, degree=spec.degree, slabs=spec.slabs, rho=spec.rho, T=spec.T
-    )
-    sol = solve_evolution(problem)
+    sol = solve_evolution(run_problem(spec, n))
     print(_CSV_HEADER)
     for name, value in solution_norms(sol).items():
         print(f"{spec.example},{n},norm_{name},{_fmt(value)}")
@@ -261,18 +258,12 @@ def _cmd_describe(args):
         (args.n,) if args.n is not None else (),
     )
     n = spec.n_list[0]
-    problem = build_run(spec.example, n, slabs=spec.slabs)
-    names = (
-        problem.law.component_names
-        if problem.law is not None
-        else tuple(f"c{i}" for i in range(len(problem.spaces)))
-    )
+    problem = run_problem(spec, n)
     print(f"example   {spec.example}")
     print(f"n         {n}")
-    label = problem.law.label if problem.law is not None else "collocated (no law)"
-    print(f"law       {label}")
+    print(f"law       {problem.law.label}")
     total = 0
-    for name, space in zip(names, problem.spaces):
+    for name, space in zip(problem.law.component_names, problem.spaces):
         print(f"component {name}: {space.ndof} dof")
         total += space.ndof
     print(f"unknowns  {2 * total} per slab ({total} spatial x 2 temporal)")

@@ -1,17 +1,20 @@
 """Experiment registry and convergence sweeps for the oscillating families.
 
 Each family solves the evolutionary problem with oscillation index n and
-compares against an n-independent reference: the analytic oscillating and
-homogenised ODE solutions (EX1), or a finer discretisation of the
-homogenised limit problem with one extra polynomial degree (EX2-EX5;
-rational memory entries are eliminated by an intrinsic variable first,
-and the interface family splices the analytic convolution solution onto
-the half-line where the limit law is nonlocal-in-time).  Reported
-quantities are test-dictionary pairings and strong norms per component
-and subdomain; fitted log-log rates are appended as n = 0 rows.
+compares against an n-independent reference: the analytic homogenised ODE
+solution (EX1), or a finer discretisation of the homogenised limit problem
+with one extra polynomial degree (EX2-EX5; rational memory entries are
+eliminated by an intrinsic variable first, and the interface family
+splices the analytic convolution solution onto the half-line where the
+limit law is nonlocal-in-time).  One table, ``_FAMILIES``, holds each
+family's problem builder (shared by its runs and its discrete reference),
+meshes and ordered reported quantities: test-dictionary pairings and strong
+norms per component and subdomain.  Runs, references and reports all read
+it; fitted log-log rates are appended as n = 0 rows.
 """
 
 import math
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from .analytic import i0_antiderivative, ode_exact, ode_hom_exact
 from .blas import one_blas_thread
-from .fields import Constant, SineOsc
+from .fields import Constant
 from .homogenise import build_limit_law
 from .laws import MaterialLaw, augment_memory, example_material
 from .meshes import build_mesh
@@ -45,6 +48,7 @@ __all__ = [
     "DEFAULT_N_LISTS",
     "ExperimentSpec",
     "build_run",
+    "run_problem",
     "solution_norms",
     "oracle_pairing_series",
     "convergence_sweep",
@@ -64,7 +68,7 @@ _SCALAR_TESTS = ("1", "x", "x2", "sinpix", "t")
 # The periodic pair's v is not paired against "1" and "t": the periodic skew
 # coupling conserves the mean of v, which starts at 0 and is not forced, so
 # both pairings vanish in exact arithmetic and would report roundoff.
-_EX2_TESTS = ((0, "u", _SCALAR_TESTS), (1, "v", ("x", "x2", "sinpix")))
+_EX2_V_TESTS = ("x", "x2", "sinpix")
 # The interface family pairs against the spatial tests on each half
 # separately (the temporal ramp test belongs to the single-component
 # family, whose dictionary is the model for "the same in x").
@@ -81,6 +85,13 @@ _FLAT_RTOL = 1e-6
 
 def _sin2pit(t):
     return math.sin(_TWO_PI * t)
+
+
+def _count(value, message):
+    """``value`` as an int >= 1, else ValueError(message); bools are refused."""
+    if isinstance(value, bool) or int(value) != value or int(value) < 1:
+        raise ValueError(message)
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -108,20 +119,14 @@ class ExperimentSpec:
             )
         object.__setattr__(self, "example", ex)
         ns = tuple(self.n_list) or DEFAULT_N_LISTS[ex]
-        cleaned = []
-        for n in ns:
-            if int(n) != n or int(n) < 1:
-                raise ValueError("oscillation indices must be integers >= 1")
-            cleaned.append(int(n))
+        cleaned = [_count(n, "oscillation indices must be integers >= 1") for n in ns]
         if len(set(cleaned)) != len(cleaned):
             raise ValueError("duplicate oscillation indices")
         object.__setattr__(self, "n_list", tuple(sorted(cleaned)))
-        if int(self.slabs) < 1:
-            raise ValueError("slabs must be a positive integer")
-        object.__setattr__(self, "slabs", int(self.slabs))
-        if int(self.degree) < 1:
-            raise ValueError("element degree must be >= 1")
-        object.__setattr__(self, "degree", int(self.degree))
+        slabs = _count(self.slabs, "slabs must be a positive integer")
+        degree = _count(self.degree, "element degree must be >= 1")
+        object.__setattr__(self, "slabs", slabs)
+        object.__setattr__(self, "degree", degree)
         if not 0.0 < float(self.T) < math.inf:
             raise ValueError("final time must be positive and finite")
         object.__setattr__(self, "T", float(self.T))
@@ -134,81 +139,54 @@ class ExperimentSpec:
 
 
 # ---------------------------------------------------------------------------
-# Problem builders (the oscillatory runs)
+# Problem builders (spec, mesh, degree, law) and analytic limits
 # ---------------------------------------------------------------------------
 
 
-def _stack_loads(spaces, loads):
+def _stacked(spaces, k, b):
+    """The load ``b`` of component k as a stacked load, zero elsewhere."""
     offsets = component_offsets(spaces)
     out = np.zeros(int(offsets[-1]))
-    for k, b in loads.items():
-        out[int(offsets[k]) : int(offsets[k + 1])] = b
+    out[int(offsets[k]) : int(offsets[k + 1])] = b
     return out
 
 
-def _run_ex1(n, degree, slabs, rho, T):
-    # Gauss-collocated piecewise constants: the semidiscrete system
-    # decouples into the per-node oscillating ODEs the family studies.
-    mesh = build_mesh((0.0, 1.0), 10 * n)
+def _ex1_problem(spec, mesh, degree, law):
+    # Gauss-collocated piecewise constants whatever the degree: the
+    # semidiscrete system decouples into the per-node oscillating ODEs the
+    # family studies.  The masses sample the law's coefficients at the
+    # nodes instead of integrating them.
     space = build_space(mesh, "dg", 0)
-    op = assemble_skew_operator("EX1", (space,))
+    spaces = (space,)
+    op = assemble_skew_operator("EX1", spaces)
     forcing = ((lambda t: 1.0, restricted_load(space, 1.0)),)
+    m0, m1 = collocated_mass(space), collocated_mass(space, law.m1[(0, 0)])
     return EvolutionProblem(
-        (space,),
-        None,
-        op,
-        TimeGrid.uniform(T, slabs),
-        forcing=forcing,
-        rho=rho,
-        m0mat=collocated_mass(space),
-        m1mat=collocated_mass(space, SineOsc(n)),
+        spaces, law, op, spec.grid(), forcing=forcing, rho=spec.rho, m0mat=m0, m1mat=m1
     )
 
 
-def _ex2_problem(mesh, degree, law, slabs, rho, T):
+def _ex2_problem(spec, mesh, degree, law):
     su = build_space(mesh, "cg", degree, periodic=True)
     sv = build_space(mesh, "cg", degree, periodic=True)
     spaces = (su, sv)
     op = assemble_skew_operator("EX2", spaces)
-    b = _stack_loads(spaces, {0: restricted_load(su, 1.0)})
-    return EvolutionProblem(
-        spaces,
-        law,
-        op,
-        TimeGrid.uniform(T, slabs),
-        forcing=((_sin2pit, b),),
-        rho=rho,
-    )
+    forcing = ((_sin2pit, _stacked(spaces, 0, restricted_load(su, 1.0))),)
+    return EvolutionProblem(spaces, law, op, spec.grid(), forcing=forcing, rho=spec.rho)
 
 
-def _run_ex2(n, degree, slabs, rho, T):
-    mesh = build_mesh((0.0, 1.0), 10 * n, alignment=n)
-    return _ex2_problem(mesh, degree, example_material("EX2", n), slabs, rho, T)
-
-
-def _ex3_problem(mesh, degree, law, slabs, rho, T):
+def _ex3_problem(spec, mesh, degree, law):
     su = build_space(mesh, "cg", degree, constraints=(0.0,))
     sv = build_space(mesh, "cg", degree, constraints=(-1.0,))
     spaces = (su, sv)
     op = assemble_skew_operator("EX3", spaces)
-    b_u = _stack_loads(spaces, {0: restricted_load(su, 1.0)})
-    b_v = _stack_loads(spaces, {1: restricted_load(sv, lambda x: x - 0.5)})
-    return EvolutionProblem(
-        spaces,
-        law,
-        op,
-        TimeGrid.uniform(T, slabs),
-        forcing=((_sin2pit, b_u), (lambda t: 1.0, b_v)),
-        rho=rho,
-    )
+    b_u = _stacked(spaces, 0, restricted_load(su, 1.0))
+    b_v = _stacked(spaces, 1, restricted_load(sv, lambda x: x - 0.5))
+    forcing = ((_sin2pit, b_u), (lambda t: 1.0, b_v))
+    return EvolutionProblem(spaces, law, op, spec.grid(), forcing=forcing, rho=spec.rho)
 
 
-def _run_ex3(n, degree, slabs, rho, T):
-    mesh = build_mesh((-1.0, 1.0), 40 * n)
-    return _ex3_problem(mesh, degree, example_material("EX3", n), slabs, rho, T)
-
-
-def _ex45_problem(mesh, degree, law, slabs, rho, T):
+def _ex45_problem(spec, mesh, degree, law):
     su = build_space(mesh, "q", degree, zero_trace=True)
     rt = build_space(mesh, "rt", degree - 1)
     spaces = [su, rt.vx, rt.vy]
@@ -218,34 +196,144 @@ def _ex45_problem(mesh, degree, law, slabs, rho, T):
         wspace = build_space(mesh, "dgq", degree - 1)
         op = extend_with_zero_components(op, [wspace.ndof])
         spaces.append(wspace)
-    b = _stack_loads(
-        spaces,
-        {
-            0: np.kron(
-                restricted_load(su.sx, 1.0), restricted_load(su.sy, 1.0)
-            )
-        },
-    )
+    load = np.kron(restricted_load(su.sx, 1.0), restricted_load(su.sy, 1.0))
+    forcing = ((_sin2pit, _stacked(spaces, 0, load)),)
     return EvolutionProblem(
-        tuple(spaces),
-        aug.law,
-        op,
-        TimeGrid.uniform(T, slabs),
-        forcing=((_sin2pit, b),),
-        rho=rho,
+        tuple(spaces), aug.law, op, spec.grid(), forcing=forcing, rho=spec.rho
     )
 
 
-def _run_ex45(example, n, degree, slabs, rho, T):
-    mesh = build_mesh(
-        ((-2.0, 2.0), (-2.0, 2.0)),
-        (10 * n, 80),
-        alignment=n,
-        osc_region=(-1.0, 1.0),
+def _ex1_limits(spec):
+    def hom(t, xs):
+        return np.full(np.shape(xs), ode_hom_exact(t))
+
+    return {"hom": hom}
+
+
+def _ex3_plain_limit():
+    # On (-1, 0) the zero-mean oscillation drops out of the limit entirely;
+    # the (0, 1) restriction of this run is discarded in favour of the
+    # analytic convolution solution.
+    return MaterialLaw(
+        2,
+        {(0, 0): Constant(1.0), (1, 1): Constant(1.0)},
+        {},
+        nu0=1.0,
+        dim=1,
+        domain=(-1.0, 1.0),
+        component_names=("u", "v"),
+        label="EX3-transport-limit",
     )
-    return _ex45_problem(
-        mesh, degree, example_material(example, n), slabs, rho, T
+
+
+def _ex3_limits(spec):
+    # Every pairing and strong norm of the sweep reads the limit at the
+    # slab-Gauss times of the spec's grid (the runs' grid), so its time
+    # factors are computed there, all at once.
+    tq = slab_gauss(spec.grid())[0].ravel()
+    u_table = dict(zip(tq.tolist(), ode_hom_exact(tq, source=_sin2pit).tolist()))
+    v_table = dict(zip(tq.tolist(), i0_antiderivative(tq).tolist()))
+
+    def u_right(t, xs):
+        return np.full(np.shape(xs), u_table[float(t)])
+
+    def v_right(t, xs):
+        return (np.asarray(xs) - 0.5) * v_table[float(t)]
+
+    return {"u_right": u_right, "v_right": v_right}
+
+
+# ---------------------------------------------------------------------------
+# The family table
+# ---------------------------------------------------------------------------
+
+# One family: ``build(spec, mesh, degree, law)`` poses both the run at index
+# n (on ``run_mesh(n)``, at the spec's degree, with the oscillating law) and
+# the discrete reference (on ``ref_mesh(reference_level)``, one degree
+# higher, with ``ref_law(example)``; no ``ref_mesh``, no discrete
+# reference).  ``limits(spec)`` names the analytic reference operands,
+# paired on ``panels`` composite-Gauss panels in space.  The quantities are
+# reported in table order.
+_Family = namedtuple(
+    "_Family", "build run_mesh ref_mesh ref_law limits panels quantities"
+)
+# One reported quantity of a run against the reference operand named
+# ``operand`` ("ref": the discrete reference): with a test dictionary name
+# ``test``, the absolute difference of their pairings on ``domain`` (None:
+# the whole domain) for the component ``comps[0]`` (a vector test pairs
+# both flux components); with ``test`` None, the strong norm of their
+# difference on ``domain``, the root sum of squares over ``comps``.
+_Quantity = namedtuple("_Quantity", "name test comps domain operand")
+
+
+def _pairs(prefix, tests, comps, domain, operand):
+    return tuple(_Quantity(f"{prefix}_{t}", t, comps, domain, operand) for t in tests)
+
+
+# The lambdas below call package functions through this module's bindings at
+# call time, so that wrappers installed on them (the benchmark's tracer) see
+# every call.
+_SQUARE = ((-2.0, 2.0), (-2.0, 2.0))
+_LEFT, _RIGHT = (-1.0, 0.0), (0.0, 1.0)
+_EX45 = _Family(
+    _ex45_problem,
+    lambda n: build_mesh(_SQUARE, (10 * n, 80), alignment=n, osc_region=(-1.0, 1.0)),
+    lambda level: build_mesh(_SQUARE, (56, 56) if level else (40, 40)),
+    lambda example: build_limit_law(example),
+    lambda spec: {},
+    None,
+    (
+        _Quantity("strong_u", None, (0,), None, "ref"),
+        _Quantity("strong_v", None, (1, 2), None, "ref"),
     )
+    + _pairs("pair_v", _VECTOR_TESTS, (1, 2), None, "ref"),
+)
+_FAMILIES = {
+    "EX1": _Family(
+        _ex1_problem,
+        lambda n: build_mesh((0.0, 1.0), 10 * n),
+        None,
+        None,
+        _ex1_limits,
+        64,
+        _pairs("pair_u", _SCALAR_TESTS, (0,), (0.0, 1.0), "hom"),
+    ),
+    "EX2": _Family(
+        _ex2_problem,
+        lambda n: build_mesh((0.0, 1.0), 10 * n, alignment=n),
+        lambda level: build_mesh((0.0, 1.0), 240 if level else 160),
+        lambda example: build_limit_law(example),
+        lambda spec: {},
+        None,
+        _pairs("pair_u", _SCALAR_TESTS, (0,), None, "ref")
+        + _pairs("pair_v", _EX2_V_TESTS, (1,), None, "ref")
+        + (
+            _Quantity("strong_u", None, (0,), None, "ref"),
+            _Quantity("strong_v", None, (1,), None, "ref"),
+        ),
+    ),
+    # the discrete reference on (-1, 0), the analytic limits on (0, 1)
+    "EX3": _Family(
+        _ex3_problem,
+        lambda n: build_mesh((-1.0, 1.0), 40 * n),
+        lambda level: build_mesh((-1.0, 1.0), 160 if level else 320),
+        lambda example: _ex3_plain_limit(),
+        _ex3_limits,
+        32,
+        _pairs("pair_u_left", _EX3_TESTS, (0,), _LEFT, "ref")
+        + _pairs("pair_u_right", _EX3_TESTS, (0,), _RIGHT, "u_right")
+        + _pairs("pair_v_left", _EX3_TESTS, (1,), _LEFT, "ref")
+        + _pairs("pair_v_right", _EX3_TESTS, (1,), _RIGHT, "v_right")
+        + (
+            _Quantity("strong_u_left", None, (0,), _LEFT, "ref"),
+            _Quantity("strong_v_left", None, (1,), _LEFT, "ref"),
+            _Quantity("strong_u_right", None, (0,), _RIGHT, "u_right"),
+            _Quantity("strong_v_right", None, (1,), _RIGHT, "v_right"),
+        ),
+    ),
+    "EX4": _EX45,
+    "EX5": _EX45,
+}
 
 
 def build_run(example, n, *, degree=1, slabs=64, rho=0.0, T=2.0):
@@ -255,67 +343,28 @@ def build_run(example, n, *, degree=1, slabs=64, rho=0.0, T=2.0):
     families use continuous/mixed elements of the given degree (lowest
     order is 1).  Raises ValueError for unknown or non-runnable ids.
     """
-    spec = ExperimentSpec(example, (int(n),), slabs, rho, degree, T)
+    spec = ExperimentSpec(example, (n,), slabs, rho, degree, T)
     n = spec.n_list[0]
-    if spec.example == "EX1":
-        return _run_ex1(n, spec.degree, spec.slabs, spec.rho, spec.T)
-    if spec.example == "EX2":
-        return _run_ex2(n, spec.degree, spec.slabs, spec.rho, spec.T)
-    if spec.example == "EX3":
-        return _run_ex3(n, spec.degree, spec.slabs, spec.rho, spec.T)
-    return _run_ex45(spec.example, n, spec.degree, spec.slabs, spec.rho, spec.T)
+    family = _FAMILIES[spec.example]
+    law = example_material(spec.example, n)
+    return family.build(spec, family.run_mesh(n), spec.degree, law)
 
 
-def _solve_run(spec, n):
-    """The oscillatory run of the spec's family at index n, solved."""
-    return solve_evolution(
-        build_run(
-            spec.example,
-            n,
-            degree=spec.degree,
-            slabs=spec.slabs,
-            rho=spec.rho,
-            T=spec.T,
-        )
+def run_problem(spec, n):
+    """The spec's run at index n: what a sweep solves and ``evohom run`` and
+    ``evohom describe`` show."""
+    return build_run(
+        spec.example, n, degree=spec.degree, slabs=spec.slabs, rho=spec.rho, T=spec.T
     )
 
 
 def solution_norms(sol):
     """Space-time L2 norm of every component (diagnostic/stability check)."""
-    names = (
-        sol.problem.law.component_names
-        if sol.problem.law is not None
-        else tuple(f"c{i}" for i in range(len(sol.problem.spaces)))
-    )
+    names = sol.problem.law.component_names
     return {
         str(names[i]): strong_norm_diff(sol, 0.0, component=i)
         for i in range(len(sol.problem.spaces))
     }
-
-
-# ---------------------------------------------------------------------------
-# EX1: analytic oracle reference
-# ---------------------------------------------------------------------------
-
-
-def _prepare_ex1(spec, level):
-    def hom(t, xs):
-        return np.full(np.shape(xs), ode_hom_exact(t))
-
-    grid = spec.grid()
-    ref_pair = {
-        name: pairing(hom, name, domain=(0.0, 1.0), grid=grid, cells=64)
-        for name in _SCALAR_TESTS
-    }
-    return {"ref_pair": ref_pair}
-
-
-def _report_ex1(spec, ctx, n, sol):
-    rows = []
-    for name in _SCALAR_TESTS:
-        val = abs(pairing(sol, name) - ctx["ref_pair"][name])
-        rows.append((n, f"pair_u_{name}", val))
-    return rows
 
 
 def oracle_pairing_series(n_list, name="x", *, cells=None):
@@ -337,172 +386,37 @@ def oracle_pairing_series(n_list, name="x", *, cells=None):
     return out
 
 
-# ---------------------------------------------------------------------------
-# EX2: homogenised periodic-pair reference
-# ---------------------------------------------------------------------------
-
-
-def _prepare_ex2(spec, level):
-    ncell = 160 if level == 0 else 240
-    mesh = build_mesh((0.0, 1.0), ncell)
-    ref = solve_evolution(
-        _ex2_problem(
-            mesh,
-            spec.degree + 1,
-            build_limit_law("EX2"),
-            spec.slabs,
-            spec.rho,
-            spec.T,
-        )
-    )
+def _prepare(spec, level):
+    """The reference operands by name and their pairing per paired quantity."""
+    family = _FAMILIES[spec.example]
+    operands = family.limits(spec)
+    if family.ref_mesh is not None:
+        mesh, law = family.ref_mesh(level), family.ref_law(spec.example)
+        ref = family.build(spec, mesh, spec.degree + 1, law)
+        operands["ref"] = solve_evolution(ref)
+    # grid and cells apply to the analytic operands only
+    analytic = {"grid": spec.grid(), "cells": family.panels}
     ref_pair = {
-        (k, name): pairing(ref, name, component=k)
-        for k, _, names in _EX2_TESTS
-        for name in names
+        q.name: pairing(operands[q.operand], q.test, q.domain, q.comps[0], **analytic)
+        for q in family.quantities
+        if q.test is not None
     }
-    return {"ref": ref, "ref_pair": ref_pair}
+    return operands, ref_pair
 
 
-def _report_ex2(spec, ctx, n, sol):
+def _report(spec, ctx, n, sol):
+    """The rows (n, quantity, value) of one solved run."""
+    operands, ref_pair = ctx
     rows = []
-    for comp, tag, names in _EX2_TESTS:
-        for name in names:
-            val = abs(
-                pairing(sol, name, component=comp) - ctx["ref_pair"][(comp, name)]
-            )
-            rows.append((n, f"pair_{tag}_{name}", val))
-    rows.append((n, "strong_u", strong_norm_diff(sol, ctx["ref"], 0)))
-    rows.append((n, "strong_v", strong_norm_diff(sol, ctx["ref"], 1)))
+    for q in _FAMILIES[spec.example].quantities:
+        if q.test is None:
+            ref = operands[q.operand]
+            norms = (strong_norm_diff(sol, ref, k, q.domain) for k in q.comps)
+            rows.append((n, q.name, math.hypot(*norms)))
+        else:
+            val = pairing(sol, q.test, q.domain, q.comps[0]) - ref_pair[q.name]
+            rows.append((n, q.name, abs(val)))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# EX3: hybrid reference (fine transport run on (-1,0), analytic on (0,1))
-# ---------------------------------------------------------------------------
-
-
-def _ex3_plain_limit():
-    # On (-1, 0) the zero-mean oscillation drops out of the limit entirely;
-    # the (0, 1) restriction of this run is discarded in favour of the
-    # analytic convolution solution.
-    return MaterialLaw(
-        2,
-        {(0, 0): Constant(1.0), (1, 1): Constant(1.0)},
-        {},
-        nu0=1.0,
-        dim=1,
-        domain=(-1.0, 1.0),
-        component_names=("u", "v"),
-        label="EX3-transport-limit",
-    )
-
-
-def _prepare_ex3(spec, level):
-    ncell = 320 if level == 0 else 160
-    mesh = build_mesh((-1.0, 1.0), ncell)
-    ref = solve_evolution(
-        _ex3_problem(
-            mesh, spec.degree + 1, _ex3_plain_limit(), spec.slabs, spec.rho, spec.T
-        )
-    )
-    # Every pairing and strong norm of the sweep reads the limit at the
-    # slab-Gauss times of the spec's grid (the runs' grid), so its time
-    # factors are computed there, all at once.
-    grid = spec.grid()
-    tq = slab_gauss(grid)[0].ravel()
-    u_table = dict(zip(tq.tolist(), ode_hom_exact(tq, source=_sin2pit).tolist()))
-    v_table = dict(zip(tq.tolist(), i0_antiderivative(tq).tolist()))
-
-    def u_right(t, xs):
-        return np.full(np.shape(xs), u_table[float(t)])
-
-    def v_right(t, xs):
-        return (np.asarray(xs) - 0.5) * v_table[float(t)]
-
-    ref_pair = {}
-    for name in _EX3_TESTS:
-        for k, right in ((0, u_right), (1, v_right)):
-            ref_pair[(k, "left", name)] = pairing(
-                ref, name, domain=(-1.0, 0.0), component=k
-            )
-            ref_pair[(k, "right", name)] = pairing(
-                right, name, domain=(0.0, 1.0), grid=grid, cells=32
-            )
-    return {
-        "ref": ref,
-        "ref_pair": ref_pair,
-        "u_right": u_right,
-        "v_right": v_right,
-    }
-
-
-def _report_ex3(spec, ctx, n, sol):
-    rows = []
-    for comp, tag in ((0, "u"), (1, "v")):
-        for side, dom in (("left", (-1.0, 0.0)), ("right", (0.0, 1.0))):
-            for name in _EX3_TESTS:
-                val = abs(
-                    pairing(sol, name, domain=dom, component=comp)
-                    - ctx["ref_pair"][(comp, side, name)]
-                )
-                rows.append((n, f"pair_{tag}_{side}_{name}", val))
-    rows.append(
-        (n, "strong_u_left", strong_norm_diff(sol, ctx["ref"], 0, (-1.0, 0.0)))
-    )
-    rows.append(
-        (n, "strong_v_left", strong_norm_diff(sol, ctx["ref"], 1, (-1.0, 0.0)))
-    )
-    rows.append(
-        (n, "strong_u_right", strong_norm_diff(sol, ctx["u_right"], 0, (0.0, 1.0)))
-    )
-    rows.append(
-        (n, "strong_v_right", strong_norm_diff(sol, ctx["v_right"], 1, (0.0, 1.0)))
-    )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# EX4 / EX5: homogenised mixed reference (intrinsic variable where needed)
-# ---------------------------------------------------------------------------
-
-
-def _prepare_ex45(spec, level):
-    ncell = 40 if level == 0 else 56
-    mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), (ncell, ncell))
-    ref = solve_evolution(
-        _ex45_problem(
-            mesh,
-            spec.degree + 1,
-            build_limit_law(spec.example),
-            spec.slabs,
-            spec.rho,
-            spec.T,
-        )
-    )
-    ref_pair = {name: pairing(ref, name) for name in _VECTOR_TESTS}
-    return {"ref": ref, "ref_pair": ref_pair}
-
-
-def _report_ex45(spec, ctx, n, sol):
-    rows = [(n, "strong_u", strong_norm_diff(sol, ctx["ref"], 0))]
-    sv = math.hypot(
-        strong_norm_diff(sol, ctx["ref"], 1), strong_norm_diff(sol, ctx["ref"], 2)
-    )
-    rows.append((n, "strong_v", sv))
-    for name in _VECTOR_TESTS:
-        val = abs(pairing(sol, name) - ctx["ref_pair"][name])
-        rows.append((n, f"pair_v_{name}", val))
-    return rows
-
-
-# Per family: (prepare the reference, report one solved run against it).
-_DRIVERS = {
-    "EX1": (_prepare_ex1, _report_ex1),
-    "EX2": (_prepare_ex2, _report_ex2),
-    "EX3": (_prepare_ex3, _report_ex3),
-    "EX4": (_prepare_ex45, _report_ex45),
-    "EX5": (_prepare_ex45, _report_ex45),
-}
 
 
 def convergence_sweep(spec, out=None, jobs=1, reference_level=0):
@@ -528,20 +442,19 @@ def convergence_sweep(spec, out=None, jobs=1, reference_level=0):
     jobs = int(jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    prepare, report_run = _DRIVERS[spec.example]
     level = int(reference_level)
     rows = []
     try:
         with one_blas_thread(), ThreadPoolExecutor(max_workers=jobs) as pool:
             # submitted first, so a worker has taken it before any run
             # waits for it: the waits cannot fill the pool
-            reference = pool.submit(prepare, spec, level=level)
+            reference = pool.submit(_prepare, spec, level)
 
             def run(n):
                 if reference.done():
                     reference.result()  # a failed reference: skip the solve
-                sol = _solve_run(spec, n)
-                return report_run(spec, reference.result(), n, sol)
+                sol = solve_evolution(run_problem(spec, n))
+                return _report(spec, reference.result(), n, sol)
 
             futures = {n: pool.submit(run, n) for n in reversed(spec.n_list)}
             try:
@@ -552,11 +465,7 @@ def convergence_sweep(spec, out=None, jobs=1, reference_level=0):
                     fut.cancel()  # runs not yet started, on failure
     except Exception:
         if out is not None:
-            write_csv(
-                out,
-                spec.example,
-                list(rows) + [(0, "error", float("nan"))],
-            )
+            write_csv(out, spec.example, rows + [(0, "error", float("nan"))])
         raise
     by_quantity = {}
     for n, q, v in rows:

@@ -71,6 +71,14 @@ class TestRun:
         assert quantities == {"norm_u", "norm_v"}
         assert all(line.startswith("EX3,2,") for line in lines[1:])
 
+    def test_collocated_family_names_its_component(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--example", "EX1", "--n", "2", "--slabs", "4"
+        )
+        assert code == 0
+        (row,) = out.splitlines()[1:]
+        assert row.startswith("EX1,2,norm_u,")
+
     def test_solver_failure_maps_to_2(self, capsys, monkeypatch):
         def explode(problem):
             raise RuntimeError("factorisation blew up")
@@ -222,6 +230,8 @@ class TestDescribe:
         code, out, _ = run_cli(capsys, "describe", "--example", "EX1")
         assert code == 0
         assert "n         1" in out
+        assert "law       EX1(n=1)" in out
+        assert "component u: 10 dof" in out
 
 
 @pytest.mark.parametrize(

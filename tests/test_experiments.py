@@ -70,6 +70,18 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="rho"):
             ExperimentSpec("EX1", rho=-0.5)
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("slabs", 2.5), ("slabs", True), ("degree", 1.7), ("degree", True)],
+        ids=["slabs-fraction", "slabs-bool", "degree-fraction", "degree-bool"],
+    )
+    def test_non_integer_knobs_rejected(self, knob, value):
+        # a fraction or a bool is no count: refused, not truncated
+        with pytest.raises(ValueError, match=knob):
+            ExperimentSpec("EX2", (1,), **{knob: value})
+        with pytest.raises(ValueError, match=knob):
+            build_run("EX2", 1, **{knob: value})
+
     def test_grid(self):
         grid = ExperimentSpec("EX1", T=2.0, slabs=16).grid()
         assert grid.num_slabs == 16
@@ -248,8 +260,7 @@ class TestSweepMechanics:
             calls.append(n)
             return [(n, "pair_u_x", 1.0)]
 
-        prepare, _ = experiments._DRIVERS["EX1"]
-        monkeypatch.setitem(experiments._DRIVERS, "EX1", (prepare, boom))
+        monkeypatch.setattr(experiments, "_report", boom)
         path = tmp_path / "partial.csv"
         with pytest.raises(RuntimeError, match="synthetic failure"):
             convergence_sweep(ExperimentSpec("EX1", (1, 2)), out=path)
@@ -260,21 +271,18 @@ class TestSweepMechanics:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_reference_failure_flushes_error_row(self, tmp_path, monkeypatch, jobs):
-        def failing_reference(spec, level=0):
+        def failing_reference(spec, level):
             raise RuntimeError("reference failed")
 
-        _, report = experiments._DRIVERS["EX3"]
-        monkeypatch.setitem(
-            experiments._DRIVERS, "EX3", (failing_reference, report)
-        )
+        monkeypatch.setattr(experiments, "_prepare", failing_reference)
         solved = []
-        solve_run = experiments._solve_run
+        run_problem = experiments.run_problem
 
-        def counted_solve(spec, n):
+        def counted_run(spec, n):
             solved.append(n)
-            return solve_run(spec, n)
+            return run_problem(spec, n)
 
-        monkeypatch.setattr(experiments, "_solve_run", counted_solve)
+        monkeypatch.setattr(experiments, "run_problem", counted_run)
         path = tmp_path / "partial.csv"
         with pytest.raises(RuntimeError, match="reference failed"):
             convergence_sweep(ExperimentSpec("EX3", (1, 2)), out=path, jobs=jobs)
@@ -337,3 +345,10 @@ class TestReferenceSelfConsistency:
 def test_examples_registry():
     assert EXAMPLES == ("EX1", "EX2", "EX3", "EX4", "EX5")
     assert set(DEFAULT_N_LISTS) == set(EXAMPLES)
+
+
+def test_ex3_sweep_matches_benchmark_golden_rows(benchmark_workloads):
+    # the rows the benchmark gates on: a change that moves one fails here too
+    sweep = benchmark_workloads.Sweep("EX3")
+    argv = sweep.setup(0)
+    assert sweep.check(argv, sweep.run(argv)) == []

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from evohom.analytic import ode_exact, ode_hom_exact
-from evohom.experiments import ExperimentSpec, _ex45_problem, _run_ex45
+from evohom.experiments import ExperimentSpec, _ex45_problem, run_problem
 from evohom.homogenise import build_limit_law
 from evohom.meshes import build_mesh
 from evohom.operators import assemble_skew_operator
@@ -236,12 +236,10 @@ class TestStrongNormDiff:
 
         def limit(cells, degree):
             law = build_limit_law("EX5")
-            problem = _ex45_problem(
-                build_mesh(span, cells), degree, law, spec.slabs, spec.rho, spec.T
-            )
+            problem = _ex45_problem(spec, build_mesh(span, cells), degree, law)
             return solve_evolution(problem)
 
-        sol = solve_evolution(_run_ex45("EX5", 1, 1, spec.slabs, spec.rho, spec.T))
+        sol = solve_evolution(run_problem(spec, 1))
         lim, ref = limit((12, 6), 1), limit((8, 8), 2)
         assert len(sol.problem.spaces) == 3 and len(ref.problem.spaces) == 4
         cases = [(sol, k) for k in range(3)] + [(lim, 3)]

@@ -1,8 +1,6 @@
 """Tests for the space-time dG(1) slab march."""
 
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,15 +415,6 @@ class TestTwoDimensionalSmoke:
         assert np.max(np.abs(sol.right_trace(4))) > 1e-8
 
 
-def _benchmark_workloads():
-    """The benchmark's workload module, loaded from its file (read-only)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestPencilSolve:
     """The complex N x N slab solve against the real 2N x 2N slab system."""
 
@@ -435,8 +424,8 @@ class TestPencilSolve:
     @pytest.mark.parametrize("rho", [0.0, 0.7, 2.0])
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("example", ["EX3", "EX4"])
-    def test_matches_real_slab_system(self, example, degree, rho):
-        problem = _benchmark_workloads().on_grid(
+    def test_matches_real_slab_system(self, benchmark_workloads, example, degree, rho):
+        problem = benchmark_workloads.on_grid(
             build_run(example, 1, degree=degree, rho=rho), self.GRID.t_points
         )
         sol = solve_evolution(problem)
@@ -471,9 +460,11 @@ class TestPencilSolve:
         assert self._count_factorisations(monkeypatch, TimeGrid.uniform(2.0, 30)) == 1
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_one_factorisation_per_length_on_graded_grid(self, monkeypatch, seed):
+    def test_one_factorisation_per_length_on_graded_grid(
+        self, benchmark_workloads, monkeypatch, seed
+    ):
         # 8 geometric start-up slabs of distinct lengths and a uniform tail
-        grid = TimeGrid(_benchmark_workloads().graded_points(seed))
+        grid = TimeGrid(benchmark_workloads.graded_points(seed))
         assert grid.num_slabs == 15
         assert self._count_factorisations(monkeypatch, grid, rho=1.0) == 9
 
