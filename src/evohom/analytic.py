@@ -25,6 +25,8 @@ import math
 
 import numpy as np
 
+from .meshes import gauss_panels
+
 __all__ = [
     "ode_exact",
     "bessel_i0",
@@ -137,9 +139,7 @@ def conv_i0(source, t):
     """
     ts = _check_times(t)
     panels = max(1, math.ceil(float(np.max(ts, initial=0.0))))
-    gx, gw = np.polynomial.legendre.leggauss(_CONV_POINTS)
-    u = (np.arange(panels)[:, None] + 0.5 * (gx + 1.0)).ravel() / panels
-    w = np.tile(0.5 * gw / panels, panels)
+    u, w = gauss_panels(np.linspace(0.0, 1.0, panels + 1), _CONV_POINTS)
     s = ts[..., None] * u
     f = np.array([source(v) for v in s.ravel()], dtype=float).reshape(s.shape)
     out = ts * ((bessel_i0(ts[..., None] - s) * f) @ w)
@@ -224,12 +224,5 @@ def laplace_i0(z):
     T = math.log(1.0 / (_LAPLACE_TOL * (z.real - 1.0))) / (z.real - 1.0)
     T = min(max(T, 1.0), 50.0)
     n_panels = max(8, int(_LAPLACE_PANELS * T))
-    gx, gw = np.polynomial.legendre.leggauss(12)
-    edges = np.linspace(0.0, T, n_panels + 1)
-    total = 0.0 + 0.0j
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        ts = mid + half * gx
-        vals = np.exp(-z * ts) * bessel_i0(ts)
-        total += half * np.dot(gw, vals)
-    return total
+    ts, w = gauss_panels(np.linspace(0.0, T, n_panels + 1), 12)
+    return np.dot(w, np.exp(-z * ts) * bessel_i0(ts))

@@ -34,7 +34,7 @@ from .experiments import (
     solution_norms,
 )
 from .homogenise import build_limit_law
-from .laws import augment_memory, eval_material_law, serialize_law
+from .laws import augment_memory, entry_blocks, eval_material_law, serialize_law
 from .solver import solve_evolution
 from .timequad import build_radau_rule, weighted_moments
 
@@ -169,21 +169,6 @@ def _cmd_sweep(args):
     return 0
 
 
-def _field_value(f, x, dim):
-    if dim == 2:
-        out = f(np.asarray([x[0]]), np.asarray([x[1]]))
-    else:
-        out = f(np.asarray([x]))
-    return float(np.asarray(out).reshape(-1)[0])
-
-
-def _entry_matrix(entries, law, x):
-    mat = np.zeros((law.ncomp, law.ncomp))
-    for (i, j), f in entries.items():
-        mat[i, j] = _field_value(f, x, law.dim)
-    return mat
-
-
 def _cmd_limits(args):
     law = build_limit_law(args.example)
     z = complex(args.z)
@@ -196,11 +181,10 @@ def _cmd_limits(args):
             f"# intrinsic elimination: {law.ncomp} -> {aug.law.ncomp} components"
         )
     lines += ["", "tensor,where,i,j,value"]
-    points = _LIMIT_POINTS[law.label.split("-")[0]]
     names = ("M0", "M1", f"M(z={args.z})")
-    for where, x in points:
-        m0 = _entry_matrix(law.m0, law, x)
-        m1 = _entry_matrix(law.m1, law, x)
+    for where, x in _LIMIT_POINTS[args.example.upper()]:
+        m0 = entry_blocks(law, law.m0, [x])[0]
+        m1 = entry_blocks(law, law.m1, [x])[0]
         mz = eval_material_law(law, z, [x])[0]
         for tag, mat in zip(names, (m0, m1, mz)):
             for i in range(law.ncomp):

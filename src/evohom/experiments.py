@@ -432,23 +432,25 @@ def convergence_sweep(spec, out=None, jobs=1, reference_level=0):
     BLAS thread (:func:`one_blas_thread`), so the pool's threads do not
     compete with BLAS threads for the cores.
     ``reference_level`` = 1 swaps in the alternative reference resolution
-    for self-consistency studies.  On failure, the reference's included,
-    the partial CSV is flushed with an error row before the exception
-    propagates; a run that starts after the reference failed is not
-    solved.
+    for self-consistency studies; any value but 0 or 1 raises ValueError
+    before anything is solved or written.  On failure, the reference's
+    included, the partial CSV is flushed with an error row before the
+    exception propagates; a run that starts after the reference failed is
+    not solved.
     """
     if not isinstance(spec, ExperimentSpec):
         raise TypeError("convergence_sweep expects an ExperimentSpec")
     jobs = int(jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    level = int(reference_level)
+    if reference_level not in (0, 1):
+        raise ValueError(f"reference_level must be 0 or 1, got {reference_level!r}")
     rows = []
     try:
         with one_blas_thread(), ThreadPoolExecutor(max_workers=jobs) as pool:
             # submitted first, so a worker has taken it before any run
             # waits for it: the waits cannot fill the pool
-            reference = pool.submit(_prepare, spec, level)
+            reference = pool.submit(_prepare, spec, reference_level)
 
             def run(n):
                 if reference.done():

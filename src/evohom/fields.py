@@ -12,7 +12,9 @@ combined by +, -, * and scalar multiples.  Every tree can report its
 discontinuity points inside an interval (so quadrature panels can be
 aligned with them), whether it is piecewise constant (then
 breakpoint-aligned midpoint sampling integrates it exactly), and a period
-if it has one.
+if it has one.  A :class:`Composite` (a sum, a product, or a pointwise
+function of parent fields) takes all three from its parents; its
+breakpoints are theirs, merged by :func:`meshes.partition`.
 
 ``serialize_field`` renders a tree as plain text:  numbers, ``sin_osc(n)``,
 ``stripe(n)``, ``region(a,b)``, ``+``, ``-``, ``*``, parentheses.
@@ -27,8 +29,11 @@ import math
 
 import numpy as np
 
+from .meshes import partition
+
 __all__ = [
     "Field",
+    "Composite",
     "Constant",
     "SineOsc",
     "StripeIndicator",
@@ -215,22 +220,25 @@ class RegionIndicator(Field):
         return f"RegionIndicator({self.a}, {self.b})"
 
 
-def _union_breakpoints(children, a, b):
-    pts = np.concatenate([np.atleast_1d(c.breakpoints(a, b)) for c in children])
-    if pts.size == 0:
-        return pts
-    pts = np.unique(pts)
-    # collapse numerically identical points
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if p - keep[-1] > 1e-13 * max(1.0, abs(p)):
-            keep.append(p)
-    return np.array(keep)
+class Composite(Field):
+    """A field built pointwise from ``parents``: it breaks where any parent
+    breaks, has their common period and is piecewise constant if they all
+    are."""
+
+    def breakpoints(self, a, b):
+        pts = [np.empty(0)] + [np.ravel(p.breakpoints(a, b)) for p in self.parents]
+        return partition(a, b, np.concatenate(pts))[1:-1]
+
+    def period(self):
+        return _merge_periods([p.period() for p in self.parents])
+
+    def is_piecewise_constant(self):
+        return all(p.is_piecewise_constant() for p in self.parents)
 
 
-class Sum(Field):
+class Sum(Composite):
     def __init__(self, terms):
-        self.terms = [as_field(t) for t in terms]
+        self.terms = self.parents = [as_field(t) for t in terms]
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -239,35 +247,18 @@ class Sum(Field):
             out = out + t(x)
         return out
 
-    def breakpoints(self, a, b):
-        return _union_breakpoints(self.terms, a, b)
-
-    def period(self):
-        return _merge_periods([t.period() for t in self.terms])
-
-    def is_piecewise_constant(self):
-        return all(t.is_piecewise_constant() for t in self.terms)
-
     def __repr__(self):
         return f"Sum({self.terms})"
 
 
-class Product(Field):
+class Product(Composite):
     def __init__(self, left, right):
         self.left = as_field(left)
         self.right = as_field(right)
+        self.parents = [self.left, self.right]
 
     def __call__(self, x):
         return self.left(x) * self.right(x)
-
-    def breakpoints(self, a, b):
-        return _union_breakpoints([self.left, self.right], a, b)
-
-    def period(self):
-        return _merge_periods([self.left.period(), self.right.period()])
-
-    def is_piecewise_constant(self):
-        return self.left.is_piecewise_constant() and self.right.is_piecewise_constant()
 
     def __repr__(self):
         return f"Product({self.left!r}, {self.right!r})"
@@ -301,10 +292,10 @@ class Separable2D:
         return out
 
     def breakpoints_x(self, a, b):
-        return _union_breakpoints([fx for fx, _ in self.terms], a, b)
+        return Sum([fx for fx, _ in self.terms]).breakpoints(a, b)
 
     def breakpoints_y(self, a, b):
-        return _union_breakpoints([fy for _, fy in self.terms], a, b)
+        return Sum([fy for _, fy in self.terms]).breakpoints(a, b)
 
     def __add__(self, other):
         other = _as_separable(other)

@@ -26,12 +26,13 @@ from scipy.sparse.linalg import spsolve
 
 from .fields import (
     ANY_PERIOD,
+    Composite,
     Constant,
-    Field,
     RegionIndicator,
     as_field,
 )
 from .laws import MaterialLaw, MemoryTerm, _omega1_2d
+from .meshes import gauss_panels, partition
 
 __all__ = [
     "EffectiveTensor",
@@ -55,7 +56,7 @@ _POS_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
-class _DerivedField(Field):
+class _DerivedField(Composite):
     """A pointwise function of parent fields (quotients, adjugates, ...).
 
     Keeps enough of the tree structure (breakpoints, period, piecewise
@@ -70,18 +71,6 @@ class _DerivedField(Field):
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
-    def breakpoints(self, a, b):
-        pts = np.concatenate([p.breakpoints(a, b) for p in self.parents] + [np.empty(0)])
-        return np.unique(pts)
-
-    def period(self):
-        from .fields import _merge_periods
-
-        return _merge_periods([p.period() for p in self.parents])
-
-    def is_piecewise_constant(self):
-        return all(p.is_piecewise_constant() for p in self.parents)
-
     def __repr__(self):
         return f"DerivedField({self.parents})"
 
@@ -91,24 +80,15 @@ def _quotient(num, den):
     return _DerivedField(lambda x: num(x) / den(x), [num, den])
 
 
-def _cuts_on_period(f, ell):
-    inner = np.asarray(f.breakpoints(0.0, ell), dtype=float)
-    cuts = np.unique(np.concatenate([[0.0, ell], inner]))
-    keep = [cuts[0]]
-    for p in cuts[1:]:
-        if p - keep[-1] > 1e-13 * ell:
-            keep.append(p)
-    return np.asarray(keep)
-
-
 def integral_mean(coeff, period=1.0):
     """Mean value (1/l) * int_0^l coeff of an l-periodic coefficient.
 
-    Piecewise-constant trees are integrated exactly by midpoint sampling on
-    the breakpoint partition; all other trees use composite Gauss quadrature
-    subdivided well below the finest child period (absolute accuracy better
-    than 1e-12 for the smooth families used here).  Raises for coefficients
-    that are not periodic with the given period.
+    Piecewise-constant trees are integrated exactly by the one-point
+    (midpoint) Gauss rule on each piece of the breakpoint partition; all
+    other trees use the _GAUSS_PTS-point rule on pieces subdivided well
+    below the finest child period (absolute accuracy better than 1e-12 for
+    the smooth families used here).  Raises for coefficients that are not
+    periodic with the given period.
     """
     f = as_field(coeff)
     ell = float(period)
@@ -116,24 +96,17 @@ def integral_mean(coeff, period=1.0):
         raise ValueError("period must be positive")
     if not f.is_periodic_with(ell):
         raise ValueError(f"coefficient {f!r} is not periodic with period {ell}")
-    cuts = _cuts_on_period(f, ell)
-    widths = np.diff(cuts)
+    cuts = partition(0.0, ell, f.breakpoints(0.0, ell))
     if f.is_piecewise_constant():
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        return float(np.dot(widths, f(mids))) / ell
-
-    p = f.period()
-    finest = ell if p in (None, ANY_PERIOD) else min(p, ell)
-    max_chunk = finest / 8.0
-    gx, gw = np.polynomial.legendre.leggauss(_GAUSS_PTS)
-    total = 0.0
-    for a, w in zip(cuts[:-1], widths):
-        nchunk = max(1, int(np.ceil(w / max_chunk)))
-        edges = a + w * np.linspace(0.0, 1.0, nchunk + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gx
-            total += 0.5 * (hi - lo) * float(np.dot(gw, f(pts)))
-    return total / ell
+        xs, w = gauss_panels(cuts, 1)
+    else:
+        p = f.period()
+        max_chunk = (ell if p in (None, ANY_PERIOD) else min(p, ell)) / 8.0
+        chunks = np.ceil(np.diff(cuts) / max_chunk).astype(int)
+        pieces = zip(cuts, cuts[1:], chunks)
+        edges = [np.linspace(a, b, k, endpoint=False) for a, b, k in pieces]
+        xs, w = gauss_panels(np.append(np.concatenate(edges), ell), _GAUSS_PTS)
+    return float(np.dot(w, f(xs))) / ell
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +160,7 @@ _NSAMP = 4096
 
 
 def _sample_on_period(f, ell):
-    cuts = _cuts_on_period(f, ell)
+    cuts = partition(0.0, ell, f.breakpoints(0.0, ell))
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     xs = np.concatenate(
         [mids, np.linspace(0.0, ell, _NSAMP, endpoint=False) + ell / (2 * _NSAMP)]
@@ -343,18 +316,10 @@ def cell_problem_oracle(a_hat, period=1.0, ncells=1024):
     d = len(A)
     ell = float(period)
     _check_periodic_matrix(A, ell)
-    breaks = np.unique(
-        np.concatenate(
-            [np.asarray(A[i][j].breakpoints(0.0, ell), dtype=float) for i in range(d) for j in range(d)]
-            + [np.empty(0)]
-        )
-    )
+    breaks = [np.ravel(A[i][j].breakpoints(0.0, ell)) for i in range(d) for j in range(d)]
 
     def solve(nc):
-        cuts = np.unique(np.concatenate([np.linspace(0.0, ell, nc + 1), breaks]))
-        widths = np.diff(cuts)
-        keep = widths > 1e-13 * ell
-        cuts = np.concatenate([[0.0], cuts[1:][keep]])
+        cuts = partition(0.0, ell, np.concatenate([np.linspace(0.0, ell, nc + 1), *breaks]))
         widths = np.diff(cuts)
         mids = 0.5 * (cuts[:-1] + cuts[1:])
         avals = np.empty((mids.size, d, d))

@@ -43,6 +43,7 @@ from .fields import (
     StripeIndicator,
     serialize_field,
 )
+from .meshes import partition
 
 EXAMPLE_IDS = ("EX1", "EX2", "EX3", "EX4", "EX5", "MAXWELL")
 
@@ -144,6 +145,19 @@ def _as_points(law, points):
     return pts
 
 
+def entry_blocks(law, entries, points):
+    """Pointwise blocks of ``entries`` (``law.m0`` or ``law.m1``) at points.
+
+    Returns a real array of shape ``(npts, ncomp, ncomp)``; points are a
+    flat array for a 1-D law and of shape ``(npts, 2)`` for a 2-D one.
+    """
+    pts = _as_points(law, points)
+    out = np.zeros((pts.shape[0], law.ncomp, law.ncomp))
+    for (i, j), f in entries.items():
+        out[:, i, j] = _eval_entry_field(f, pts, law.dim)
+    return out
+
+
 def eval_material_law(law, z, points):
     """Pointwise block values of M(z) = M0 + z^{-1} M1(z).
 
@@ -154,13 +168,8 @@ def eval_material_law(law, z, points):
     if not (cmath.isfinite(z) and z.real > law.nu0):
         raise ValueError(f"z = {z}: Re z must exceed nu0 = {law.nu0} and z must be finite")
     pts = _as_points(law, points)
-    npts = pts.shape[0]
-    out = np.zeros((npts, law.ncomp, law.ncomp), dtype=complex)
     zinv = 1.0 / z
-    for (i, j), f in law.m0.items():
-        out[:, i, j] += _eval_entry_field(f, pts, law.dim)
-    for (i, j), f in law.m1.items():
-        out[:, i, j] += zinv * _eval_entry_field(f, pts, law.dim)
+    out = entry_blocks(law, law.m0, pts) + zinv * entry_blocks(law, law.m1, pts)
     for (i, j), terms in law.memory.items():
         for term in terms:
             out[:, i, j] += (
@@ -179,10 +188,9 @@ def material_symbol(law, z, points):
 
 
 def _axis_samples(a, b, breakpoints, dense):
-    cuts = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})
-    mids = [0.5 * (lo + hi) for lo, hi in zip(cuts, cuts[1:])]
-    pts = np.unique(np.concatenate([np.linspace(a, b, dense), np.asarray(mids)]))
-    return pts
+    cuts = partition(float(a), float(b), breakpoints)
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    return np.unique(np.concatenate([np.linspace(a, b, dense), mids]))
 
 
 # ---------------------------------------------------------------------------

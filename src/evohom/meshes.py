@@ -1,10 +1,14 @@
-"""Interval and tensor-product meshes with stripe-alignment validation.
+"""Interval and tensor-product meshes, and the package's one 1-D quadrature.
 
 ``build_mesh`` guarantees that every discontinuity point ``k/(2n)`` of the
 stripe coefficient inside the requested domain lands on a cell boundary.  For
 rectangles an optional oscillation region triggers the graded rule used by
 the 2-D example families: spacing ``1/(4n)`` inside the region and ``1/n``
 outside, with the region endpoints as mesh lines.
+
+Every 1-D integral in the package is a composite Gauss rule
+(:func:`gauss_panels`) over a partition built by :func:`partition`: the
+cells of spaces, the breakpoints of coefficients, the pieces of a period.
 """
 
 from __future__ import annotations
@@ -12,6 +16,34 @@ from __future__ import annotations
 import numpy as np
 
 _ALIGN_TOL = 1e-12
+# Points closer than this (absolute) are one point of a partition.
+_NODE_TOL = 1e-10
+
+
+def partition(lo, hi, points):
+    """``[lo, the points strictly inside (lo, hi), hi]``, sorted.
+
+    A point within ``_NODE_TOL`` of an end or of the point before it is
+    dropped, so a run of such points keeps only its first.
+    """
+    pts = np.sort(np.asarray(points, dtype=float).ravel())
+    pts = pts[(pts > lo + _NODE_TOL) & (pts < hi - _NODE_TOL)]
+    pts = pts[np.diff(pts, prepend=-np.inf) > _NODE_TOL]
+    return np.concatenate([[lo], pts, [hi]])
+
+
+def gauss_rule(npts):
+    """Gauss–Legendre nodes/weights on the reference cell [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(int(npts))
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def gauss_panels(cuts, npts):
+    """Gauss points/weights of a composite rule over the partition ``cuts``."""
+    cuts = np.asarray(cuts, dtype=float)
+    ref_x, ref_w = gauss_rule(npts)
+    h = np.diff(cuts)[:, None]
+    return (cuts[:-1, None] + h * ref_x).ravel(), (h * ref_w).ravel()
 
 
 class Mesh1D:

@@ -21,8 +21,11 @@ assemble as Kronecker sums of 1-D weighted Grams.
 Every 1-D integral and point value goes through one path:
 
 * :func:`merge_cuts` partitions an interval by the cell boundaries of the
-  spaces involved and the breakpoints of the coefficient;
+  spaces involved and the breakpoints of the coefficient (clipped to the
+  spaces' common span, then merged by :func:`meshes.partition`, the
+  package's one cut-merger);
 * :func:`gauss_panels` puts a Gauss rule (:func:`gauss_rule`) on each piece;
+  both live in :mod:`meshes` and are re-exported here;
 * :meth:`Mesh1D.cell_containing` finds the cell of each point (or piece) and
   :meth:`LineSpace.eval_cell` evaluates that cell's basis there.
 
@@ -40,17 +43,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fields import Field, Separable2D
-from .meshes import Mesh1D, TensorMesh2D
+from .meshes import _NODE_TOL, Mesh1D, TensorMesh2D, gauss_panels, gauss_rule, partition
 
-_NODE_TOL = 1e-10
 # Gauss points per piece of a load vector.
 _LOAD_POINTS = 8
-
-
-def gauss_rule(npts):
-    """Gauss–Legendre nodes/weights on the reference cell [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(int(npts))
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 class _LagrangeBasis:
@@ -191,26 +187,14 @@ def merge_cuts(spaces, lo=None, hi=None, extra=()):
     """Partition of [lo, hi] by the cell boundaries of ``spaces`` and ``extra``.
 
     ``lo`` and ``hi`` default to, and are clipped to, the common span of the
-    spaces.  Points closer than the node tolerance are merged.
+    spaces.  The points are merged by :func:`partition`.
     """
     lo = max([s.span[0] for s in spaces] + ([] if lo is None else [float(lo)]))
     hi = min([s.span[1] for s in spaces] + ([] if hi is None else [float(hi)]))
     if hi - lo <= _NODE_TOL:
         raise ValueError("empty restriction interval")
-    pts = np.concatenate(
-        [s.mesh.boundaries for s in spaces] + [np.asarray(extra, dtype=float).ravel()]
-    )
-    pts = np.unique(pts[(pts > lo + _NODE_TOL) & (pts < hi - _NODE_TOL)])
-    pts = pts[np.diff(pts, prepend=-np.inf) > _NODE_TOL]
-    return np.concatenate([[lo], pts, [hi]])
-
-
-def gauss_panels(cuts, npts):
-    """Gauss points/weights of a composite rule over the partition ``cuts``."""
-    cuts = np.asarray(cuts, dtype=float)
-    ref_x, ref_w = gauss_rule(npts)
-    h = np.diff(cuts)[:, None]
-    return (cuts[:-1, None] + h * ref_x).ravel(), (h * ref_w).ravel()
+    pts = [s.mesh.boundaries for s in spaces] + [np.ravel(extra)]
+    return partition(lo, hi, np.concatenate(pts))
 
 
 def eval_matrix_1d(space, xs):

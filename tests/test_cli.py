@@ -193,6 +193,19 @@ class TestLimits:
             0.5 + 0.5 / 3.0
         )
 
+    def test_two_dimensional_family_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "limits", "--example", "EX4")
+        assert code == 0
+        rows = [line for line in out.splitlines() if line.startswith("M0,")]
+        assert rows == [
+            "M0,inside,0,0,5.000000000000e-01",
+            "M0,inside,1,1,1.500000000000e+00",
+            "M0,inside,2,2,1.333333333333e+00",
+            "M0,outside,0,0,1.000000000000e+00",
+            "M0,outside,1,1,1.000000000000e+00",
+            "M0,outside,2,2,1.000000000000e+00",
+        ]
+
     def test_memory_family_reports_augmentation(self, capsys):
         code, out, _ = run_cli(capsys, "limits", "--example", "EX5")
         assert code == 0

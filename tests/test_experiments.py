@@ -239,6 +239,13 @@ class TestSweepMechanics:
         for (n, q, v), (n0, q0, v0) in zip(seq.rows, plain.rows):
             assert (n, q) == (n0, q0) and v != v0
 
+    @pytest.mark.parametrize("level", [7, -3])
+    def test_bad_reference_level_rejected(self, tmp_path, level):
+        path = tmp_path / "sweep.csv"
+        with pytest.raises(ValueError, match="reference_level must be 0 or 1"):
+            convergence_sweep(ExperimentSpec("EX3", (1, 2)), out=path, reference_level=level)
+        assert not path.exists()
+
     def test_csv_written(self, tmp_path):
         path = tmp_path / "sweep.csv"
         report = convergence_sweep(ExperimentSpec("EX1", (1, 2, 4)), out=path)

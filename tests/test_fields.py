@@ -14,6 +14,7 @@ from evohom.fields import (
     Sum,
     serialize_field,
 )
+from evohom.homogenise import _DerivedField, _quotient
 
 
 class TestAtoms:
@@ -89,6 +90,21 @@ class TestAlgebra:
     def test_breakpoint_union(self):
         f = StripeIndicator(1) + RegionIndicator(0.3, 2.0)
         assert np.allclose(f.breakpoints(0.0, 1.0), [0.3, 0.5])
+
+    def test_one_union_rule_for_every_composite(self):
+        # two breakpoints one ulp apart are one breakpoint, whichever
+        # composite (sum, product or derived field) carries them
+        a = 1.0 / 3.0
+        b = np.nextafter(a, 1.0)
+        ra, rb = RegionIndicator(0.0, a), RegionIndicator(0.0, b)
+        composites = [
+            ra + rb,
+            Product(ra, rb),
+            _quotient(1.0 + ra, 1.0 + rb),
+            _DerivedField(lambda x: ra(x) - rb(x), [ra, rb]),
+        ]
+        for f in composites:
+            assert f.breakpoints(-1.0, 1.0).tolist() == [0.0, a]
 
     def test_piecewise_constant_flag(self):
         assert (1.0 + StripeIndicator(1) * RegionIndicator(0.0, 1.0)).is_piecewise_constant()

@@ -241,3 +241,13 @@ def test_every_parameter_is_set():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     callers = [p.read_text(encoding="utf-8") for p in CALLERS]
     assert unset_parameters(modules, callers) == []
+
+
+def test_one_gauss_legendre_source():
+    # every Gauss rule of the package comes from meshes.gauss_rule
+    users = [
+        p.stem
+        for p in MODULES
+        if any(name == "leggauss" for name, _, _ in _references(ast.parse(p.read_text("utf-8"))))
+    ]
+    assert users == ["meshes"]

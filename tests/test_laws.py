@@ -8,6 +8,7 @@ from evohom.laws import (
     MaterialLaw,
     MemoryTerm,
     augment_memory,
+    entry_blocks,
     eval_material_law,
     example_material,
     material_symbol,
@@ -95,6 +96,14 @@ class TestEval:
         assert vals[0, 0, 0] == pytest.approx(1.0)
         assert vals[1, 0, 0] == pytest.approx(0.5)
         assert vals[:, 1, 1] == pytest.approx([1.0, 1.0])
+
+    def test_instant_law_is_its_entry_blocks(self):
+        # M(z) = M0 + M1/z for a 2-D instant law, block by block
+        law = example_material("EX5", n=2)
+        pts = np.array([[0.1, 0.2], [0.3, 0.2], [1.5, -1.5]])
+        m0, m1 = entry_blocks(law, law.m0, pts), entry_blocks(law, law.m1, pts)
+        assert m0.shape == m1.shape == (3, 3, 3)
+        assert np.array_equal(eval_material_law(law, 2.0, pts), m0 + m1 / 2.0)
 
     def test_ex4_regions(self):
         law = example_material("EX4", n=1)

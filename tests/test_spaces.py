@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from evohom.fields import Constant, RegionIndicator, Separable2D, SineOsc, StripeIndicator
-from evohom.meshes import Mesh1D, TensorMesh2D, build_mesh
+from evohom.meshes import Mesh1D, TensorMesh2D, build_mesh, gauss_panels, partition
 from evohom.spaces import (
     GaussLineSpace,
     NodalLineSpace,
@@ -66,6 +66,21 @@ class TestBuildMesh:
             Mesh1D([0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             build_mesh((0.0, 1.0), 0)
+
+
+class TestPartition:
+    def test_ends_and_inner_points(self):
+        # unsorted input; points at, beyond or within the tolerance of an end
+        # are dropped, and of two points closer than it the first is kept
+        pts = [0.5, 1.0 + 1e-12, -0.3, 0.25, 0.0, 0.5 + 1e-11, 2.0, 1e-11]
+        assert partition(0.0, 1.0, pts).tolist() == [0.0, 0.25, 0.5, 1.0]
+        assert partition(-1.0, 1.0, []).tolist() == [-1.0, 1.0]
+
+    def test_one_point_rule_is_width_times_midpoint(self):
+        cuts = np.array([0.0, 0.25, 0.5, 1.0])
+        xs, w = gauss_panels(cuts, 1)
+        assert w.tolist() == np.diff(cuts).tolist()
+        assert np.allclose(xs, [0.125, 0.375, 0.75], rtol=0.0, atol=1e-16)
 
 
 class TestLineSpaces:
