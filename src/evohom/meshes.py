@@ -13,6 +13,8 @@ cells of spaces, the breakpoints of coefficients, the pieces of a period.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _ALIGN_TOL = 1e-12
@@ -32,10 +34,14 @@ def partition(lo, hi, points):
     return np.concatenate([[lo], pts, [hi]])
 
 
+@functools.cache
 def gauss_rule(npts):
-    """Gauss–Legendre nodes/weights on the reference cell [0, 1]."""
+    """Gauss–Legendre nodes/weights on the reference cell [0, 1] (read-only)."""
     x, w = np.polynomial.legendre.leggauss(int(npts))
-    return 0.5 * (x + 1.0), 0.5 * w
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def gauss_panels(cuts, npts):

@@ -3,10 +3,15 @@
 The laboratory's reported quantities are unweighted space-time L2 inner
 products over [0, T] x domain: pairings of a solution (discrete or oracle)
 against a fixed dictionary of test functions, and strong norms of
-differences against a reference.  Time takes one path: the 4-point per-slab
-Gauss rule (:func:`slab_gauss`) of the first discrete operand's grid (or a
-callable pairing's explicit grid), at whose times discrete solutions are
-read by :meth:`TimeGrid.evaluate` (through
+differences against a reference.  Time takes one of two rules.  A strong
+norm whose operands are discrete solutions on the same time points or
+constants sums, slab by slab, the squared differences of the operands' two
+dG(1) time coefficients weighted by the exact masses h and h/3 of the
+orthogonal pair (l0, l1) (:meth:`TimeGrid.basis_masses`); a constant c has
+the coefficients (c, 0).  Every other pairing or strong norm takes the
+4-point per-slab Gauss rule (:func:`slab_gauss`) of the first discrete
+operand's grid (or a callable pairing's explicit grid), at whose times
+discrete solutions are read by :meth:`TimeGrid.evaluate` (through
 :meth:`EvolutionSolution.coefficients_at` for strong norms).  Space takes
 the one 1-D path of :mod:`evohom.spaces`: a solution pairing sums
 ``(component, load vector)`` terms from :func:`restricted_load`, strong
@@ -185,13 +190,17 @@ def strong_norm_diff(u, ref, component=0, subdomain=None):
     ``u`` and ``ref`` are EvolutionSolutions on possibly different meshes
     and time grids (evaluated on the union-cell Gauss points of the finer
     partition), callables ``f(t, xs)`` / ``f(t, xg, yg)``, or constants.  At
-    least one must be a discrete solution; the first one's grid supplies
-    the time rule.  On tensor spaces the 2-D points are the y-major product
-    of the 1-D ones, and a solution is evaluated by sum factorisation: its
-    coefficients, reshaped to (times, nx, ny), are multiplied by the x
-    evaluation matrix along x and then by the y one along y, so no 2-D
-    evaluation matrix is formed.  Values are formed one slab at a time: a
-    whole-grid array would not fit in memory for the finest 2-D runs.
+    least one must be a discrete solution.  Without a callable, and with
+    every discrete operand on the same time points, each slab is read at
+    its two dG(1) time coefficients and weighted by their masses (h, h/3),
+    which is exact; otherwise each slab is read at the 4 Gauss times of
+    the first discrete operand's grid.  On tensor spaces the 2-D points are
+    the y-major product of the 1-D ones, and a solution is evaluated by sum
+    factorisation: its coefficients, reshaped to (times or time
+    coefficients, nx, ny), are multiplied by the x evaluation matrix along
+    x and then by the y one along y, so no 2-D evaluation matrix is formed.
+    Values are formed one slab at a time: a whole-grid array would not fit
+    in memory for the finest 2-D runs.
     """
     sols = [o for o in (u, ref) if isinstance(o, EvolutionSolution)]
     if not sols:
@@ -234,13 +243,38 @@ def strong_norm_diff(u, ref, component=0, subdomain=None):
             e = eval_matrix_1d(space, xs)
             return lambda c: e @ c.T
 
-    fu = _evaluator(u, component, pts, point_values)
-    fr = _evaluator(ref, component, pts, point_values)
-    tq, wq = slab_gauss(sols[0].grid)
+    grid = sols[0].grid
+    if all(
+        np.isscalar(o)
+        or isinstance(o, EvolutionSolution)
+        and np.array_equal(o.grid.t_points, grid.t_points)
+        for o in (u, ref)
+    ):
+        # Values at the two time coefficients, weighted by the masses of
+        # the orthogonal pair (l0, l1); a constant c has coefficients (c, 0).
+        wt = grid.basis_masses()
+
+        def read(obj):
+            if np.isscalar(obj):
+                v = np.zeros((pts[0].size, 2))
+                v[:, 0] = obj
+                return lambda m: v
+            f = point_values(obj.problem.spaces[component])
+            c = obj.coeffs[:, :, obj.problem.component_slice(component)]
+            return lambda m: f(c[m])
+
+    else:
+        tq, wt = slab_gauss(grid)
+
+        def read(obj):
+            f = _evaluator(obj, component, pts, point_values)
+            return lambda m: f(tq[m])
+
+    fu, fr = read(u), read(ref)
     acc = 0.0
-    for m in range(tq.shape[0]):
-        d = fu(tq[m]) - fr(tq[m])
-        acc += float(wq[m] @ (ws @ np.square(d, out=d)))
+    for m in range(wt.shape[0]):
+        d = fu(m) - fr(m)
+        acc += float(wt[m] @ (ws @ np.square(d, out=d)))
     return math.sqrt(max(acc, 0.0))
 
 

@@ -213,6 +213,9 @@ def solve_evolution(problem):
             rule = build_radau_rule(grid.slab(m), problem.rho)
             if label not in factors:
                 lam, v, w = _temporal_pencil(rule)
+                # release the previous class's LU before factorising, so
+                # that two factorisations are not alive at the peak
+                lu = None
                 try:
                     lu = splu((lam * problem.m0mat + spatial).tocsc())
                 except RuntimeError as exc:

@@ -14,7 +14,9 @@ at the right end of the slab.  This module is the only one that knows it:
 :func:`temporal_basis` evaluates the pair at local coordinates,
 :meth:`TimeGrid.locate` maps global times to (slab, local coordinate)
 under the half-open slab rule, and :meth:`TimeGrid.evaluate` combines the
-two to read per-slab dG(1) coefficients at any times.
+two to read per-slab dG(1) coefficients at any times.  l0 and l1 are
+orthogonal on each slab, with squared L2 norms h and h/3
+(:meth:`TimeGrid.basis_masses`).
 """
 
 from __future__ import annotations
@@ -124,6 +126,15 @@ class TimeGrid:
         trailing = (1,) * (coeffs.ndim - 2)
         l0, l1 = temporal_basis(tau).reshape((2,) + np.shape(tau) + trailing)
         return l0 * coeffs[m - 1, 0] + l1 * coeffs[m - 1, 1]
+
+    def basis_masses(self):
+        """Unweighted masses (h_m, h_m / 3) of (l0, l1) on each slab: shape (M, 2).
+
+        l0 and l1 are orthogonal on every slab, so a dG(1) function with
+        coefficients (a0, a1) on slab m has squared L2 norm
+        h_m * a0^2 + h_m / 3 * a1^2 there.
+        """
+        return np.diff(self.t_points)[:, None] * np.array([1.0, 1.0 / 3.0])
 
     def length_classes(self):
         """Class label of each slab (0-based, in order of first appearance).

@@ -8,8 +8,15 @@ import pytest
 import scipy.sparse as sp
 
 from evohom.analytic import ode_exact, ode_hom_exact
-from evohom.experiments import ExperimentSpec, _ex45_problem, run_problem
+from evohom.experiments import (
+    ExperimentSpec,
+    _ex3_problem,
+    _ex45_problem,
+    run_problem,
+    solution_norms,
+)
 from evohom.homogenise import build_limit_law
+from evohom.laws import example_material
 from evohom.meshes import build_mesh
 from evohom.operators import assemble_skew_operator
 from evohom.reporting import (
@@ -23,8 +30,15 @@ from evohom.reporting import (
     strong_norm_diff,
     write_csv,
 )
-from evohom.solver import EvolutionProblem, solve_evolution
-from evohom.spaces import build_space, gauss_panels, gram1d, gram2d, merge_cuts
+from evohom.solver import EvolutionProblem, EvolutionSolution, solve_evolution
+from evohom.spaces import (
+    TensorSpace,
+    build_space,
+    gauss_panels,
+    gram1d,
+    gram2d,
+    merge_cuts,
+)
 from evohom.timequad import TimeGrid
 
 # Independently derived by dense tensor-Gauss quadrature of the analytic
@@ -285,6 +299,105 @@ class TestStrongNormDiff:
     def test_needs_a_solution(self):
         with pytest.raises(ValueError, match="discrete solution"):
             strong_norm_diff(1.0, 2.0)
+
+
+def _gauss_time_norm(u, ref, k, subdomain=None):
+    """strong_norm_diff read at the 4 Gauss times of each slab of u's grid.
+
+    Each solution is evaluated with one matrix (kron(Ex, Ey) in 2-D) on
+    the points of strong_norm_diff; a constant is a constant array.
+    """
+    sols = [o for o in (u, ref) if isinstance(o, EvolutionSolution)]
+    spaces = [s.problem.spaces[k] for s in sols]
+    if isinstance(spaces[0], TensorSpace):
+        dx, dy = subdomain or ((None, None), (None, None))
+        xs, wx = gauss_panels(merge_cuts([s.sx for s in spaces], *dx), _NORM_POINTS)
+        ys, wy = gauss_panels(merge_cuts([s.sy for s in spaces], *dy), _NORM_POINTS)
+        ws = np.kron(wx, wy)
+        evals = [
+            sp.kron(eval_matrix_1d(s.sx, xs), eval_matrix_1d(s.sy, ys)).tocsr()
+            for s in spaces
+        ]
+    else:
+        cuts = merge_cuts(spaces, *(subdomain or (None, None)))
+        xs, ws = gauss_panels(cuts, _NORM_POINTS)
+        evals = [eval_matrix_1d(s, xs) for s in spaces]
+
+    def values(obj, ts):
+        if isinstance(obj, EvolutionSolution):
+            return evals[sols.index(obj)] @ obj.coefficients_at(ts, k).T
+        return np.full((ws.size, ts.size), float(obj))
+
+    tq, wq = slab_gauss(sols[0].grid)
+    acc = 0.0
+    for m in range(tq.shape[0]):
+        d = values(u, tq[m]) - values(ref, tq[m])
+        acc += wq[m] @ (ws @ (d * d))
+    return math.sqrt(acc)
+
+
+@pytest.fixture(scope="module")
+def one_grid_operands():
+    """Solutions on one 4-slab grid: EX3 on two meshes and degrees, an EX5
+    run and its limit (with a memory component) on another mesh."""
+    ex3 = ExperimentSpec("EX3", slabs=4)
+    ex5 = ExperimentSpec("EX5", slabs=4)
+    mesh2d = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), (12, 6))
+    return {
+        "ex3": solve_evolution(run_problem(ex3, 1)),
+        "ex3_other": solve_evolution(
+            _ex3_problem(ex3, build_mesh((-1.0, 1.0), 30), 2, example_material("EX3", 2))
+        ),
+        "ex5": solve_evolution(run_problem(ex5, 1)),
+        "lim": solve_evolution(_ex45_problem(ex5, mesh2d, 1, build_limit_law("EX5"))),
+    }
+
+
+class TestModalTimeRule:
+    """Operands on one grid are read at their two dG(1) time coefficients."""
+
+    # (u, ref, component, subdomain); a float ref is a constant.  Pairs of
+    # 2-D solutions across degrees are in test_tensor_matches_kronecker_evaluation.
+    CASES = [
+        ("ex3", "ex3_other", 0, None),
+        ("ex3", "ex3_other", 1, (-0.37, 0.55)),
+        ("ex3", 0.0, 0, None),
+        ("ex3_other", 0.25, 1, (-0.37, 0.55)),
+        ("ex5", "lim", 0, None),
+        ("ex5", "lim", 1, ((-1.0, 0.3), (-0.7, 2.0))),
+        ("ex5", -0.5, 2, ((-1.0, 0.3), (-0.7, 2.0))),
+        ("lim", 0.0, 3, None),
+        ("lim", 0.25, 3, ((-1.0, 0.3), (-0.7, 2.0))),
+    ]
+
+    @pytest.mark.parametrize("u, ref, k, subdomain", CASES)
+    def test_matches_gauss_time_rule(self, one_grid_operands, u, ref, k, subdomain):
+        u = one_grid_operands[u]
+        ref = one_grid_operands.get(ref, ref)
+        expected = _gauss_time_norm(u, ref, k, subdomain)
+        assert expected > 0.0
+        val = strong_norm_diff(u, ref, component=k, subdomain=subdomain)
+        assert val == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_reads_no_times(self, one_grid_operands, monkeypatch):
+        # the Gauss-time path reads solutions through coefficients_at
+        def forbidden(self, ts, component=None):
+            raise AssertionError("strong norm on one grid read a solution in time")
+
+        monkeypatch.setattr(EvolutionSolution, "coefficients_at", forbidden)
+        for u, ref, k, subdomain in self.CASES:
+            strong_norm_diff(
+                one_grid_operands[u],
+                one_grid_operands.get(ref, ref),
+                component=k,
+                subdomain=subdomain,
+            )
+        assert set(solution_norms(one_grid_operands["ex5"])) == {"u", "vx", "vy"}
+        # the rule needs equal time points, not one TimeGrid object
+        a = _linear_solution(fn=lambda x: x)
+        b = _linear_solution(ncells=6, fn=lambda x: x * x)
+        assert a.grid is not b.grid
+        assert strong_norm_diff(a, b) > 0.0
 
 
 class TestFitRate:

@@ -1,6 +1,7 @@
 """Tests for the space-time dG(1) slab march."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -467,6 +468,33 @@ class TestPencilSolve:
         grid = TimeGrid(benchmark_workloads.graded_points(seed))
         assert grid.num_slabs == 15
         assert self._count_factorisations(monkeypatch, grid, rho=1.0) == 9
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_previous_factorisation_released(
+        self, benchmark_workloads, monkeypatch, seed
+    ):
+        # each start-up slab is a class of its own: the last class's LU is
+        # dropped before the next one is factorised, not after
+        live_at_call = []
+        factors = []
+
+        class Factor:
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        def tracking_splu(matrix):
+            live_at_call.append(sum(ref() is not None for ref in factors))
+            factor = Factor(splu(matrix))
+            factors.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(solver, "splu", tracking_splu)
+        grid = TimeGrid(benchmark_workloads.graded_points(seed))
+        problem = _scalar_problem(
+            grid=grid, forcing=[(lambda t: 1.0, np.array([1.0]))], rho=1.0
+        )
+        solve_evolution(problem)
+        assert live_at_call == [0] * 9
 
     @pytest.mark.parametrize("rho_h", [8.0, 16.0, 100.0])
     def test_coalescing_pencil_raises(self, rho_h):

@@ -6,7 +6,14 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from evohom.fields import Constant, RegionIndicator, Separable2D, SineOsc, StripeIndicator
-from evohom.meshes import Mesh1D, TensorMesh2D, build_mesh, gauss_panels, partition
+from evohom.meshes import (
+    Mesh1D,
+    TensorMesh2D,
+    build_mesh,
+    gauss_panels,
+    gauss_rule,
+    partition,
+)
 from evohom.spaces import (
     GaussLineSpace,
     NodalLineSpace,
@@ -81,6 +88,16 @@ class TestPartition:
         xs, w = gauss_panels(cuts, 1)
         assert w.tolist() == np.diff(cuts).tolist()
         assert np.allclose(xs, [0.125, 0.375, 0.75], rtol=0.0, atol=1e-16)
+
+    def test_gauss_rule_is_shared_and_read_only(self):
+        x, w = gauss_rule(2)
+        assert gauss_rule(2)[0] is x and gauss_rule(2)[1] is w
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        half = 0.5 / np.sqrt(3.0)
+        assert np.allclose(x, [0.5 - half, 0.5 + half], rtol=0.0, atol=1e-16)
+        assert np.allclose(w, [0.5, 0.5], rtol=0.0, atol=1e-16)
 
 
 class TestLineSpaces:

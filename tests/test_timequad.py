@@ -126,6 +126,18 @@ class TestTemporalBasis:
         assert np.array_equal(temporal_basis(tau), [[1.0, 1.0, 1.0], [-1.0, -0.5, 1.0]])
         assert temporal_basis(0.5).shape == (2,)
 
+    def test_basis_masses_are_the_slab_gram_matrix(self):
+        # l0 l1 integrates to 0, l0^2 to h and l1^2 to h/3 on every slab
+        grid = TimeGrid([0.0, 0.1, 0.35, 0.4, 1.2, 2.0])
+        h = np.diff(grid.t_points)
+        tau, w = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)]), 0.5
+        basis = temporal_basis(tau)
+        gram = np.einsum("iq,jq->ij", basis, basis) * w
+        assert np.allclose(gram, np.diag([1.0, 1.0 / 3.0]), rtol=0.0, atol=1e-15)
+        assert np.allclose(
+            grid.basis_masses(), h[:, None] * np.diag(gram), rtol=1e-15, atol=0.0
+        )
+
 
 class TestWeightedMoments:
     def test_unweighted(self):
