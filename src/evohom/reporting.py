@@ -246,8 +246,10 @@ def strong_norm_diff(u, ref, component=0, subdomain=None):
     grid = sols[0].grid
     if all(
         np.isscalar(o)
-        or isinstance(o, EvolutionSolution)
-        and np.array_equal(o.grid.t_points, grid.t_points)
+        or (
+            isinstance(o, EvolutionSolution)
+            and np.array_equal(o.grid.t_points, grid.t_points)
+        )
         for o in (u, ref)
     ):
         # Values at the two time coefficients, weighted by the masses of
