@@ -336,26 +336,25 @@ _FAMILIES = {
 }
 
 
-def build_run(example, n, *, degree=1, slabs=64, rho=0.0, T=2.0):
-    """Assemble the oscillatory evolution problem of one family at index n.
-
-    The collocated piecewise-constant family ignores ``degree``; the other
-    families use continuous/mixed elements of the given degree (lowest
-    order is 1).  Raises ValueError for unknown or non-runnable ids.
-    """
-    spec = ExperimentSpec(example, (n,), slabs, rho, degree, T)
-    n = spec.n_list[0]
+def run_problem(spec, n):
+    """The spec's run at index n: what a sweep solves and ``evohom run`` and
+    ``evohom describe`` show."""
     family = _FAMILIES[spec.example]
     law = example_material(spec.example, n)
     return family.build(spec, family.run_mesh(n), spec.degree, law)
 
 
-def run_problem(spec, n):
-    """The spec's run at index n: what a sweep solves and ``evohom run`` and
-    ``evohom describe`` show."""
-    return build_run(
-        spec.example, n, degree=spec.degree, slabs=spec.slabs, rho=spec.rho, T=spec.T
-    )
+def build_run(example, n, **knobs):
+    """Assemble the oscillatory evolution problem of one family at index n.
+
+    ``knobs`` are the run fields of :class:`ExperimentSpec` (``slabs``,
+    ``rho``, ``degree``, ``T``), validated there.  The collocated
+    piecewise-constant family ignores ``degree``; the other families use
+    continuous/mixed elements of the given degree (lowest order is 1).
+    Raises ValueError for unknown or non-runnable ids and invalid knobs.
+    """
+    spec = ExperimentSpec(example, (n,), **knobs)
+    return run_problem(spec, spec.n_list[0])
 
 
 def solution_norms(sol):

@@ -3,16 +3,16 @@
 The laboratory's reported quantities are unweighted space-time L2 inner
 products over [0, T] x domain: pairings of a solution (discrete or oracle)
 against a fixed dictionary of test functions, and strong norms of
-differences against a reference.  Time takes one of two rules.  A strong
-norm whose operands are discrete solutions on the same time points or
-constants sums, slab by slab, the squared differences of the operands' two
-dG(1) time coefficients weighted by the exact masses h and h/3 of the
-orthogonal pair (l0, l1) (:meth:`TimeGrid.basis_masses`); a constant c has
-the coefficients (c, 0).  Every other pairing or strong norm takes the
-4-point per-slab Gauss rule (:func:`slab_gauss`) of the first discrete
-operand's grid (or a callable pairing's explicit grid), at whose times
-discrete solutions are read by :meth:`TimeGrid.evaluate` (through
-:meth:`EvolutionSolution.coefficients_at` for strong norms).  Space takes
+differences against a reference.  A solution is read in time one slab at a
+time, in its two dG(1) time coefficients ``coeffs[m, 0:2]``.  A strong norm
+between discrete solutions on one time grid, or against a constant c (the
+coefficients (c, 0)), weights the squared differences of those coefficients
+by the exact masses h and h/3 of the orthogonal pair (l0, l1)
+(:meth:`TimeGrid.basis_masses`).  Every other pairing or strong norm takes
+the 4-point per-slab Gauss rule (:func:`slab_gauss`) of the discrete
+operand's grid (or a callable pairing's explicit grid).  Its times sit at the
+same local coordinates on every slab, so a solution's values there are its
+coefficients times one fixed 2 x 4 matrix, ``_GAUSS_BASIS``.  Space takes
 the one 1-D path of :mod:`evohom.spaces`: a solution pairing sums
 ``(component, load vector)`` terms from :func:`restricted_load`, strong
 norms evaluate each solution with :func:`eval_matrix_1d` at the Gauss points
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .meshes import gauss_rule
 from .solver import EvolutionSolution
 from .spaces import (
     TensorSpace,
@@ -37,7 +38,7 @@ from .spaces import (
     merge_cuts,
     restricted_load,
 )
-from .timequad import TimeGrid
+from .timequad import TimeGrid, temporal_basis
 
 __all__ = [
     "TEST_DICTIONARY_1D",
@@ -81,9 +82,18 @@ _NORM_POINTS = 3
 
 
 def slab_gauss(grid, npts=4):
-    """Per-slab Gauss nodes/weights on [0, T]: arrays of shape (M, npts)."""
+    """Per-slab Gauss nodes/weights on [0, T]: arrays of shape (M, npts).
+
+    Slab m's nodes are t_{m-1} + h_m * x_q with x_q the nodes of
+    ``gauss_rule(npts)`` on [0, 1], the same local coordinates on every slab.
+    """
     tq, wq = gauss_panels(grid.t_points, npts)
     return tq.reshape(-1, npts), wq.reshape(-1, npts)
+
+
+# (l0, l1) at the local coordinates of the default slab_gauss times: the
+# values there of a slab's dG(1) function are its coefficients times this.
+_GAUSS_BASIS = temporal_basis(gauss_rule(4)[0])
 
 
 def _scalar_test(v):
@@ -147,7 +157,7 @@ def pairing(u, v, domain=None, component=0, *, grid=None, cells=64):
         # Project each slab's coefficients onto the load before reading them
         # in time, so no (times x DOFs) array is formed.
         spatial_pairings = [
-            u.grid.evaluate(u.coeffs[:, :, u.problem.component_slice(k)] @ r, tq)
+            (u.coeffs[:, :, u.problem.component_slice(k)] @ r) @ _GAUSS_BASIS
             for k, r in terms
         ]
     else:
@@ -160,47 +170,38 @@ def pairing(u, v, domain=None, component=0, *, grid=None, cells=64):
             np.linspace(domain[0], domain[1], int(cells) + 1), _PAIRING_POINTS
         )
         tq, wq = slab_gauss(grid)
-        values = _evaluator(u, component, (xs,), None)(tq.ravel())
+        values = _sampler(u, (xs,))(tq.ravel())
         wsv = ws * coeff_values(spatial, xs)
         spatial_pairings = [(wsv @ values).reshape(tq.shape)]
     w = wq if temporal is None else wq * np.asarray(temporal(tq), dtype=float)
     return sum(float(np.sum(w * p)) for p in spatial_pairings)
 
 
-def _evaluator(obj, component, pts, point_values):
-    """Return fn(ts) -> values of obj at the points (rows) and times ts (columns).
-
-    ``obj`` is a solution (its coefficients at ts, one row per time, mapped
-    to point values by ``point_values(space)``), a callable
-    ``obj(t, *pts)`` or a constant.
-    """
-    if isinstance(obj, EvolutionSolution):
-        f = point_values(obj.problem.spaces[component])
-        return lambda ts: f(obj.coefficients_at(ts, component))
+def _sampler(obj, pts):
+    """fn(ts) -> values of a callable ``obj(t, *pts)`` or a constant at the
+    points (rows) and the times ts (columns)."""
     if np.isscalar(obj):
         return lambda ts: np.full((pts[0].size, len(ts)), float(obj))
-    return lambda ts: np.stack(
-        [np.asarray(obj(t, *pts), dtype=float) for t in ts], axis=1
-    )
+    return lambda ts: np.stack([np.asarray(obj(t, *pts), dtype=float) for t in ts], 1)
 
 
 def strong_norm_diff(u, ref, component=0, subdomain=None):
     """Space-time L2 norm of (u - ref) on a component over a subdomain.
 
     ``u`` and ``ref`` are EvolutionSolutions on possibly different meshes
-    and time grids (evaluated on the union-cell Gauss points of the finer
+    but one time grid (evaluated on the union-cell Gauss points of the finer
     partition), callables ``f(t, xs)`` / ``f(t, xg, yg)``, or constants.  At
-    least one must be a discrete solution.  Without a callable, and with
-    every discrete operand on the same time points, each slab is read at
-    its two dG(1) time coefficients and weighted by their masses (h, h/3),
-    which is exact; otherwise each slab is read at the 4 Gauss times of
-    the first discrete operand's grid.  On tensor spaces the 2-D points are
-    the y-major product of the 1-D ones, and a solution is evaluated by sum
-    factorisation: its coefficients, reshaped to (times or time
-    coefficients, nx, ny), are multiplied by the x evaluation matrix along
-    x and then by the y one along y, so no 2-D evaluation matrix is formed.
-    Values are formed one slab at a time: a whole-grid array would not fit
-    in memory for the finest 2-D runs.
+    least one must be a discrete solution; two on different time points
+    raise ValueError.  Each slab is read at its two dG(1) time coefficients.
+    Without a callable they are weighted by their masses (h, h/3), which is
+    exact; with one, they are mapped to the slab's 4 Gauss times
+    (``_GAUSS_BASIS``), where the callable is read.  On tensor spaces the
+    2-D points are the y-major product of the 1-D ones, and a solution is
+    evaluated by sum factorisation: its two time coefficients, reshaped to
+    (2, nx, ny), are multiplied by the x evaluation matrix along x and then
+    by the y one along y, so no 2-D evaluation matrix is formed.  Values are
+    formed one slab at a time: a whole-grid array would not fit in memory
+    for the finest 2-D runs.
     """
     sols = [o for o in (u, ref) if isinstance(o, EvolutionSolution)]
     if not sols:
@@ -226,11 +227,10 @@ def strong_norm_diff(u, ref, component=0, subdomain=None):
             def f(c):
                 # ex along x, then ey along y.  Only the two small arrays
                 # before the last product are transposed; that product
-                # lands in (ys, xs, times) order, i.e. (points, times).
-                nt = len(c)
-                a = ex @ c.reshape(nt, nx, ny).transpose(1, 0, 2).reshape(nx, -1)
-                a = a.reshape(-1, nt, ny).transpose(2, 0, 1).reshape(ny, -1)
-                return (ey @ a).reshape(-1, nt)
+                # lands in (ys, xs, coefficients) order, i.e. (points, 2).
+                a = ex @ c.reshape(2, nx, ny).transpose(1, 0, 2).reshape(nx, -1)
+                a = a.reshape(-1, 2, ny).transpose(2, 0, 1).reshape(ny, -1)
+                return (ey @ a).reshape(-1, 2)
 
             return f
 
@@ -244,40 +244,38 @@ def strong_norm_diff(u, ref, component=0, subdomain=None):
             return lambda c: e @ c.T
 
     grid = sols[0].grid
-    if all(
-        np.isscalar(o)
-        or (
-            isinstance(o, EvolutionSolution)
-            and np.array_equal(o.grid.t_points, grid.t_points)
-        )
-        for o in (u, ref)
-    ):
-        # Values at the two time coefficients, weighted by the masses of
-        # the orthogonal pair (l0, l1); a constant c has coefficients (c, 0).
-        wt = grid.basis_masses()
+    if any(not np.array_equal(s.grid.t_points, grid.t_points) for s in sols):
+        raise ValueError("strong norms of two discrete solutions need one time grid")
 
-        def read(obj):
-            if np.isscalar(obj):
-                v = np.zeros((pts[0].size, 2))
-                v[:, 0] = obj
-                return lambda m: v
-            f = point_values(obj.problem.spaces[component])
-            c = obj.coeffs[:, :, obj.problem.component_slice(component)]
-            return lambda m: f(c[m])
+    def read(obj):
+        """m -> (points, 2) values of obj's two time coefficients on slab m."""
+        if np.isscalar(obj):
+            v = np.zeros((pts[0].size, 2))
+            v[:, 0] = obj
+            return lambda m: v
+        f = point_values(obj.problem.spaces[component])
+        c = obj.coeffs[:, :, obj.problem.component_slice(component)]
+        return lambda m: f(c[m])
 
-    else:
+    if callable(u) or callable(ref):
         tq, wt = slab_gauss(grid)
 
-        def read(obj):
-            f = _evaluator(obj, component, pts, point_values)
-            return lambda m: f(tq[m])
+        def at_gauss_times(obj):
+            if callable(obj):
+                f = _sampler(obj, pts)
+                return lambda m: f(tq[m])
+            f = read(obj)
+            return lambda m: f(m) @ _GAUSS_BASIS
 
-    fu, fr = read(u), read(ref)
+        fu, fr = at_gauss_times(u), at_gauss_times(ref)
+    else:
+        wt = grid.basis_masses()
+        fu, fr = read(u), read(ref)
     acc = 0.0
     for m in range(wt.shape[0]):
         d = fu(m) - fr(m)
         acc += float(wt[m] @ (ws @ np.square(d, out=d)))
-    return math.sqrt(max(acc, 0.0))
+    return math.sqrt(acc)
 
 
 def fit_rate(points):

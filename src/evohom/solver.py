@@ -160,17 +160,6 @@ class EvolutionSolution:
         """Value at t_m from slab m (1-based)."""
         return TRACE_RIGHT @ self.coeffs[m - 1]
 
-    def coefficients_at(self, ts, component=None):
-        """Spatial coefficients at the times ts in (0, T], right-continuous.
-
-        Returns an array of shape ``np.shape(ts) + (ndof,)``: all stacked
-        DOFs, or those of one component (see :meth:`TimeGrid.evaluate`).
-        """
-        sl = slice(None)
-        if component is not None:
-            sl = self.problem.component_slice(component)
-        return self.grid.evaluate(self.coeffs[:, :, sl], ts)
-
 
 # Largest accepted condition number of the pencil's eigenvector matrix V;
 # beyond it the complex slab solve would lose more than three digits.

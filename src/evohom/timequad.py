@@ -11,11 +11,10 @@ which is exactly what the dG(1) bilinear form needs.
 The temporal basis on each slab is the shifted Legendre pair
 l0(t) = 1, l1(t) = 2*(t - t_{m-1})/h - 1, so l1 = -1 at the left and +1
 at the right end of the slab.  This module is the only one that knows it:
-:func:`temporal_basis` evaluates the pair at local coordinates,
-:meth:`TimeGrid.locate` maps global times to (slab, local coordinate)
-under the half-open slab rule, and :meth:`TimeGrid.evaluate` combines the
-two to read per-slab dG(1) coefficients at any times.  l0 and l1 are
-orthogonal on each slab, with squared L2 norms h and h/3
+:func:`temporal_basis` evaluates the pair at local coordinates in [0, 1],
+and a dG(1) function is read slab by slab from its two coefficients (its
+values at the slab ends are ``TRACE_LEFT``/``TRACE_RIGHT`` times them).
+l0 and l1 are orthogonal on each slab, with squared L2 norms h and h/3
 (:meth:`TimeGrid.basis_masses`).
 """
 
@@ -90,42 +89,6 @@ class TimeGrid:
         if not 1 <= m <= self.num_slabs:
             raise IndexError(f"slab index {m} out of range 1..{self.num_slabs}")
         return float(self.t_points[m - 1]), float(self.t_points[m])
-
-    def slab_containing(self, t):
-        """Index m of the slab with t in (t_{m-1}, t_m] (right-continuous).
-
-        At an interior grid point t = t_m the point belongs to slab m,
-        not slab m+1, per the half-open convention.  ``t`` is a scalar
-        (an int is returned) or an array (an integer array of its shape).
-        """
-        tp = self.t_points
-        t = np.asarray(t, dtype=float)
-        outside = ~((tp[0] < t) & (t <= tp[-1]))
-        if np.any(outside):
-            raise ValueError(f"t={t[outside][0]} outside (0, {tp[-1]}]")
-        # searchsorted with side='left' maps t in (t_{m-1}, t_m] to m
-        m = np.searchsorted(tp, t, side="left")
-        return int(m) if m.ndim == 0 else m
-
-    def locate(self, ts):
-        """Slab indices m and local coordinates tau in (0, 1] of the times ts.
-
-        Slabs follow :meth:`slab_containing`; tau = (t - t_{m-1}) / h_m.
-        """
-        m = self.slab_containing(ts)
-        left = self.t_points[m - 1]
-        return m, (np.asarray(ts, dtype=float) - left) / (self.t_points[m] - left)
-
-    def evaluate(self, coeffs, ts):
-        """Values at the times ts of a dG(1) function on this grid.
-
-        ``coeffs[m - 1, i]`` multiplies l_i on slab m and may carry trailing
-        axes; the result has shape ``np.shape(ts) + coeffs.shape[2:]``.
-        """
-        m, tau = self.locate(ts)
-        trailing = (1,) * (coeffs.ndim - 2)
-        l0, l1 = temporal_basis(tau).reshape((2,) + np.shape(tau) + trailing)
-        return l0 * coeffs[m - 1, 0] + l1 * coeffs[m - 1, 1]
 
     def basis_masses(self):
         """Unweighted masses (h_m, h_m / 3) of (l0, l1) on each slab: shape (M, 2).

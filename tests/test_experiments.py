@@ -211,7 +211,7 @@ class TestSweepMechanics:
         with pytest.raises(TypeError, match="ExperimentSpec"):
             convergence_sweep("EX1")
 
-    def test_jobs_deterministic(self):
+    def test_jobs_deterministic(self, assert_golden):
         # EX4 runs complex SuperLU factorisations in the worker threads; at
         # jobs > 1 the reference is solved alongside the runs, longest first
         for spec in (
@@ -220,6 +220,7 @@ class TestSweepMechanics:
             ExperimentSpec("EX4", (1, 2)),
         ):
             seq = convergence_sweep(spec, jobs=1)
+            assert_golden(seq)
             ns = [n for n, q, _ in seq.rows if not q.startswith("slope_")]
             assert ns == sorted(ns) and set(ns) == set(spec.n_list)
             for jobs in (2, 3):
@@ -337,8 +338,9 @@ class TestReferenceSelfConsistency:
                     or abs(va - vb) < 1e-5
                 )
 
-    def test_ex5_dichotomy(self):
+    def test_ex5_dichotomy(self, assert_golden):
         report = convergence_sweep(ExperimentSpec("EX5", (2, 4, 8, 16)), jobs=2)
+        assert_golden(report)
         su = report.series("strong_u")
         assert su[0][1] / su[-1][1] >= 4.0
         sv = report.series("strong_v")

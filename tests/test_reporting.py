@@ -15,6 +15,7 @@ from evohom.experiments import (
     run_problem,
     solution_norms,
 )
+import evohom.reporting as reporting
 from evohom.homogenise import build_limit_law
 from evohom.laws import example_material
 from evohom.meshes import build_mesh
@@ -39,13 +40,20 @@ from evohom.spaces import (
     gram2d,
     merge_cuts,
 )
-from evohom.timequad import TimeGrid
+from evohom.timequad import TimeGrid, temporal_basis
 
 # Independently derived by dense tensor-Gauss quadrature of the analytic
 # solutions (stable to 6e-17 under refinement): the oracle pairing
 # int_0^2 int_0^1 (u_1(t,x) - u_hom(t)) x dx dt for the oscillating ODE
 # family at n = 1 with unit-step forcing.
 ORACLE_PAIRING_X_N1 = 0.2427626039834412
+
+
+def _coefficients_at(sol, m, ts, k):
+    """Spatial coefficients of component k at the times ts of slab m + 1."""
+    t0, t1 = sol.grid.t_points[m : m + 2]
+    c = sol.coeffs[m][:, sol.problem.component_slice(k)]
+    return temporal_basis((ts - t0) / (t1 - t0)).T @ c
 
 
 def _linear_solution(ncells=4, span=(0.0, 1.0), fn=None, u0=None, slabs=8, grid=None):
@@ -270,8 +278,8 @@ class TestStrongNormDiff:
             ws = np.kron(wx, wy)
             acc = 0.0
             for m in range(tq.shape[0]):
-                d = eu @ u.coefficients_at(tq[m], k).T
-                d -= er @ ref.coefficients_at(tq[m], k).T
+                d = eu @ _coefficients_at(u, m, tq[m], k).T
+                d -= er @ _coefficients_at(ref, m, tq[m], k).T
                 acc += wq[m] @ (ws @ (d * d))
             val = strong_norm_diff(u, ref, component=k, subdomain=subdomain)
             assert val > 0.0
@@ -281,14 +289,16 @@ class TestStrongNormDiff:
         # u = c*t is reproduced exactly by dG(1) on any time grid
         c = 1.5
         a = _linear_solution(fn=c, grid=TimeGrid([0.0, 0.1, 0.35, 0.4, 1.2, 2.0]))
-        b = _linear_solution(
-            ncells=6, fn=c, grid=TimeGrid([0.0, 0.7, 0.75, 1.5, 1.55, 2.0])
-        )
         assert strong_norm_diff(a, lambda t, xs: np.full_like(xs, c * t)) <= 1e-12
         assert pairing(a, "t") == pytest.approx(c * 8.0 / 3.0, rel=1e-14)
-        # b's slabs do not match the rule grid of a, and vice versa
-        assert strong_norm_diff(a, b) <= 1e-12
-        assert strong_norm_diff(b, a) <= 1e-12
+
+    def test_needs_one_time_grid(self):
+        a = _linear_solution(grid=TimeGrid([0.0, 0.1, 0.35, 0.4, 1.2, 2.0]))
+        b = _linear_solution(ncells=6, grid=TimeGrid([0.0, 0.7, 0.75, 1.5, 1.55, 2.0]))
+        c = _linear_solution(slabs=5)
+        for u, ref in ((a, b), (b, a), (a, c), (c, _linear_solution())):
+            with pytest.raises(ValueError, match="one time grid"):
+                strong_norm_diff(u, ref)
 
     def test_incompatible_components(self):
         a = _linear_solution()
@@ -323,15 +333,15 @@ def _gauss_time_norm(u, ref, k, subdomain=None):
         xs, ws = gauss_panels(cuts, _NORM_POINTS)
         evals = [eval_matrix_1d(s, xs) for s in spaces]
 
-    def values(obj, ts):
+    def values(obj, m, ts):
         if isinstance(obj, EvolutionSolution):
-            return evals[sols.index(obj)] @ obj.coefficients_at(ts, k).T
+            return evals[sols.index(obj)] @ _coefficients_at(obj, m, ts, k).T
         return np.full((ws.size, ts.size), float(obj))
 
     tq, wq = slab_gauss(sols[0].grid)
     acc = 0.0
     for m in range(tq.shape[0]):
-        d = values(u, tq[m]) - values(ref, tq[m])
+        d = values(u, m, tq[m]) - values(ref, m, tq[m])
         acc += wq[m] @ (ws @ (d * d))
     return math.sqrt(acc)
 
@@ -380,11 +390,11 @@ class TestModalTimeRule:
         assert val == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_reads_no_times(self, one_grid_operands, monkeypatch):
-        # the Gauss-time path reads solutions through coefficients_at
-        def forbidden(self, ts, component=None):
+        # only a callable operand sends a strong norm to the Gauss times
+        def forbidden(grid, npts=4):
             raise AssertionError("strong norm on one grid read a solution in time")
 
-        monkeypatch.setattr(EvolutionSolution, "coefficients_at", forbidden)
+        monkeypatch.setattr(reporting, "slab_gauss", forbidden)
         for u, ref, k, subdomain in self.CASES:
             strong_norm_diff(
                 one_grid_operands[u],
@@ -398,6 +408,9 @@ class TestModalTimeRule:
         b = _linear_solution(ncells=6, fn=lambda x: x * x)
         assert a.grid is not b.grid
         assert strong_norm_diff(a, b) > 0.0
+        # the patch is live: a callable operand is read at the Gauss times
+        with pytest.raises(AssertionError, match="read a solution in time"):
+            strong_norm_diff(a, lambda t, xs: t * xs)
 
 
 class TestFitRate:

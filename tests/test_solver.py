@@ -6,8 +6,6 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 import evohom.solver as solver
@@ -17,21 +15,15 @@ from evohom.fields import Constant, RegionIndicator, SineOsc
 from evohom.laws import MaterialLaw, MemoryTerm, augment_memory, example_material
 from evohom.meshes import build_mesh
 from evohom.operators import assemble_skew_operator
-from evohom.solver import (
-    EvolutionProblem,
-    EvolutionSolution,
-    assemble_slab_system,
-    solve_evolution,
-)
+from evohom.solver import EvolutionProblem, assemble_slab_system, solve_evolution
 from evohom.spaces import (
     GaussLineSpace,
-    NodalLineSpace,
     build_space,
     collocated_mass,
     eval_matrix_1d,
     restricted_load,
 )
-from evohom.timequad import TimeGrid, build_radau_rule
+from evohom.timequad import TimeGrid, temporal_basis
 
 
 def _scalar_problem(m0=1.0, m1=1.0, grid=None, forcing=(), u0=0.0, rho=0.0):
@@ -83,9 +75,9 @@ class TestExactReproduction:
         for m in range(1, 6):
             tm = problem.grid.slab(m)[1]
             assert sol.right_trace(m)[0] == pytest.approx(a + b * tm, abs=1e-11)
-            # interior value at the slab midpoint
+            # interior value at the slab midpoint, where l1 vanishes
             tmid = 0.5 * sum(problem.grid.slab(m))
-            assert sol.coefficients_at(tmid)[0] == pytest.approx(
+            assert (temporal_basis(0.5) @ sol.coeffs[m - 1])[0] == pytest.approx(
                 a + b * tmid, abs=1e-11
             )
 
@@ -132,12 +124,13 @@ class TestConvergenceOrders:
         )
         sol = solve_evolution(problem)
         gauss_x, gauss_w = np.polynomial.legendre.leggauss(4)
+        tau = 0.5 * (gauss_x + 1.0)
         total = 0.0
         for m in range(1, num_slabs + 1):
             t0, t1 = problem.grid.slab(m)
-            pts = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gauss_x
+            pts = t0 + (t1 - t0) * tau
             w = 0.5 * (t1 - t0) * gauss_w
-            vals = np.array([sol.coefficients_at(t)[0] for t in pts])
+            vals = (temporal_basis(tau).T @ sol.coeffs[m - 1])[:, 0]
             total += float(w @ (vals - np.sin(pts)) ** 2)
         return math.sqrt(total)
 
@@ -173,13 +166,15 @@ class TestOscillatingODEFamily:
         nodes = space.nodes_global
         wts = space.weights_global
         gauss_x, gauss_w = np.polynomial.legendre.leggauss(4)
+        tau = 0.5 * (gauss_x + 1.0)
         total = 0.0
         for m in range(1, num_slabs + 1):
             t0, t1 = grid.slab(m)
-            pts = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gauss_x
+            pts = t0 + (t1 - t0) * tau
             w = 0.5 * (t1 - t0) * gauss_w
-            for t, wq in zip(pts, w):
-                diff = sol.coefficients_at(t) - ode_exact(n, t, nodes)
+            values = temporal_basis(tau).T @ sol.coeffs[m - 1]
+            for t, wq, u in zip(pts, w, values):
+                diff = u - ode_exact(n, t, nodes)
                 total += wq * float(wts @ diff**2)
         err = math.sqrt(total)
         assert err <= 1e-3
@@ -251,65 +246,6 @@ class TestIntrinsicVariable:
 
 
 class TestSolutionInterface:
-    def test_time_conventions(self):
-        c = 2.5
-        problem = _scalar_problem(
-            m0=1.0,
-            m1=0.0,
-            grid=TimeGrid.uniform(1.0, 4),
-            forcing=[(lambda t: 1.0, np.array([c]))],
-        )
-        sol = solve_evolution(problem)
-        # interior grid point belongs to the earlier slab (right-continuous)
-        t2 = problem.grid.slab(2)[1]
-        assert sol.coefficients_at(t2)[0] == pytest.approx(
-            sol.right_trace(2)[0], abs=1e-14
-        )
-        assert sol.coefficients_at(t2)[0] == pytest.approx(c * t2, abs=1e-12)
-        with pytest.raises(ValueError):
-            sol.coefficients_at(0.0)
-        with pytest.raises(ValueError):
-            sol.coefficients_at(1.5)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=12),
-        st.lists(st.floats(min_value=1e-9, max_value=1.0), max_size=20),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_coefficients_at_matches_pointwise(self, steps, fracs, seed):
-        # random dG(1) coefficients of a two-component problem on a random
-        # non-uniform grid, read at grid points and random times
-        grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
-        space = GaussLineSpace(build_mesh((0.0, 1.0), 2), 1)
-        spaces = (space, space)
-        mass = sp.identity(2 * space.ndof, format="csr")
-        problem = EvolutionProblem(
-            spaces,
-            None,
-            assemble_skew_operator("zero", spaces),
-            grid,
-            m0mat=mass,
-            m1mat=mass,
-        )
-        coeffs = np.random.default_rng(seed).standard_normal(
-            (grid.num_slabs, 2, problem.ndof)
-        )
-        sol = EvolutionSolution(problem, coeffs)
-        ts = np.concatenate([grid.t_points[1:], grid.T * np.asarray(fracs)])
-        block = sol.coefficients_at(ts)
-        assert block.shape == (ts.size, problem.ndof)
-        for t, row in zip(ts, block):
-            assert np.array_equal(row, sol.coefficients_at(t))
-        for i in range(2):
-            comp = sol.coefficients_at(ts, i)
-            assert np.array_equal(comp, block[:, problem.component_slice(i)])
-            for t, row in zip(ts, comp):
-                assert np.array_equal(row, sol.coefficients_at(t, i))
-        # grid point t_m carries the right trace of slab m
-        for m in range(1, grid.num_slabs + 1):
-            assert np.array_equal(block[m - 1], sol.right_trace(m))
-
     def test_coeffs_read_only(self):
         sol = solve_evolution(_scalar_problem())
         with pytest.raises(ValueError):
@@ -343,7 +279,8 @@ class TestSolutionInterface:
             m1mat=collocated_mass(space, 0.0),
         )
         sol = solve_evolution(problem)
-        vals = eval_matrix_1d(space, np.array([0.1, 0.6])) @ sol.coefficients_at(0.5, 0)
+        # t = 0.5 ends slab 2
+        vals = eval_matrix_1d(space, np.array([0.1, 0.6])) @ sol.right_trace(2)
         assert np.allclose(vals, 0.5, atol=1e-12)  # u = t, constant in x
 
 

@@ -9,8 +9,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from evohom.timequad import (
     TRACE_LEFT,
@@ -21,24 +19,6 @@ from evohom.timequad import (
     temporal_matrices,
     weighted_moments,
 )
-
-
-@st.composite
-def grids_and_times(draw):
-    """A strictly increasing, generally non-uniform grid of 1 to 12 slabs and
-    times in (0, T]: every grid point plus random ones."""
-    steps = draw(
-        st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=12)
-    )
-    grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
-    fracs = draw(st.lists(st.floats(min_value=1e-9, max_value=1.0), max_size=20))
-    return grid, np.concatenate([grid.t_points[1:], grid.T * np.asarray(fracs)])
-
-
-def _half_open_slab(grid, t):
-    """Reference rule: the m with t_{m-1} < t <= t_m, by linear search."""
-    tp = grid.t_points
-    return next(m for m in range(1, tp.size) if tp[m - 1] < t <= tp[m])
 
 
 # (h, rho) -> [mu_0, mu_1, mu_2], frozen from the mpmath oracle
@@ -82,42 +62,6 @@ class TestTimeGrid:
             TimeGrid.uniform(-1.0, 4)
         with pytest.raises(ValueError):
             TimeGrid.uniform(1.0, 0)
-
-    def test_slab_containing_half_open(self):
-        g = TimeGrid.uniform(1.0, 4)
-        # interior grid point belongs to the left slab (right-continuity
-        # of evaluation is handled by the solver; slabs are (a, b])
-        assert g.slab_containing(0.25) == 1
-        assert g.slab_containing(0.25 + 1e-12) == 2
-        assert g.slab_containing(1.0) == 4
-        with pytest.raises(ValueError):
-            g.slab_containing(0.0)
-        with pytest.raises(ValueError):
-            g.slab_containing(1.1)
-        with pytest.raises(ValueError):
-            g.slab_containing(np.array([0.5, 1.1]))
-
-    @settings(max_examples=60, deadline=None)
-    @given(grids_and_times())
-    def test_array_lookup_and_evaluation_match_scalar_rule(self, grid_ts):
-        grid, ts = grid_ts
-        expected = [_half_open_slab(grid, t) for t in ts]
-        assert [grid.slab_containing(t) for t in ts] == expected
-        m, tau = grid.locate(ts)
-        assert m.tolist() == expected
-        tp = grid.t_points
-        coeffs = 1.0 + np.arange(2.0 * grid.num_slabs).reshape(-1, 2)
-        vals = grid.evaluate(coeffs, ts)
-        for i, t in enumerate(ts):
-            a, b = grid.slab(expected[i])
-            assert tau[i] == (t - a) / (b - a)
-            assert 0.0 < tau[i] <= 1.0
-            c0, c1 = coeffs[expected[i] - 1]
-            assert vals[i] == c0 + (2.0 * tau[i] - 1.0) * c1
-        # a grid point t_m lies at the right end of slab m
-        m_pts, tau_pts = grid.locate(tp[1:])
-        assert m_pts.tolist() == list(range(1, grid.num_slabs + 1))
-        assert np.all(tau_pts == 1.0)
 
 
 class TestTemporalBasis:
