@@ -15,6 +15,7 @@ it; fitted log-log rates are appended as n = 0 rows.
 
 import math
 from collections import namedtuple
+from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -35,11 +36,13 @@ from .reporting import (
     ConvergenceReport,
     fit_rate,
     pairing,
+    pairing_reader,
     slab_gauss,
     strong_norm_diff,
+    strong_norm_reader,
     write_csv,
 )
-from .solver import EvolutionProblem, solve_evolution
+from .solver import EvolutionProblem, march, solve_evolution
 from .spaces import build_space, collocated_mass, restricted_load
 from .timequad import TimeGrid
 
@@ -403,19 +406,33 @@ def _prepare(spec, level):
     return operands, ref_pair
 
 
-def _report(spec, ctx, n, sol):
-    """The rows (n, quantity, value) of one solved run."""
-    operands, ref_pair = ctx
-    rows = []
-    for q in _FAMILIES[spec.example].quantities:
-        if q.test is None:
-            ref = operands[q.operand]
-            norms = (strong_norm_diff(sol, ref, k, q.domain) for k in q.comps)
-            rows.append((n, q.name, math.hypot(*norms)))
-        else:
-            val = pairing(sol, q.test, q.domain, q.comps[0]) - ref_pair[q.name]
-            rows.append((n, q.name, abs(val)))
-    return rows
+def _reader(problem, q, operands, ref_pair):
+    """Quantity q of a run of ``problem`` as a reader (:func:`pairing_reader`)."""
+    if q.test is not None:
+        read = pairing_reader(problem, q.test, q.domain, q.comps[0])
+        return lambda c: abs(read(c) - ref_pair[q.name])
+    reads = [strong_norm_reader(problem, operands[q.operand], k, q.domain) for k in q.comps]
+    return lambda c: math.hypot(*[read(c) for read in reads])
+
+
+def _report(spec, reference, n, problem):
+    """The rows (n, quantity, value) of run n, read while it marches.
+
+    Slabs that come before the ``reference`` future is done are held until
+    it is, so only the last slab waits for it.
+    """
+    quantities = _FAMILIES[spec.example].quantities
+    block = max(1, 2**20 // (16 * problem.ndof))  # slabs in 1 MB, or one
+    last, held, readers = problem.grid.num_slabs, [], []
+    with closing(march(problem)) as slabs:
+        for m, c in slabs:
+            held.append(c)
+            if m == last or (len(held) >= block and reference.done()):
+                ctx = reference.result()
+                readers = readers or [_reader(problem, q, *ctx) for q in quantities]
+                chunk, held = np.stack(held), []
+                values = [read(chunk) for read in readers]
+    return [(n, q.name, v) for q, v in zip(quantities, values)]
 
 
 def convergence_sweep(spec, out=None, jobs=1, reference_level=0):
@@ -425,11 +442,11 @@ def convergence_sweep(spec, out=None, jobs=1, reference_level=0):
     reference and the runs share one pool of ``jobs`` threads (``jobs`` >=
     1, else ValueError before anything is solved or written): the
     reference is submitted first and the runs longest first (descending
-    n); each run task solves, waits for the reference, reports and drops
-    its solution.  Rows are emitted in n-order and do not depend on
-    ``jobs``.  The reference and the runs are solved and reported with one
-    BLAS thread (:func:`one_blas_thread`), so the pool's threads do not
-    compete with BLAS threads for the cores.
+    n); each run task reads its slabs as it marches (:func:`_report`), so
+    no run holds its solution.  Rows are emitted in n-order and do not
+    depend on ``jobs``.  The reference and the runs are solved and reported
+    with one BLAS thread (:func:`one_blas_thread`), so the pool's threads do
+    not compete with BLAS threads for the cores.
     ``reference_level`` = 1 swaps in the alternative reference resolution
     for self-consistency studies; any value but 0 or 1 raises ValueError
     before anything is solved or written.  On failure, the reference's
@@ -454,8 +471,7 @@ def convergence_sweep(spec, out=None, jobs=1, reference_level=0):
             def run(n):
                 if reference.done():
                     reference.result()  # a failed reference: skip the solve
-                sol = solve_evolution(run_problem(spec, n))
-                return _report(spec, reference.result(), n, sol)
+                return _report(spec, reference, n, run_problem(spec, n))
 
             futures = {n: pool.submit(run, n) for n in reversed(spec.n_list)}
             try:

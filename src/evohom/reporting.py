@@ -3,23 +3,24 @@
 The laboratory's reported quantities are unweighted space-time L2 inner
 products over [0, T] x domain: pairings of a solution (discrete or oracle)
 against a fixed dictionary of test functions, and strong norms of
-differences against a reference.  A solution is read in time one slab at a
-time, in its two dG(1) time coefficients ``coeffs[m, 0:2]``.  A strong norm
-between discrete solutions on one time grid, or against a constant c (the
-coefficients (c, 0)), weights the squared differences of those coefficients
-by the exact masses h and h/3 of the orthogonal pair (l0, l1)
-(:meth:`TimeGrid.basis_masses`).  Every other pairing or strong norm takes
-the 4-point per-slab Gauss rule (:func:`slab_gauss`) of the discrete
-operand's grid (or a callable pairing's explicit grid).  Its times sit at the
-same local coordinates on every slab, so a solution's values there are its
-coefficients times one fixed 2 x 4 matrix, ``_GAUSS_BASIS``.  Space takes
-the one 1-D path of :mod:`evohom.spaces`: a solution pairing sums
-``(component, load vector)`` terms from :func:`restricted_load`, strong
-norms evaluate each solution with :func:`eval_matrix_1d` at the Gauss points
-of the partition that :func:`merge_cuts` merges from the cells of all
-discrete operands (on tensor spaces one matrix per direction, applied in
-turn: sum factorisation), and callable or constant operands of both go
-through one evaluator.
+differences against a reference.  A solution is read by readers
+(:func:`pairing_reader`, :func:`strong_norm_reader`) that take its slabs in
+blocks as a march yields them, each slab in its two dG(1) time coefficients
+``coeffs[m, 0:2]``.  A strong norm between discrete solutions on one time
+grid, or against a constant c (the coefficients (c, 0)), weights the
+squared differences of those coefficients by the exact masses h and h/3 of
+the orthogonal pair (l0, l1) (:meth:`TimeGrid.basis_masses`).  Every other
+pairing or strong norm takes the 4-point per-slab Gauss rule
+(:func:`slab_gauss`) of the discrete operand's grid (or a callable
+pairing's explicit grid), at the same local coordinates on every slab, so
+a solution's values there are its coefficients times one fixed 2 x 4
+matrix, ``_GAUSS_BASIS``.  Space takes the one 1-D path of
+:mod:`evohom.spaces`: a solution pairing sums ``(component, load vector)``
+terms from :func:`restricted_load`, strong norms evaluate each solution
+with :func:`eval_matrix_1d` at the Gauss points of the partition that
+:func:`merge_cuts` merges from the cells of all discrete operands (on
+tensor spaces one matrix per direction, applied in turn: sum
+factorisation), and callable operands of both go through one evaluator.
 """
 
 import csv
@@ -48,7 +49,9 @@ __all__ = [
     "restricted_load",
     "eval_matrix_1d",
     "pairing",
+    "pairing_reader",
     "strong_norm_diff",
+    "strong_norm_reader",
     "fit_rate",
     "ConvergenceReport",
     "write_csv",
@@ -103,13 +106,13 @@ def _scalar_test(v):
     return TEST_DICTIONARY_1D[v]
 
 
-def _load_terms(sol, v, domain, component):
+def _load_terms(problem, v, domain, component):
     """A test function as ``(component, load vector)`` terms and a temporal factor.
 
     Vector dictionary names give one term per non-vanishing flux component
     (1, 2) of a 2-D solution; anything else is one scalar term.
     """
-    spaces = sol.problem.spaces
+    spaces = problem.spaces
     if v in VECTOR_TEST_DICTIONARY and (
         v not in TEST_DICTIONARY_1D
         or isinstance(spaces[min(1, len(spaces) - 1)], TensorSpace)
@@ -142,6 +145,24 @@ def _load_terms(sol, v, domain, component):
     return [(component, restricted_load(space, spatial, lo, hi))], temporal
 
 
+def pairing_reader(problem, v, domain, component):
+    """``read(c)``: takes the next slabs of a solution of ``problem`` (their
+    coefficients, shape (slabs, 2, ndof)) and returns the :func:`pairing`
+    over every slab read so far.  Slabs are projected onto the loads before
+    they are read in time, so no (times x DOFs) array is formed."""
+    terms, temporal = _load_terms(problem, v, domain, component)
+    tq, wq = slab_gauss(problem.grid)
+    w = wq if temporal is None else wq * np.asarray(temporal(tq), dtype=float)
+    blocks = []
+
+    def read(c):
+        blocks.append([c[:, :, problem.component_slice(k)] @ r for k, r in terms])
+        parts = (np.concatenate(p) @ _GAUSS_BASIS for p in zip(*blocks))
+        return sum(float(np.sum(w[: len(q)] * q)) for q in parts)
+
+    return read
+
+
 def pairing(u, v, domain=None, component=0, *, grid=None, cells=64):
     """Unweighted space-time L2 pairing of ``u`` against a test function.
 
@@ -152,29 +173,20 @@ def pairing(u, v, domain=None, component=0, *, grid=None, cells=64):
     (1, 2) of a 2-D solution.  ``domain`` restricts the spatial integral.
     """
     if isinstance(u, EvolutionSolution):
-        terms, temporal = _load_terms(u, v, domain, component)
-        tq, wq = slab_gauss(u.grid)
-        # Project each slab's coefficients onto the load before reading them
-        # in time, so no (times x DOFs) array is formed.
-        spatial_pairings = [
-            (u.coeffs[:, :, u.problem.component_slice(k)] @ r) @ _GAUSS_BASIS
-            for k, r in terms
-        ]
-    else:
-        if grid is None or not isinstance(grid, TimeGrid):
-            raise ValueError("callable pairings need an explicit TimeGrid")
-        if domain is None:
-            raise ValueError("callable pairings need an explicit domain interval")
-        spatial, temporal = _scalar_test(v)
-        xs, ws = gauss_panels(
-            np.linspace(domain[0], domain[1], int(cells) + 1), _PAIRING_POINTS
-        )
-        tq, wq = slab_gauss(grid)
-        values = _sampler(u, (xs,))(tq.ravel())
-        wsv = ws * coeff_values(spatial, xs)
-        spatial_pairings = [(wsv @ values).reshape(tq.shape)]
+        return pairing_reader(u.problem, v, domain, component)(u.coeffs)
+    if grid is None or not isinstance(grid, TimeGrid):
+        raise ValueError("callable pairings need an explicit TimeGrid")
+    if domain is None:
+        raise ValueError("callable pairings need an explicit domain interval")
+    spatial, temporal = _scalar_test(v)
+    xs, ws = gauss_panels(
+        np.linspace(domain[0], domain[1], int(cells) + 1), _PAIRING_POINTS
+    )
+    tq, wq = slab_gauss(grid)
+    values = _sampler(u, (xs,))(tq.ravel())
+    p = (ws * coeff_values(spatial, xs)) @ values
     w = wq if temporal is None else wq * np.asarray(temporal(tq), dtype=float)
-    return sum(float(np.sum(w * p)) for p in spatial_pairings)
+    return float(np.sum(w * p.reshape(tq.shape)))
 
 
 def _sampler(obj, pts):
@@ -185,28 +197,11 @@ def _sampler(obj, pts):
     return lambda ts: np.stack([np.asarray(obj(t, *pts), dtype=float) for t in ts], 1)
 
 
-def strong_norm_diff(u, ref, component=0, subdomain=None):
-    """Space-time L2 norm of (u - ref) on a component over a subdomain.
-
-    ``u`` and ``ref`` are EvolutionSolutions on possibly different meshes
-    but one time grid (evaluated on the union-cell Gauss points of the finer
-    partition), callables ``f(t, xs)`` / ``f(t, xg, yg)``, or constants.  At
-    least one must be a discrete solution; two on different time points
-    raise ValueError.  Each slab is read at its two dG(1) time coefficients.
-    Without a callable they are weighted by their masses (h, h/3), which is
-    exact; with one, they are mapped to the slab's 4 Gauss times
-    (``_GAUSS_BASIS``), where the callable is read.  On tensor spaces the
-    2-D points are the y-major product of the 1-D ones, and a solution is
-    evaluated by sum factorisation: its two time coefficients, reshaped to
-    (2, nx, ny), are multiplied by the x evaluation matrix along x and then
-    by the y one along y, so no 2-D evaluation matrix is formed.  Values are
-    formed one slab at a time: a whole-grid array would not fit in memory
-    for the finest 2-D runs.
-    """
-    sols = [o for o in (u, ref) if isinstance(o, EvolutionSolution)]
-    if not sols:
-        raise ValueError("strong norms need at least one discrete solution")
-    spaces = [s.problem.spaces[component] for s in sols]
+def strong_norm_reader(problem, ref, component, subdomain):
+    """``read(c)``: :func:`strong_norm_diff` against ``ref`` of a solution
+    of ``problem``, read in blocks of slabs as in :func:`pairing_reader`."""
+    refs = [ref.problem] if isinstance(ref, EvolutionSolution) else []
+    spaces = [p.spaces[component] for p in (problem, *refs)]
     two_d = isinstance(spaces[0], TensorSpace)
     if any(isinstance(s, TensorSpace) != two_d for s in spaces):
         raise ValueError("incompatible components: 1-D vs 2-D spaces")
@@ -243,39 +238,51 @@ def strong_norm_diff(u, ref, component=0, subdomain=None):
             e = eval_matrix_1d(space, xs)
             return lambda c: e @ c.T
 
-    grid = sols[0].grid
-    if any(not np.array_equal(s.grid.t_points, grid.t_points) for s in sols):
-        raise ValueError("strong norms of two discrete solutions need one time grid")
-
-    def read(obj):
-        """m -> (points, 2) values of obj's two time coefficients on slab m."""
-        if np.isscalar(obj):
-            v = np.zeros((pts[0].size, 2))
-            v[:, 0] = obj
-            return lambda m: v
-        f = point_values(obj.problem.spaces[component])
-        c = obj.coeffs[:, :, obj.problem.component_slice(component)]
-        return lambda m: f(c[m])
-
-    if callable(u) or callable(ref):
-        tq, wt = slab_gauss(grid)
-
-        def at_gauss_times(obj):
-            if callable(obj):
-                f = _sampler(obj, pts)
-                return lambda m: f(tq[m])
-            f = read(obj)
-            return lambda m: f(m) @ _GAUSS_BASIS
-
-        fu, fr = at_gauss_times(u), at_gauss_times(ref)
+    fu, wt = point_values(spaces[0]), problem.grid.basis_masses()
+    if callable(ref):
+        tq, wt = slab_gauss(problem.grid)
+        f, sample = fu, _sampler(ref, pts)
+        fu, fr = (lambda c: f(c) @ _GAUSS_BASIS), (lambda m: sample(tq[m]))
+    elif np.isscalar(ref):  # the coefficients (ref, 0) at every point
+        fr = lambda m: np.array([[ref, 0.0]])
+    elif np.array_equal(ref.grid.t_points, problem.grid.t_points):
+        g = point_values(spaces[1])
+        rc = ref.coeffs[:, :, ref.problem.component_slice(component)]
+        fr = lambda m: g(rc[m])
     else:
-        wt = grid.basis_masses()
-        fu, fr = read(u), read(ref)
-    acc = 0.0
-    for m in range(wt.shape[0]):
-        d = fu(m) - fr(m)
-        acc += float(wt[m] @ (ws @ np.square(d, out=d)))
-    return math.sqrt(acc)
+        raise ValueError("strong norms of two discrete solutions need one time grid")
+    acc, done = 0.0, 0
+
+    def read(c):
+        nonlocal acc, done
+        for cm in c[:, :, problem.component_slice(component)]:
+            d = fu(cm) - fr(done)
+            acc += float(wt[done] @ (ws @ np.square(d, out=d)))
+            done += 1
+        return math.sqrt(acc)
+
+    return read
+
+
+def strong_norm_diff(u, ref, component=0):
+    """Space-time L2 norm of (u - ref) on a component (:func:`strong_norm_reader`).
+
+    ``u`` is an EvolutionSolution; ``ref`` is one on a possibly different
+    mesh but one time grid (evaluated on the union-cell Gauss points of the
+    finer partition; other time points raise ValueError), a callable
+    ``f(t, xs)`` / ``f(t, xg, yg)``, or a constant.  Each slab is read at
+    its two dG(1) time coefficients.
+    Without a callable they are weighted by their masses (h, h/3), which is
+    exact; with one, they are mapped to the slab's 4 Gauss times
+    (``_GAUSS_BASIS``), where the callable is read.  On tensor spaces the
+    2-D points are the y-major product of the 1-D ones, and a solution is
+    evaluated by sum factorisation: its two time coefficients, reshaped to
+    (2, nx, ny), are multiplied by the x evaluation matrix along x and then
+    by the y one along y, so no 2-D evaluation matrix is formed.
+    """
+    if not isinstance(u, EvolutionSolution):
+        raise ValueError("strong norms need u to be a discrete solution")
+    return strong_norm_reader(u.problem, ref, component, None)(u.coeffs)
 
 
 def fit_rate(points):

@@ -19,10 +19,11 @@ conjugate eigenpair.  In the basis Z = U V^{-T} the slab splits into
 
     (lam M0 + M1 + A) z = w0 b^0 + w1 b^1,   w = lam's row of (T0 V)^{-1},
 
-and its complex conjugate, so U^i = 2 Re(V[i, 0] z).  The march factors this
-one complex N x N matrix once per class of equal slab lengths
-(:meth:`TimeGrid.length_classes`) and makes one complex solve per slab.
-The change of basis costs about log10 cond(V) digits: cond(V) is 2.4 at
+and its complex conjugate, so U^i = 2 Re(V[i, 0] z).  :func:`march` factors
+this one complex N x N matrix once per class of equal slab lengths
+(:meth:`TimeGrid.length_classes`), makes one complex solve per slab and
+yields each slab's coefficients; :func:`solve_evolution` stores them.  The
+change of basis costs about log10 cond(V) digits: cond(V) is 2.4 at
 rho*h = 0, 14 at rho*h = 2, 1.2e3 at rho*h = 6 and above 1e7 from
 rho*h = 15, where the pair all but coalesces, so the march refuses
 pencils with cond(V) > _PENCIL_COND_MAX.
@@ -182,8 +183,8 @@ def _temporal_pencil(rule):
     return lams[k], vecs[:, k], np.linalg.inv(t0 @ vecs)[k]
 
 
-def solve_evolution(problem):
-    """March all slabs; one complex factorisation per class of slab lengths.
+def march(problem):
+    """Yield ``(m, coefficients of slab m)``, arrays (2, ndof), for m = 1, 2, ...
 
     The pencil, the factorisations and the march run with one BLAS thread
     (:func:`one_blas_thread`): SuperLU's BLAS calls on these systems gain no
@@ -192,7 +193,6 @@ def solve_evolution(problem):
     """
     with one_blas_thread():
         grid = problem.grid
-        coeffs = np.zeros((grid.num_slabs, 2, problem.ndof))
         spatial = (problem.m1mat + problem.operator.matrix).tocsr()
         prev = problem.m0mat @ problem.u0
         labels = grid.length_classes()
@@ -224,6 +224,13 @@ def solve_evolution(problem):
                 raise RuntimeError(
                     f"singular slab system at slab {m}: non-finite solve"
                 )
-            coeffs[m - 1] = 2.0 * np.outer(v, z).real
-            prev = problem.m0mat @ (TRACE_RIGHT @ coeffs[m - 1])
-        return EvolutionSolution(problem, coeffs)
+            c = 2.0 * np.outer(v, z).real
+            prev = problem.m0mat @ (TRACE_RIGHT @ c)
+            yield m, c
+
+
+def solve_evolution(problem):
+    """Every slab of the :func:`march`, stored as one EvolutionSolution."""
+    slabs = (c for _, c in march(problem))
+    coeffs = np.fromiter(slabs, (float, (2, problem.ndof)), problem.grid.num_slabs)
+    return EvolutionSolution(problem, coeffs)

@@ -19,6 +19,7 @@ from evohom.experiments import ExperimentSpec, convergence_sweep
 HERE = Path(__file__).resolve().parent
 SPECS = (
     ExperimentSpec("EX1", (1, 2, 4)),
+    ExperimentSpec("EX2", (1, 2, 4)),
     ExperimentSpec("EX3", (1, 2)),
     ExperimentSpec("EX4", (1, 2)),
     ExperimentSpec("EX5", (2, 4, 8, 16)),

@@ -9,6 +9,7 @@ pairing of the oscillating-minus-homogenised solution against v = x is
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from evohom.experiments import (
 )
 import evohom.experiments as experiments
 from evohom.reporting import ConvergenceReport, fit_rate, pairing
-from evohom.solver import solve_evolution
+from evohom.solver import EvolutionSolution, solve_evolution
 
 ORACLE_PAIR_X_N1 = 0.2427626039834412
 
@@ -206,25 +207,60 @@ class TestEX3Sweep:
         assert series[-1][1] > 0.9 * series[0][1]
 
 
+def _hold_reference(monkeypatch, prepare):
+    """Hold the sweep's reference back until a run has yielded its first
+    slab, then run ``prepare`` in its place: that run holds its slabs."""
+    released = threading.Event()
+    march = experiments.march
+
+    def held(spec, level):
+        assert released.wait(60), "no run yielded a slab"
+        return prepare(spec, level)
+
+    def releasing(problem):
+        for item in march(problem):
+            yield item
+            released.set()
+
+    monkeypatch.setattr(experiments, "_prepare", held)
+    monkeypatch.setattr(experiments, "march", releasing)
+
+
 class TestSweepMechanics:
     def test_requires_spec(self):
         with pytest.raises(TypeError, match="ExperimentSpec"):
             convergence_sweep("EX1")
 
-    def test_jobs_deterministic(self, assert_golden):
+    def test_jobs_deterministic(self, assert_golden, monkeypatch):
         # EX4 runs complex SuperLU factorisations in the worker threads; at
-        # jobs > 1 the reference is solved alongside the runs, longest first
-        for spec in (
-            ExperimentSpec("EX1", (1, 2, 4)),
-            ExperimentSpec("EX3", (1, 2)),
-            ExperimentSpec("EX4", (1, 2)),
+        # jobs > 1 the reference is solved alongside the runs, longest first.
+        # Only the discrete reference is stored: the runs are read while they
+        # march.  At jobs=2 the reference is held back until a run has
+        # yielded a slab, so that run holds its slabs until the reference is
+        # done; its rows must not move.
+        stored = []
+        init = EvolutionSolution.__init__
+
+        def counted(self, problem, coeffs):
+            stored.append(problem)
+            init(self, problem, coeffs)
+
+        monkeypatch.setattr(EvolutionSolution, "__init__", counted)
+        for spec, references in (
+            (ExperimentSpec("EX1", (1, 2, 4)), 0),
+            (ExperimentSpec("EX3", (1, 2)), 1),
+            (ExperimentSpec("EX4", (1, 2)), 1),
         ):
+            stored.clear()
             seq = convergence_sweep(spec, jobs=1)
+            assert len(stored) == references
             assert_golden(seq)
             ns = [n for n, q, _ in seq.rows if not q.startswith("slope_")]
             assert ns == sorted(ns) and set(ns) == set(spec.n_list)
-            for jobs in (2, 3):
-                assert convergence_sweep(spec, jobs=jobs).rows == seq.rows
+            with monkeypatch.context() as m:
+                _hold_reference(m, experiments._prepare)
+                assert convergence_sweep(spec, jobs=2).rows == seq.rows
+            assert convergence_sweep(spec, jobs=3).rows == seq.rows
 
     @pytest.mark.parametrize(
         "example, n_list", [("EX2", (1, 2, 4)), ("EX3", (2, 4, 8))], ids=["EX2", "EX3"]
@@ -262,7 +298,7 @@ class TestSweepMechanics:
     def test_failure_flushes_error_row(self, tmp_path, monkeypatch):
         calls = []
 
-        def boom(spec, ctx, n, sol):
+        def boom(spec, reference, n, problem):
             if n > 1:
                 raise RuntimeError("synthetic failure")
             calls.append(n)
@@ -298,12 +334,23 @@ class TestSweepMechanics:
         if jobs == 1:  # the reference fails before any run starts
             assert solved == []
 
+    def test_reference_failure_while_a_run_holds_slabs(self, tmp_path, monkeypatch):
+        def failing_reference(spec, level):
+            raise RuntimeError("reference failed")
+
+        _hold_reference(monkeypatch, failing_reference)
+        path = tmp_path / "partial.csv"
+        with pytest.raises(RuntimeError, match="reference failed"):
+            convergence_sweep(ExperimentSpec("EX3", (1, 2)), out=path, jobs=2)
+        assert path.read_text().splitlines()[-1] == "EX3,0,error,nan"
+
 
 class TestEX2Sweep:
-    def test_no_roundoff_rows_for_conserved_mean(self):
+    def test_no_roundoff_rows_for_conserved_mean(self, assert_golden):
         # v's mean is conserved at 0, so its pairings with "1" and "t" are
         # roundoff and are not reported
         report = convergence_sweep(ExperimentSpec("EX2", (1, 2, 4)))
+        assert_golden(report)
         quantities = report.quantities()
         assert "pair_u_1" in quantities and "pair_u_t" in quantities
         assert "pair_v_x" in quantities

@@ -26,9 +26,11 @@ from evohom.reporting import (
     eval_matrix_1d,
     fit_rate,
     pairing,
+    pairing_reader,
     restricted_load,
     slab_gauss,
     strong_norm_diff,
+    strong_norm_reader,
     write_csv,
 )
 from evohom.solver import EvolutionProblem, EvolutionSolution, solve_evolution
@@ -54,6 +56,11 @@ def _coefficients_at(sol, m, ts, k):
     t0, t1 = sol.grid.t_points[m : m + 2]
     c = sol.coeffs[m][:, sol.problem.component_slice(k)]
     return temporal_basis((ts - t0) / (t1 - t0)).T @ c
+
+
+def _norm_on(u, ref, k, subdomain):
+    """strong_norm_diff of a solution u on a subdomain, read by its reader."""
+    return strong_norm_reader(u.problem, ref, k, subdomain)(u.coeffs)
 
 
 def _linear_solution(ncells=4, span=(0.0, 1.0), fn=None, u0=None, slabs=8, grid=None):
@@ -219,7 +226,7 @@ class TestStrongNormDiff:
 
     def test_subdomain(self):
         sol = _linear_solution(fn=lambda x: x)
-        val = strong_norm_diff(sol, 0.0, subdomain=(0.5, 1.0))
+        val = _norm_on(sol, 0.0, 0, (0.5, 1.0))
         assert val == pytest.approx(math.sqrt(7.0) / 3.0, rel=1e-12)
 
     def test_tensor_component(self):
@@ -238,7 +245,7 @@ class TestStrongNormDiff:
     def test_tensor_subdomain_cut_inside_a_cell(self):
         sol = _vector_solution(cells=(3, 5), span=((-2.0, 2.0), (-1.0, 1.0)))
         box = ((0.0, 2.0), (-1.0, 0.5))  # y = 0.5 lies inside (0.2, 0.6)
-        val = strong_norm_diff(sol, 0.0, component=1, subdomain=box)
+        val = _norm_on(sol, 0.0, 1, box)
         assert val == pytest.approx(math.sqrt(32.0 / 3.0), rel=1e-12)
 
     def test_tensor_cross_mesh_and_degree(self):
@@ -281,7 +288,7 @@ class TestStrongNormDiff:
                 d = eu @ _coefficients_at(u, m, tq[m], k).T
                 d -= er @ _coefficients_at(ref, m, tq[m], k).T
                 acc += wq[m] @ (ws @ (d * d))
-            val = strong_norm_diff(u, ref, component=k, subdomain=subdomain)
+            val = _norm_on(u, ref, k, subdomain)
             assert val > 0.0
             assert val == pytest.approx(math.sqrt(acc), rel=1e-13, abs=0.0)
 
@@ -386,7 +393,7 @@ class TestModalTimeRule:
         ref = one_grid_operands.get(ref, ref)
         expected = _gauss_time_norm(u, ref, k, subdomain)
         assert expected > 0.0
-        val = strong_norm_diff(u, ref, component=k, subdomain=subdomain)
+        val = _norm_on(u, ref, k, subdomain)
         assert val == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_reads_no_times(self, one_grid_operands, monkeypatch):
@@ -396,12 +403,7 @@ class TestModalTimeRule:
 
         monkeypatch.setattr(reporting, "slab_gauss", forbidden)
         for u, ref, k, subdomain in self.CASES:
-            strong_norm_diff(
-                one_grid_operands[u],
-                one_grid_operands.get(ref, ref),
-                component=k,
-                subdomain=subdomain,
-            )
+            _norm_on(one_grid_operands[u], one_grid_operands.get(ref, ref), k, subdomain)
         assert set(solution_norms(one_grid_operands["ex5"])) == {"u", "vx", "vy"}
         # the rule needs equal time points, not one TimeGrid object
         a = _linear_solution(fn=lambda x: x)
@@ -411,6 +413,22 @@ class TestModalTimeRule:
         # the patch is live: a callable operand is read at the Gauss times
         with pytest.raises(AssertionError, match="read a solution in time"):
             strong_norm_diff(a, lambda t, xs: t * xs)
+
+
+def test_readers_take_slabs_in_any_blocks(one_grid_operands):
+    # a sweep run feeds its readers the slabs as it marches, in blocks of any
+    # size; the last value read is the stored solution's, bit for bit
+    sol, lim = one_grid_operands["ex5"], one_grid_operands["lim"]
+    cases = [
+        (lambda: pairing_reader(sol.problem, "x0", None, 0), pairing(sol, "x0")),
+        (lambda: strong_norm_reader(sol.problem, lim, 1, None), strong_norm_diff(sol, lim, 1)),
+        (lambda: strong_norm_reader(sol.problem, 0.5, 0, None), strong_norm_diff(sol, 0.5)),
+    ]
+    for reader, whole in cases:
+        read = reader()
+        values = [read(sol.coeffs[a:b]) for a, b in ((0, 1), (1, 3), (3, 4))]
+        assert values[-1] == whole
+        assert values[0] == reader()(sol.coeffs[:1]) != whole
 
 
 class TestFitRate:
