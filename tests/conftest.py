@@ -33,3 +33,16 @@ def assert_golden():
             assert value == pytest.approx(expected, rel=1e-10, abs=0.0), (n, q)
 
     return check
+
+
+@pytest.fixture(scope="session")
+def golden_text():
+    """The exact text of ``tests/golden/text/<name>.txt``, one law or one
+    ``evohom`` command's output (``tests/golden/regenerate.py`` writes the
+    files)."""
+
+    def read(name):
+        path = Path(__file__).resolve().parent / "golden" / "text" / f"{name}.txt"
+        return path.read_text(encoding="utf-8")
+
+    return read

@@ -1,4 +1,4 @@
-"""Regenerate the full-precision sweep goldens in this directory.
+"""Regenerate the goldens in this directory.
 
 Run from the repository root::
 
@@ -7,14 +7,22 @@ Run from the repository root::
 Each ``<example>_n<n-list>.csv`` holds the rows ``n, quantity, repr(value)``
 of one sweep that the tier-1 tests already run (``test_jobs_deterministic``
 and ``test_ex5_dichotomy``); those tests compare their rows to it at 1e-10
-relative through the ``assert_golden`` fixture.  A change that moves a
-golden states the largest relative move and why.
+relative through the ``assert_golden`` fixture.  Each ``text/<name>.txt``
+holds the exact text of one law (``serialize_law``) or of one ``evohom
+limits`` or ``evohom describe`` command, which the tests that print it
+compare exactly through the ``golden_text`` fixture.  A change that moves a
+golden states the largest relative move (or the changed text) and why.
 """
 
+import contextlib
 import csv
+import io
 from pathlib import Path
 
-from evohom.experiments import ExperimentSpec, convergence_sweep
+from evohom.cli import main as cli_main
+from evohom.experiments import EXAMPLES, ExperimentSpec, convergence_sweep
+from evohom.homogenise import build_limit_law
+from evohom.laws import EXAMPLE_IDS, augment_memory, example_material, serialize_law
 
 HERE = Path(__file__).resolve().parent
 SPECS = (
@@ -24,9 +32,42 @@ SPECS = (
     ExperimentSpec("EX4", (1, 2)),
     ExperimentSpec("EX5", (2, 4, 8, 16)),
 )
+LIMIT_IDS = ("EX2", "EX3", "EX4", "EX5", "MAXWELL")
+LIMIT_ZS = ("3.0", "2.5+1j")
+
+
+def cli_text(*argv):
+    """What ``evohom <argv>`` prints on stdout (it must succeed)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(list(argv))
+    if code != 0:
+        raise RuntimeError(f"evohom {' '.join(argv)} exited with {code}")
+    return out.getvalue()
+
+
+def texts():
+    """(name, text) of every text golden."""
+    for example in EXAMPLE_IDS:
+        for n in (1, 2):
+            yield f"law_{example}_n{n}", serialize_law(example_material(example, n))
+    for example in LIMIT_IDS:
+        law = build_limit_law(example)
+        yield f"limit_{example}", serialize_law(law)
+        if law.memory:
+            yield f"limit_{example}_augmented", serialize_law(augment_memory(law).law)
+        for z in LIMIT_ZS:
+            yield f"limits_{example}_z{z}", cli_text("limits", "--example", example, "--z", z)
+    for example in EXAMPLES:
+        yield f"describe_{example}", cli_text("describe", "--example", example)
+        yield f"describe_{example}_n4", cli_text("describe", "--example", example, "--n", "4")
 
 
 def main():
+    (HERE / "text").mkdir(exist_ok=True)
+    for name, text in texts():
+        (HERE / "text" / f"{name}.txt").write_text(text, encoding="utf-8")
+        print(HERE / "text" / f"{name}.txt")
     for spec in SPECS:
         report = convergence_sweep(spec, jobs=2)
         name = f"{spec.example}_n{'-'.join(map(str, spec.n_list))}.csv"

@@ -230,6 +230,14 @@ class TestLimits:
         assert "must exceed nu0" in err
 
 
+    @pytest.mark.parametrize("z", ["3.0", "2.5+1j"])
+    @pytest.mark.parametrize("example", ["EX2", "EX3", "EX4", "EX5", "MAXWELL"])
+    def test_text(self, capsys, example, z, golden_text):
+        code, out, _ = run_cli(capsys, "limits", "--example", example, "--z", z)
+        assert code == 0
+        assert out == golden_text(f"limits_{example}_z{z}")
+
+
 class TestDescribe:
     def test_summary(self, capsys):
         code, out, _ = run_cli(capsys, "describe", "--example", "EX3", "--n", "2")
@@ -245,6 +253,14 @@ class TestDescribe:
         assert "n         1" in out
         assert "law       EX1(n=1)" in out
         assert "component u: 10 dof" in out
+
+    @pytest.mark.parametrize("n", [None, 4])
+    @pytest.mark.parametrize("example", ["EX1", "EX2", "EX3", "EX4", "EX5"])
+    def test_text(self, capsys, example, n, golden_text):
+        argv = ("describe", "--example", example) + (("--n", str(n)) if n else ())
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == golden_text(f"describe_{example}" + (f"_n{n}" if n else ""))
 
 
 @pytest.mark.parametrize(

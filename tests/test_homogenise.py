@@ -359,6 +359,15 @@ class TestLimitLaws:
         # the law as `evohom limits` prints it
         assert serialize_law(build_limit_law(example)) == text
 
+    @pytest.mark.parametrize("example", ["EX2", "EX3", "EX4", "EX5", "MAXWELL"])
+    def test_text_golden(self, example, golden_text):
+        # every limit law and its intrinsic elimination, exactly as recorded
+        law = build_limit_law(example)
+        assert serialize_law(law) == golden_text(f"limit_{example}")
+        if law.memory:
+            augmented = serialize_law(augment_memory(law).law)
+            assert augmented == golden_text(f"limit_{example}_augmented")
+
     def test_ex1_rejected(self):
         with pytest.raises(ValueError, match="series law"):
             build_limit_law("EX1")

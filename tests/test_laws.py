@@ -5,6 +5,7 @@ import pytest
 
 from evohom.fields import Constant, RegionIndicator, Separable2D, StripeIndicator
 from evohom.laws import (
+    EXAMPLE_IDS,
     MaterialLaw,
     MemoryTerm,
     augment_memory,
@@ -352,6 +353,13 @@ class TestSerialisation:
         assert "law EX1(n=2)" in text
         assert "components u" in text
         assert "sin_osc(2)" in text
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("example", EXAMPLE_IDS)
+    def test_example_text(self, example, n, golden_text):
+        # every oscillating law, exactly as recorded
+        text = serialize_law(example_material(example, n))
+        assert text == golden_text(f"law_{example}_n{n}")
 
     def test_memory_text(self):
         text = serialize_law(_ex5_limit_like())
