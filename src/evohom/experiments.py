@@ -25,7 +25,7 @@ from .analytic import i0_antiderivative, ode_exact, ode_hom_exact
 from .blas import one_blas_thread
 from .fields import Constant
 from .homogenise import build_limit_law
-from .laws import MaterialLaw, augment_memory, example_material
+from .laws import augment_memory, example_material, family_law
 from .meshes import build_mesh
 from .operators import (
     assemble_skew_operator,
@@ -217,16 +217,8 @@ def _ex3_plain_limit():
     # On (-1, 0) the zero-mean oscillation drops out of the limit entirely;
     # the (0, 1) restriction of this run is discarded in favour of the
     # analytic convolution solution.
-    return MaterialLaw(
-        2,
-        {(0, 0): Constant(1.0), (1, 1): Constant(1.0)},
-        {},
-        nu0=1.0,
-        dim=1,
-        domain=(-1.0, 1.0),
-        component_names=("u", "v"),
-        label="EX3-transport-limit",
-    )
+    one = Constant(1.0)
+    return family_law("EX3", "EX3-transport-limit", {(0, 0): one, (1, 1): one}, {})
 
 
 def _ex3_limits(spec):
@@ -251,12 +243,13 @@ def _ex3_limits(spec):
 # ---------------------------------------------------------------------------
 
 # One family: ``build(spec, mesh, degree, law)`` poses both the run at index
-# n (on ``run_mesh(n)``, at the spec's degree, with the oscillating law) and
-# the discrete reference (on ``ref_mesh(reference_level)``, one degree
-# higher, with ``ref_law(example)``; no ``ref_mesh``, no discrete
-# reference).  ``limits(spec)`` names the analytic reference operands,
-# paired on ``panels`` composite-Gauss panels in space.  The quantities are
-# reported in table order.
+# n (on ``run_mesh(domain, n)``, at the spec's degree, with the oscillating
+# law) and the discrete reference (on ``ref_mesh(domain, reference_level)``,
+# one degree higher, with ``ref_law(example)``; no ``ref_mesh``, no discrete
+# reference); each mesh covers the ``domain`` of the law it is posed with.
+# ``limits(spec)`` names the analytic reference operands, paired on
+# ``panels`` composite-Gauss panels in space.  The quantities are reported
+# in table order.
 _Family = namedtuple(
     "_Family", "build run_mesh ref_mesh ref_law limits panels quantities"
 )
@@ -276,12 +269,13 @@ def _pairs(prefix, tests, comps, domain, operand):
 # The lambdas below call package functions through this module's bindings at
 # call time, so that wrappers installed on them (the benchmark's tracer) see
 # every call.
-_SQUARE = ((-2.0, 2.0), (-2.0, 2.0))
 _LEFT, _RIGHT = (-1.0, 0.0), (0.0, 1.0)
 _EX45 = _Family(
     _ex45_problem,
-    lambda n: build_mesh(_SQUARE, (10 * n, 80), alignment=n, osc_region=(-1.0, 1.0)),
-    lambda level: build_mesh(_SQUARE, (56, 56) if level else (40, 40)),
+    lambda domain, n: build_mesh(
+        domain, (10 * n, 80), alignment=n, osc_region=(-1.0, 1.0)
+    ),
+    lambda domain, level: build_mesh(domain, (56, 56) if level else (40, 40)),
     lambda example: build_limit_law(example),
     lambda spec: {},
     None,
@@ -294,7 +288,7 @@ _EX45 = _Family(
 _FAMILIES = {
     "EX1": _Family(
         _ex1_problem,
-        lambda n: build_mesh((0.0, 1.0), 10 * n),
+        lambda domain, n: build_mesh(domain, 10 * n),
         None,
         None,
         _ex1_limits,
@@ -303,8 +297,8 @@ _FAMILIES = {
     ),
     "EX2": _Family(
         _ex2_problem,
-        lambda n: build_mesh((0.0, 1.0), 10 * n, alignment=n),
-        lambda level: build_mesh((0.0, 1.0), 240 if level else 160),
+        lambda domain, n: build_mesh(domain, 10 * n, alignment=n),
+        lambda domain, level: build_mesh(domain, 240 if level else 160),
         lambda example: build_limit_law(example),
         lambda spec: {},
         None,
@@ -318,8 +312,8 @@ _FAMILIES = {
     # the discrete reference on (-1, 0), the analytic limits on (0, 1)
     "EX3": _Family(
         _ex3_problem,
-        lambda n: build_mesh((-1.0, 1.0), 40 * n),
-        lambda level: build_mesh((-1.0, 1.0), 160 if level else 320),
+        lambda domain, n: build_mesh(domain, 40 * n),
+        lambda domain, level: build_mesh(domain, 160 if level else 320),
         lambda example: _ex3_plain_limit(),
         _ex3_limits,
         32,
@@ -344,7 +338,7 @@ def run_problem(spec, n):
     ``evohom describe`` show."""
     family = _FAMILIES[spec.example]
     law = example_material(spec.example, n)
-    return family.build(spec, family.run_mesh(n), spec.degree, law)
+    return family.build(spec, family.run_mesh(law.domain, n), spec.degree, law)
 
 
 def build_run(example, n, **knobs):
@@ -393,8 +387,8 @@ def _prepare(spec, level):
     family = _FAMILIES[spec.example]
     operands = family.limits(spec)
     if family.ref_mesh is not None:
-        mesh, law = family.ref_mesh(level), family.ref_law(spec.example)
-        ref = family.build(spec, mesh, spec.degree + 1, law)
+        law = family.ref_law(spec.example)
+        ref = family.build(spec, family.ref_mesh(law.domain, level), spec.degree + 1, law)
         operands["ref"] = solve_evolution(ref)
     # grid and cells apply to the analytic operands only
     analytic = {"grid": spec.grid(), "cells": family.panels}

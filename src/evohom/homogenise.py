@@ -9,8 +9,9 @@ Covers four things:
 * Schur-type block quantities of a two-part splitting (the four operators
   that characterise block convergence) and a probe metric between two
   operators' quantities,
-* the registry of limit material laws of the built-in example families,
-  with memory entries in rational form.
+* the limit material laws of the built-in example families, with memory
+  entries in rational form, each posed on its family's frame in
+  :mod:`evohom.laws` (components, domain and nu0 are written there).
 
 A brute-force periodic cell-problem FEM solve is included as an
 independent numerical oracle for the stratified formulas.
@@ -31,7 +32,7 @@ from .fields import (
     RegionIndicator,
     as_field,
 )
-from .laws import MaterialLaw, MemoryTerm, _omega1_2d
+from .laws import MemoryTerm, family_law, omega1
 from .meshes import gauss_panels, partition
 
 __all__ = [
@@ -391,12 +392,14 @@ def build_limit_law(example_id):
     """The closed-form limit material law of an oscillating example family.
 
     The limits are independent of the oscillation index, and all material
-    constants of the families are 1.  Memory entries
+    constants of the families are 1.  Each limit is posed on its family's
+    frame (:func:`evohom.laws.family_law`).  Memory entries
     are rational (c/(a + b z)); the first family's limit is not rational
     (it is the Bessel-series law of the analytic module) and is rejected
     here.
     """
     example_id = str(example_id).upper()
+    label = f"{example_id}-limit"
     one = Constant(1.0)
 
     if example_id == "EX1":
@@ -406,97 +409,72 @@ def build_limit_law(example_id):
         )
 
     if example_id == "EX2":
-        return MaterialLaw(
-            2,
-            {(0, 0): Constant(0.5), (1, 1): one},
-            {(0, 0): Constant(0.5)},
-            nu0=0.5,
-            dim=1,
-            domain=(0.0, 1.0),
-            component_names=("u", "v"),
-            label="EX2-limit",
+        return family_law(
+            example_id, label, {(0, 0): Constant(0.5), (1, 1): one}, {(0, 0): Constant(0.5)}
         )
 
     if example_id == "EX3":
         bump = RegionIndicator(0.0, 1.0)
-        return MaterialLaw(
-            2,
+        return family_law(
+            example_id,
+            label,
             {(0, 0): one, (1, 1): one},
             {},
             series={(0, 0): bump, (1, 1): bump},
-            nu0=1.0,
-            dim=1,
-            domain=(-1.0, 1.0),
-            component_names=("u", "v"),
-            label="EX3-limit",
         )
 
+    if example_id not in ("EX4", "EX5", "MAXWELL"):
+        raise ValueError(f"unknown example id {example_id!r}")
+    # The layered families: the mean formulas inside the oscillation region,
+    # 1 outside it.
+    omega = omega1(example_id)
+    ext = 1.0 - omega
+    memory = (MemoryTerm(-2.0, 1.0, 1.0, omega),)
+
     if example_id == "EX4":
-        omega1 = _omega1_2d()
-        ext = 1.0 - omega1
-        return MaterialLaw(
-            3,
+        return family_law(
+            example_id,
+            label,
             {
-                (0, 0): omega1 * 0.5 + ext,
-                (1, 1): omega1 * 1.5 + ext,
-                (2, 2): omega1 * (4.0 / 3.0) + ext,
+                (0, 0): omega * 0.5 + ext,
+                (1, 1): omega * 1.5 + ext,
+                (2, 2): omega * (4.0 / 3.0) + ext,
             },
-            {(0, 0): omega1 * 0.5},
-            nu0=0.0,
-            dim=2,
-            domain=((-2.0, 2.0), (-2.0, 2.0)),
-            component_names=("u", "vx", "vy"),
-            label="EX4-limit",
+            {(0, 0): omega * 0.5},
         )
 
     if example_id == "EX5":
-        omega1 = _omega1_2d()
-        ext = 1.0 - omega1
-        return MaterialLaw(
-            3,
+        return family_law(
+            example_id,
+            label,
             {
-                (0, 0): omega1 * 1.5 + ext,
-                (1, 1): omega1 * 0.5 + ext,
+                (0, 0): omega * 1.5 + ext,
+                (1, 1): omega * 0.5 + ext,
                 (2, 2): ext,
             },
             {
-                (1, 1): omega1 * 0.5,
-                (2, 2): omega1 * 2.0,
+                (1, 1): omega * 0.5,
+                (2, 2): omega * 2.0,
             },
-            memory={(2, 2): (MemoryTerm(-2.0, 1.0, 1.0, omega1),)},
-            nu0=0.0,
-            dim=2,
-            domain=((-2.0, 2.0), (-2.0, 2.0)),
-            component_names=("u", "vx", "vy"),
-            label="EX5-limit",
+            memory={(2, 2): memory},
         )
 
-    if example_id == "MAXWELL":
-        omega1 = RegionIndicator(-1.0, 1.0)
-        ext = 1.0 - omega1
-        e_mean = omega1 * 0.5 + ext
-        return MaterialLaw(
-            6,
-            {
-                (0, 0): ext,
-                (1, 1): e_mean,
-                (2, 2): e_mean,
-                (3, 3): omega1 * (4.0 / 3.0) + ext,
-                (4, 4): omega1 * 1.5 + ext,
-                (5, 5): omega1 * 1.5 + ext,
-            },
-            {
-                (0, 0): omega1 * 2.0,
-                (1, 1): omega1 * 0.5,
-                (2, 2): omega1 * 0.5,
-            },
-            memory={(0, 0): (MemoryTerm(-2.0, 1.0, 1.0, omega1),)},
-            nu0=0.0,
-            dim=1,
-            domain=(-2.0, 2.0),
-            component_names=("E1", "E2", "E3", "H1", "H2", "H3"),
-            label="MAXWELL-limit",
-            formula_level=True,
-        )
-
-    raise ValueError(f"unknown example id {example_id!r}")
+    e_mean = omega * 0.5 + ext
+    return family_law(
+        example_id,
+        label,
+        {
+            (0, 0): ext,
+            (1, 1): e_mean,
+            (2, 2): e_mean,
+            (3, 3): omega * (4.0 / 3.0) + ext,
+            (4, 4): omega * 1.5 + ext,
+            (5, 5): omega * 1.5 + ext,
+        },
+        {
+            (0, 0): omega * 2.0,
+            (1, 1): omega * 0.5,
+            (2, 2): omega * 0.5,
+        },
+        memory={(0, 0): memory},
+    )

@@ -23,6 +23,13 @@ The text serialisation used by the CLI extends the 1-D coefficient grammar
 * ``bessel_series()`` — the series symbol above.
 
 Laws are serialised for display/config output only; they are not parsed back.
+
+The built-in families are registered here by their frame (``_FRAMES``):
+the component names, domain and abscissa nu0 that a family's oscillating
+law (:func:`example_material`) and its homogenised limit
+(``homogenise.build_limit_law``) share.  :func:`family_law` builds every law
+of a family on its frame, and :func:`omega1` is the indicator of the
+family's oscillation region.
 """
 
 from __future__ import annotations
@@ -44,8 +51,6 @@ from .fields import (
     serialize_field,
 )
 from .meshes import partition
-
-EXAMPLE_IDS = ("EX1", "EX2", "EX3", "EX4", "EX5", "MAXWELL")
 
 
 @dataclass(frozen=True)
@@ -292,13 +297,54 @@ def augment_memory(law):
 
 
 # ---------------------------------------------------------------------------
-# Registry of the oscillating example materials
+# The frames of the built-in families and their oscillating laws
 # ---------------------------------------------------------------------------
 
+_SQUARE = ((-2.0, 2.0), (-2.0, 2.0))
+# The frame of each family, shared by its oscillating law and its limit law:
+# (component names, domain, abscissa nu0).
+_FRAMES = {
+    "EX1": (("u",), (0.0, 1.0), 1.0),
+    "EX2": (("u", "v"), (0.0, 1.0), 0.5),
+    "EX3": (("u", "v"), (-1.0, 1.0), 1.0),
+    "EX4": (("u", "vx", "vy"), _SQUARE, 0.0),
+    "EX5": (("u", "vx", "vy"), _SQUARE, 0.0),
+    # the conductive stratified medium, kept at formula level (the
+    # coefficients depend on the stratification coordinate only)
+    "MAXWELL": (("E1", "E2", "E3", "H1", "H2", "H3"), (-2.0, 2.0), 0.0),
+}
+EXAMPLE_IDS = tuple(_FRAMES)
 
-def _omega1_2d():
+
+def family_law(example_id, label, m0, m1, **z_parts):
+    """A law with entries ``m0`` and ``m1`` on the frame of a family.
+
+    The frame fixes the components, the domain (and so the dimension) and
+    nu0; only MAXWELL's laws are formula level.  ``z_parts`` are the
+    ``memory`` and ``series`` entries of :class:`MaterialLaw`.
+    """
+    names, domain, nu0 = _FRAMES[example_id]
+    return MaterialLaw(
+        len(names),
+        m0,
+        m1,
+        nu0=nu0,
+        dim=np.ndim(domain),
+        domain=domain,
+        component_names=names,
+        label=label,
+        formula_level=example_id == "MAXWELL",
+        **z_parts,
+    )
+
+
+def omega1(example_id):
+    """Indicator of a family's oscillation region (-1, 1), the box
+    (-1, 1)^2 on a 2-D frame."""
     box = RegionIndicator(-1.0, 1.0)
-    return Separable2D([(box, box)])
+    if np.ndim(_FRAMES[example_id][1]) == 2:
+        return Separable2D([(box, box)])
+    return box
 
 
 def example_material(example_id, n=1):
@@ -314,109 +360,60 @@ def example_material(example_id, n=1):
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError("oscillation index n must be a positive integer")
     n = int(n)
+    label = f"{example_id}(n={n})"
     one = Constant(1.0)
 
     if example_id == "EX1":
-        return MaterialLaw(
-            1,
-            {(0, 0): one},
-            {(0, 0): SineOsc(n)},
-            nu0=1.0,
-            dim=1,
-            domain=(0.0, 1.0),
-            component_names=("u",),
-            label=f"EX1(n={n})",
-        )
+        return family_law(example_id, label, {(0, 0): one}, {(0, 0): SineOsc(n)})
 
     if example_id == "EX2":
         stripe = StripeIndicator(n)
-        return MaterialLaw(
-            2,
-            {(0, 0): stripe, (1, 1): one},
-            {(0, 0): 1.0 - stripe},
-            nu0=0.5,
-            dim=1,
-            domain=(0.0, 1.0),
-            component_names=("u", "v"),
-            label=f"EX2(n={n})",
+        return family_law(
+            example_id, label, {(0, 0): stripe, (1, 1): one}, {(0, 0): 1.0 - stripe}
         )
 
     if example_id == "EX3":
         osc = SineOsc(n)
-        return MaterialLaw(
-            2,
-            {(0, 0): one, (1, 1): one},
-            {(0, 0): osc, (1, 1): osc},
-            nu0=1.0,
-            dim=1,
-            domain=(-1.0, 1.0),
-            component_names=("u", "v"),
-            label=f"EX3(n={n})",
+        return family_law(
+            example_id, label, {(0, 0): one, (1, 1): one}, {(0, 0): osc, (1, 1): osc}
         )
 
+    # The layered families: stripes across x inside the oscillation region,
+    # 1 outside it.
+    omega = omega1(example_id)
+    stripe = StripeIndicator(n)
+    if isinstance(omega, Separable2D):
+        stripe = Separable2D.of_x(stripe)
+    ext = 1.0 - omega
+    low = omega * (1.0 - stripe) + ext
+    high = omega * (1.0 + stripe) + ext
+    cond = omega * stripe
+
     if example_id == "EX4":
-        omega1 = _omega1_2d()
-        stripe = Separable2D.of_x(StripeIndicator(n))
-        ext = 1.0 - omega1
-        return MaterialLaw(
-            3,
-            {
-                (0, 0): omega1 * (1.0 - stripe) + ext,
-                (1, 1): omega1 * (1.0 + stripe) + ext,
-                (2, 2): omega1 * (1.0 + stripe) + ext,
-            },
-            {(0, 0): omega1 * stripe},
-            nu0=0.0,
-            dim=2,
-            domain=((-2.0, 2.0), (-2.0, 2.0)),
-            component_names=("u", "vx", "vy"),
-            label=f"EX4(n={n})",
+        return family_law(
+            example_id, label, {(0, 0): low, (1, 1): high, (2, 2): high}, {(0, 0): cond}
         )
 
     if example_id == "EX5":
-        omega1 = _omega1_2d()
-        stripe = Separable2D.of_x(StripeIndicator(n))
-        ext = 1.0 - omega1
-        return MaterialLaw(
-            3,
-            {
-                (0, 0): omega1 * (1.0 + stripe) + ext,
-                (1, 1): omega1 * (1.0 - stripe) + ext,
-                (2, 2): omega1 * (1.0 - stripe) + ext,
-            },
-            {(1, 1): omega1 * stripe, (2, 2): omega1 * stripe},
-            nu0=0.0,
-            dim=2,
-            domain=((-2.0, 2.0), (-2.0, 2.0)),
-            component_names=("u", "vx", "vy"),
-            label=f"EX5(n={n})",
+        return family_law(
+            example_id,
+            label,
+            {(0, 0): high, (1, 1): low, (2, 2): low},
+            {(1, 1): cond, (2, 2): cond},
         )
 
-    # MAXWELL: conductive stratified medium, kept at formula level (the
-    # coefficients depend on the stratification coordinate only).
-    omega1 = RegionIndicator(-1.0, 1.0)
-    stripe = StripeIndicator(n)
-    ext = 1.0 - omega1
-    e_coeff = omega1 * (1.0 - stripe) + ext
-    h_coeff = omega1 * (1.0 + stripe) + ext
-    cond = omega1 * stripe
-    return MaterialLaw(
-        6,
+    return family_law(
+        example_id,
+        label,
         {
-            (0, 0): e_coeff,
-            (1, 1): e_coeff,
-            (2, 2): e_coeff,
-            (3, 3): h_coeff,
-            (4, 4): h_coeff,
-            (5, 5): h_coeff,
+            (0, 0): low,
+            (1, 1): low,
+            (2, 2): low,
+            (3, 3): high,
+            (4, 4): high,
+            (5, 5): high,
         },
         {(0, 0): cond, (1, 1): cond, (2, 2): cond},
-        nu0=0.0,
-        dim=1,
-        domain=(-2.0, 2.0),
-        component_names=("E1", "E2", "E3", "H1", "H2", "H3"),
-        label=f"MAXWELL(n={n})",
-        formula_level=True,
     )
 
 

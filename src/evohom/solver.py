@@ -52,7 +52,9 @@ class EvolutionProblem:
 
     ``forcing`` is a sequence of separable terms ``(g, b)`` with ``g`` a
     scalar time signal and ``b`` a stacked spatial load vector; ``u0`` is a
-    stacked coefficient vector of the initial datum (default zero).
+    stacked coefficient vector of the initial datum (default zero).  The
+    law's Galerkin masses are assembled unless ``m0mat`` and ``m1mat`` are
+    passed preassembled; the law names the components either way.
     """
 
     def __init__(
@@ -70,7 +72,7 @@ class EvolutionProblem:
         self.spaces = tuple(spaces)
         self.law = law
         self.operator = operator
-        if law is not None and law.ncomp != len(self.spaces):
+        if law.ncomp != len(self.spaces):
             raise ValueError("law and spaces disagree on the component count")
         if operator.ncomp != len(self.spaces):
             raise ValueError("operator and spaces disagree on the component count")
@@ -89,8 +91,6 @@ class EvolutionProblem:
             self.m0mat = sp.csr_matrix(m0mat)
             self.m1mat = sp.csr_matrix(m1mat)
         else:
-            if law is None:
-                raise ValueError("either a law or preassembled masses are required")
             self.m0mat, self.m1mat = assemble_law_masses(self.spaces, law)
         if self.m0mat.shape != (self.ndof, self.ndof) or self.m1mat.shape != (
             self.ndof,

@@ -251,3 +251,36 @@ def test_one_gauss_legendre_source():
         if any(name == "leggauss" for name, _, _ in _references(ast.parse(p.read_text("utf-8"))))
     ]
     assert users == ["meshes"]
+
+
+def law_constructions(modules):
+    """``module:line`` of every call of ``MaterialLaw`` (by name or as an
+    attribute) in ``modules`` (module name -> source) outside ``laws``."""
+    return sorted(
+        f"{mod}:{node.lineno}"
+        for mod, src in modules.items()
+        if mod != "laws"
+        for node in ast.walk(ast.parse(src))
+        if isinstance(node, ast.Call)
+        and "MaterialLaw" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+def test_scanner_finds_a_law_built_outside_laws():
+    modules = {
+        "laws": "class MaterialLaw:\n    pass\ndef family_law():\n    return MaterialLaw()\n",
+        "homogenise": "from .laws import MaterialLaw\n\nlaw = MaterialLaw(1, {}, {})\n",
+        "experiments": (
+            '"""MaterialLaw(1, {}, {}) in a docstring is no call."""\n'
+            "from . import laws\n"
+            "law = laws.MaterialLaw(2, {}, {})\n"
+            "kind = laws.MaterialLaw\n"
+        ),
+    }
+    assert law_constructions(modules) == ["experiments:3", "homogenise:3"]
+
+
+def test_laws_are_built_in_laws_only():
+    # every family's frame is written once, in laws._FRAMES
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert law_constructions(modules) == []

@@ -17,7 +17,8 @@ from evohom.experiments import (
 )
 import evohom.reporting as reporting
 from evohom.homogenise import build_limit_law
-from evohom.laws import example_material
+from evohom.fields import Constant
+from evohom.laws import MaterialLaw, example_material
 from evohom.meshes import build_mesh
 from evohom.operators import assemble_skew_operator
 from evohom.reporting import (
@@ -63,6 +64,12 @@ def _norm_on(u, ref, k, subdomain):
     return strong_norm_reader(u.problem, ref, k, subdomain)(u.coeffs)
 
 
+def _unit_law(ncomp):
+    """A law of unit masses: it names the components of a problem whose
+    masses are preassembled."""
+    return MaterialLaw(ncomp, {(i, i): Constant(1.0) for i in range(ncomp)}, {})
+
+
 def _linear_solution(ncells=4, span=(0.0, 1.0), fn=None, u0=None, slabs=8, grid=None):
     """Solve M u' = b with b the load of ``fn``: u(t, x) = t * fn_proj(x)."""
     mesh = build_mesh(span, ncells)
@@ -72,7 +79,7 @@ def _linear_solution(ncells=4, span=(0.0, 1.0), fn=None, u0=None, slabs=8, grid=
     b = restricted_load(space, fn if fn is not None else 1.0)
     problem = EvolutionProblem(
         (space,),
-        None,
+        _unit_law(1),
         op,
         grid or TimeGrid.uniform(2.0, slabs),
         forcing=((lambda t: 1.0, b),),
@@ -108,7 +115,7 @@ def _vector_solution(cells=(2, 2), span=((-2.0, 2.0), (-2.0, 2.0)), degree=0):
     )
     problem = EvolutionProblem(
         spaces,
-        None,
+        _unit_law(3),
         op,
         TimeGrid.uniform(2.0, 8),
         forcing=((lambda t: 1.0, b),),
@@ -208,7 +215,7 @@ class TestStrongNormDiff:
         mass = gram1d(space, space)
         problem = EvolutionProblem(
             (space,),
-            None,
+            _unit_law(1),
             op,
             TimeGrid.uniform(2.0, 4),
             u0=3.0 * np.ones(space.ndof),

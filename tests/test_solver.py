@@ -25,6 +25,9 @@ from evohom.spaces import (
 )
 from evohom.timequad import TimeGrid, temporal_basis
 
+# names the one component of the problems whose masses are preassembled
+_UNIT_LAW = MaterialLaw(1, {(0, 0): Constant(1.0)}, {})
+
 
 def _scalar_problem(m0=1.0, m1=1.0, grid=None, forcing=(), u0=0.0, rho=0.0):
     """One spatial DOF (P0 on a unit cell): the scheme reduces to an ODE."""
@@ -33,7 +36,7 @@ def _scalar_problem(m0=1.0, m1=1.0, grid=None, forcing=(), u0=0.0, rho=0.0):
     grid = grid or TimeGrid.uniform(1.0, 8)
     return EvolutionProblem(
         (space,),
-        None,
+        _UNIT_LAW,
         op,
         grid,
         forcing=forcing,
@@ -154,7 +157,7 @@ class TestOscillatingODEFamily:
         b = restricted_load(space, 1.0)
         problem = EvolutionProblem(
             (space,),
-            None,
+            _UNIT_LAW,
             op,
             grid,
             forcing=[(lambda t: 1.0, b)],
@@ -271,7 +274,7 @@ class TestSolutionInterface:
         space = GaussLineSpace(mesh, 0)
         problem = EvolutionProblem(
             (space,),
-            None,
+            _UNIT_LAW,
             assemble_skew_operator("zero", (space,)),
             TimeGrid.uniform(1.0, 4),
             forcing=[(lambda t: 1.0, restricted_load(space, 1.0))],
@@ -290,9 +293,7 @@ class TestProblemValidation:
         op = assemble_skew_operator("zero", (space,))
         grid = TimeGrid.uniform(1.0, 2)
         with pytest.raises(ValueError, match="both m0mat and m1mat"):
-            EvolutionProblem((space,), None, op, grid, m0mat=sp.eye(1))
-        with pytest.raises(ValueError, match="law or preassembled"):
-            EvolutionProblem((space,), None, op, grid)
+            EvolutionProblem((space,), _UNIT_LAW, op, grid, m0mat=sp.eye(1))
 
     def test_forcing_shape_checked(self):
         space = GaussLineSpace(build_mesh((0.0, 1.0), 1), 0)
@@ -301,7 +302,7 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="stacked over all DOFs"):
             EvolutionProblem(
                 (space,),
-                None,
+                _UNIT_LAW,
                 op,
                 grid,
                 forcing=[(lambda t: 1.0, np.zeros(3))],
