@@ -9,8 +9,8 @@ of one sweep that the tier-1 tests already run (``test_jobs_deterministic``
 and ``test_ex5_dichotomy``); those tests compare their rows to it at 1e-10
 relative through the ``assert_golden`` fixture.  Each ``text/<name>.txt``
 holds the exact text of one law (``serialize_law``) or of one ``evohom
-limits`` or ``evohom describe`` command, which the tests that print it
-compare exactly through the ``golden_text`` fixture.  A change that moves a
+limits``, ``describe``, ``quadrature`` or ``oracle`` command, which the
+tests that print it compare exactly through the ``golden_text`` fixture.  A change that moves a
 golden states the largest relative move (or the changed text) and why.
 """
 
@@ -34,6 +34,13 @@ SPECS = (
 )
 LIMIT_IDS = ("EX2", "EX3", "EX4", "EX5", "MAXWELL")
 LIMIT_ZS = ("3.0", "2.5+1j")
+QUADRATURES = (("0.5", "0.0"), ("0.25", "2.0"))
+ORACLES = {
+    "ode": ("--n", "1", "--t", "1.0", "--x", "0.25"),
+    "hom": ("--t", "0.5"),
+    "i0": ("--t", "0.5"),
+    "series": ("--z", "3.0"),
+}
 
 
 def cli_text(*argv):
@@ -61,6 +68,10 @@ def texts():
     for example in EXAMPLES:
         yield f"describe_{example}", cli_text("describe", "--example", example)
         yield f"describe_{example}_n4", cli_text("describe", "--example", example, "--n", "4")
+    for h, rho in QUADRATURES:
+        yield f"quadrature_h{h}_rho{rho}", cli_text("quadrature", "--h", h, "--rho", rho)
+    for which, argv in ORACLES.items():
+        yield f"oracle_{which}", cli_text("oracle", "--which", which, *argv)
 
 
 def main():

@@ -30,6 +30,12 @@ class TestQuadrature:
         assert rows[("weight", 1)] == pytest.approx(0.125)
         assert rows[("moment", 0)] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("h, rho", [("0.5", "0.0"), ("0.25", "2.0")])
+    def test_text(self, capsys, h, rho, golden_text):
+        code, out, _ = run_cli(capsys, "quadrature", "--h", h, "--rho", rho)
+        assert code == 0
+        assert out == golden_text(f"quadrature_h{h}_rho{rho}")
+
     def test_bad_slab(self, capsys):
         code, _, err = run_cli(capsys, "quadrature", "--h", "-1.0")
         assert code == 3
@@ -52,6 +58,19 @@ class TestOracle:
         vals = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
         assert vals[0] == pytest.approx(vals[1], abs=1e-9)
         assert vals[1] == pytest.approx(np.sqrt(1.0 - 3.0**-2), rel=1e-12)
+
+    ARGS = {
+        "ode": ("--n", "1", "--t", "1.0", "--x", "0.25"),
+        "hom": ("--t", "0.5"),
+        "i0": ("--t", "0.5"),
+        "series": ("--z", "3.0"),
+    }
+
+    @pytest.mark.parametrize("which", ARGS)
+    def test_text(self, capsys, which, golden_text):
+        code, out, _ = run_cli(capsys, "oracle", "--which", which, *self.ARGS[which])
+        assert code == 0
+        assert out == golden_text(f"oracle_{which}")
 
     def test_missing_argument(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--which", "ode", "--t", "1.0")
