@@ -31,7 +31,6 @@ __all__ = [
     "ode_exact",
     "bessel_i0",
     "i0_antiderivative",
-    "ode_hom_exact",
     "conv_i0",
     "series_material_law",
     "series_closed_form",
@@ -87,7 +86,8 @@ def bessel_i0(x):
 
 
 def i0_antiderivative(t):
-    """int_0^t I_0 by termwise integration of the series.
+    """int_0^t I_0 by termwise integration of the series: the homogenised
+    solution u_hom at time t under the unit-step source (no quadrature error).
 
     int_0^t I_0 = sum_m t^{2m+1} / ((m!)^2 4^m (2m+1)).
     """
@@ -109,18 +109,6 @@ def i0_antiderivative(t):
         out[i] = total
     out = out.reshape(np.shape(t))
     return out if out.ndim else float(out)
-
-
-def ode_hom_exact(t, source=None):
-    """Homogenised solution int_0^t I_0(t-s) f(s) ds at time t.
-
-    The unit-step source integrates the I_0 series termwise (no
-    quadrature error); callable sources use the fixed rule of :func:`conv_i0`.
-    """
-    _check_times(t)
-    if source is None:
-        return i0_antiderivative(t)
-    return conv_i0(source, t)
 
 
 # Gauss-Legendre points per unit of time in conv_i0.  On the sweep's source

@@ -10,7 +10,8 @@ oracle      evaluate the closed-form reference solutions
 describe    summarise a run's mesh, spaces, and unknown counts
 
 Exit codes: 0 on success, 2 on solver failure (numerical breakdown),
-3 on validation failure (bad ids, malformed options, config errors).
+3 on validation failure (bad ids, malformed options, config errors) and
+on an ``--out`` path that cannot be written, which is opened before solving.
 """
 
 import argparse
@@ -23,7 +24,6 @@ from .analytic import (
     bessel_i0,
     i0_antiderivative,
     ode_exact,
-    ode_hom_exact,
     series_closed_form,
     series_material_law,
 )
@@ -35,12 +35,20 @@ from .experiments import (
 )
 from .homogenise import build_limit_law
 from .laws import augment_memory, entry_blocks, eval_material_law, serialize_law
+from .reporting import write_csv
 from .solver import solve_evolution
 from .timequad import build_radau_rule, weighted_moments
 
 __all__ = ["main"]
 
-_CSV_HEADER = "example,n,quantity,value"
+# Run knobs beside example and n: config cast and help text.  Their
+# defaults are ExperimentSpec's.
+_KNOBS = {
+    "slabs": (int, "time slabs"),
+    "rho": (float, "quadrature weight"),
+    "degree": (int, "element degree"),
+    "T": (float, "final time"),
+}
 
 # Representative sample points for the numeric tensors of each limit law:
 # one inside the (former) oscillation region, one outside where present.
@@ -72,7 +80,7 @@ def _fmt(v):
 def _read_config(path):
     """Plain-text key-value run configuration (one ``key = value`` per line,
     ``#`` comments); keys mirror the experiment-spec fields."""
-    allowed = {"example", "n", "n_list", "slabs", "rho", "degree", "T"}
+    allowed = {"example", "n", "n_list", *_KNOBS}
     out = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -111,17 +119,12 @@ def _merge_spec(args, *, need_n):
     if example is None:
         raise ValueError("an example id is required (--example or config)")
 
-    def pick(flag, key, cast, default):
-        if flag is not None:
-            return flag
-        if key in cfg:
-            return cast(cfg[key])
-        return default
-
-    slabs = pick(args.slabs, "slabs", int, 64)
-    rho = pick(args.rho, "rho", float, 0.0)
-    degree = pick(args.degree, "degree", int, 1)
-    T = pick(args.T, "T", float, 2.0)
+    knobs = {}
+    for key, (cast, _) in _KNOBS.items():
+        if getattr(args, key) is not None:
+            knobs[key] = getattr(args, key)
+        elif key in cfg:
+            knobs[key] = cast(cfg[key])
     if need_n:
         n = args.n if args.n is not None else cfg.get("n")
         if n is None:
@@ -130,7 +133,7 @@ def _merge_spec(args, *, need_n):
     else:
         raw = args.n_list if args.n_list is not None else cfg.get("n_list")
         n_list = _parse_n_list(raw) if raw is not None else ()
-    return ExperimentSpec(example, n_list, slabs, rho, degree, T)
+    return ExperimentSpec(example, n_list, **knobs)
 
 
 def _add_run_knobs(parser, *, need_n):
@@ -141,10 +144,9 @@ def _add_run_knobs(parser, *, need_n):
         parser.add_argument(
             "--n-list", dest="n_list", help="comma-separated indices, e.g. 2,4,8"
         )
-    parser.add_argument("--slabs", type=int, help="time slabs (default 64)")
-    parser.add_argument("--rho", type=float, help="quadrature weight (default 0)")
-    parser.add_argument("--degree", type=int, help="element degree (default 1)")
-    parser.add_argument("--T", type=float, help="final time (default 2)")
+    for key, (cast, text) in _KNOBS.items():
+        default = getattr(ExperimentSpec, key)
+        parser.add_argument(f"--{key}", type=cast, help=f"{text} (default {default:g})")
     parser.add_argument("--config", help="key = value file with the same fields")
 
 
@@ -152,9 +154,8 @@ def _cmd_run(args):
     spec = _merge_spec(args, need_n=True)
     n = spec.n_list[0]
     sol = solve_evolution(run_problem(spec, n))
-    print(_CSV_HEADER)
-    for name, value in solution_norms(sol).items():
-        print(f"{spec.example},{n},norm_{name},{_fmt(value)}")
+    rows = [(n, f"norm_{name}", value) for name, value in solution_norms(sol).items()]
+    write_csv(sys.stdout, spec.example, rows)
     return 0
 
 
@@ -163,9 +164,7 @@ def _cmd_sweep(args):
     report = convergence_sweep(
         spec, out=args.out, jobs=args.jobs, reference_level=args.reference_level
     )
-    print(_CSV_HEADER)
-    for n, quantity, value in report.rows:
-        print(f"{spec.example},{n},{quantity},{_fmt(value)}")
+    write_csv(sys.stdout, spec.example, report.rows)
     return 0
 
 
@@ -219,8 +218,8 @@ def _cmd_oracle(args):
     elif which == "hom":
         if args.t is None:
             raise ValueError("oracle hom needs --t")
-        print(f"u_hom,{_fmt(float(ode_hom_exact(args.t)))}")
-        print(f"i0_antiderivative,{_fmt(float(i0_antiderivative(args.t)))}")
+        value = _fmt(float(i0_antiderivative(args.t)))  # u_hom of the unit step
+        print(f"u_hom,{value}\ni0_antiderivative,{value}")
     elif which == "i0":
         if args.t is None:
             raise ValueError("oracle i0 needs --t")
@@ -314,7 +313,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"evohom: error: {exc}", file=sys.stderr)
         return 3
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -15,13 +15,13 @@ it; fitted log-log rates are appended as n = 0 rows.
 
 import math
 from collections import namedtuple
-from contextlib import closing
+from contextlib import closing, nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import i0_antiderivative, ode_exact, ode_hom_exact
+from .analytic import conv_i0, i0_antiderivative, ode_exact
 from .blas import one_blas_thread
 from .fields import Constant
 from .homogenise import build_limit_law
@@ -208,7 +208,7 @@ def _ex45_problem(spec, mesh, degree, law):
 
 def _ex1_limits(spec):
     def hom(t, xs):
-        return np.full(np.shape(xs), ode_hom_exact(t))
+        return np.full(np.shape(xs), i0_antiderivative(t))
 
     return {"hom": hom}
 
@@ -226,7 +226,7 @@ def _ex3_limits(spec):
     # slab-Gauss times of the spec's grid (the runs' grid), so its time
     # factors are computed there, all at once.
     tq = slab_gauss(spec.grid())[0].ravel()
-    u_table = dict(zip(tq.tolist(), ode_hom_exact(tq, source=_sin2pit).tolist()))
+    u_table = dict(zip(tq.tolist(), conv_i0(_sin2pit, tq).tolist()))
     v_table = dict(zip(tq.tolist(), i0_antiderivative(tq).tolist()))
 
     def u_right(t, xs):
@@ -376,7 +376,7 @@ def oracle_pairing_series(n_list, name="x", *, cells=None):
     for n in n_list:
         n = int(n)
         ncell = int(cells) if cells is not None else max(64, 8 * n)
-        diff = lambda t, x, _n=n: ode_exact(_n, t, x) - ode_hom_exact(t)
+        diff = lambda t, x, _n=n: ode_exact(_n, t, x) - i0_antiderivative(t)
         val = pairing(diff, name, domain=(0.0, 1.0), grid=grid, cells=ncell)
         out.append((n, abs(val)))
     return out
@@ -443,10 +443,12 @@ def convergence_sweep(spec, out=None, jobs=1, reference_level=0):
     not compete with BLAS threads for the cores.
     ``reference_level`` = 1 swaps in the alternative reference resolution
     for self-consistency studies; any value but 0 or 1 raises ValueError
-    before anything is solved or written.  On failure, the reference's
-    included, the partial CSV is flushed with an error row before the
-    exception propagates; a run that starts after the reference failed is
-    not solved.
+    before anything is solved or written.  ``out``, when given, is opened
+    (and truncated) next, before anything is solved, so a path that cannot
+    be written raises OSError at once; the report CSV is written to it.
+    On failure, the reference's included, the partial CSV is flushed with
+    an error row before the exception propagates; a run that starts after
+    the reference failed is not solved.
     """
     if not isinstance(spec, ExperimentSpec):
         raise TypeError("convergence_sweep expects an ExperimentSpec")
@@ -455,6 +457,17 @@ def convergence_sweep(spec, out=None, jobs=1, reference_level=0):
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if reference_level not in (0, 1):
         raise ValueError(f"reference_level must be 0 or 1, got {reference_level!r}")
+    sink = nullcontext() if out is None else open(out, "w", encoding="utf-8", newline="")
+    with sink as fh:
+        report = _sweep(spec, jobs, reference_level, fh)
+        if fh is not None:
+            write_csv(fh, spec.example, report.rows)
+    return report
+
+
+def _sweep(spec, jobs, reference_level, fh):
+    """The report of :func:`convergence_sweep`; on failure the rows so far
+    and an error row are written to ``fh`` (if not None)."""
     rows = []
     try:
         with one_blas_thread(), ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -475,8 +488,8 @@ def convergence_sweep(spec, out=None, jobs=1, reference_level=0):
                 for fut in futures.values():
                     fut.cancel()  # runs not yet started, on failure
     except Exception:
-        if out is not None:
-            write_csv(out, spec.example, rows + [(0, "error", float("nan"))])
+        if fh is not None:
+            write_csv(fh, spec.example, rows + [(0, "error", float("nan"))])
         raise
     by_quantity = {}
     for n, q, v in rows:
@@ -490,7 +503,4 @@ def convergence_sweep(spec, out=None, jobs=1, reference_level=0):
             and max(values) / min(values) - 1.0 > _FLAT_RTOL
         ):
             rows.append((0, f"slope_{q}", fit_rate(series)))
-    report = ConvergenceReport(spec.example, tuple(rows))
-    if out is not None:
-        report.write(out)
-    return report
+    return ConvergenceReport(spec.example, tuple(rows))

@@ -338,14 +338,11 @@ class ConvergenceReport:
                 return v
         raise KeyError(f"no row ({n}, {quantity!r})")
 
-    def write(self, path):
-        write_csv(path, self.example, self.rows)
 
-
-def write_csv(path, example, rows):
-    """CSV with columns exactly example, n, quantity, value."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["example", "n", "quantity", "value"])
-        for n, q, v in rows:
-            writer.writerow([example, int(n), q, f"{float(v):.12e}"])
+def write_csv(fh, example, rows):
+    """CSV with columns exactly example, n, quantity, value, written to the
+    open text stream ``fh``."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["example", "n", "quantity", "value"])
+    for n, q, v in rows:
+        writer.writerow([example, int(n), q, f"{float(v):.12e}"])

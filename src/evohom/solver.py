@@ -20,13 +20,13 @@ conjugate eigenpair.  In the basis Z = U V^{-T} the slab splits into
     (lam M0 + M1 + A) z = w0 b^0 + w1 b^1,   w = lam's row of (T0 V)^{-1},
 
 and its complex conjugate, so U^i = 2 Re(V[i, 0] z).  :func:`march` factors
-this one complex N x N matrix once per class of equal slab lengths
-(:meth:`TimeGrid.length_classes`), makes one complex solve per slab and
-yields each slab's coefficients; :func:`solve_evolution` stores them.  The
-change of basis costs about log10 cond(V) digits: cond(V) is 2.4 at
-rho*h = 0, 14 at rho*h = 2, 1.2e3 at rho*h = 6 and above 1e7 from
-rho*h = 15, where the pair all but coalesces, so the march refuses
-pencils with cond(V) > _PENCIL_COND_MAX.
+this one complex N x N matrix once per run of consecutive slabs of equal
+length, makes one complex solve per slab and yields each slab's
+coefficients; :func:`solve_evolution` stores them.  The change of basis
+costs about log10 cond(V) digits: cond(V) is 2.4 at rho*h = 0, 14 at
+rho*h = 2, 1.2e3 at rho*h = 6 and above 1e7 from rho*h = 15, where the
+pair all but coalesces, so the march refuses pencils with
+cond(V) > _PENCIL_COND_MAX.
 """
 
 from __future__ import annotations
@@ -186,6 +186,10 @@ def _temporal_pencil(rule):
 def march(problem):
     """Yield ``(m, coefficients of slab m)``, arrays (2, ndof), for m = 1, 2, ...
 
+    One LU is alive at a time, with its pencil.  A slab whose length is
+    within 1e-12 (relative) of the first slab of the current run reuses
+    them (the lengths of a uniform grid differ by a few ulps); any other
+    length starts a new run, which drops the old LU and factorises anew.
     The pencil, the factorisations and the march run with one BLAS thread
     (:func:`one_blas_thread`): SuperLU's BLAS calls on these systems gain no
     wall time from more threads, only CPU time, and a sweep that runs
@@ -195,14 +199,13 @@ def march(problem):
         grid = problem.grid
         spatial = (problem.m1mat + problem.operator.matrix).tocsr()
         prev = problem.m0mat @ problem.u0
-        labels = grid.length_classes()
-        last = {label: m for m, label in enumerate(labels, start=1)}
-        factors = {}
-        for m, label in enumerate(labels, start=1):
+        h_run = 0.0  # length of the first slab of the current run
+        for m in range(1, grid.num_slabs + 1):
             rule = build_radau_rule(grid.slab(m), problem.rho)
-            if label not in factors:
+            if abs(rule.h - h_run) > 1e-12 * h_run:
+                h_run = rule.h
                 lam, v, w = _temporal_pencil(rule)
-                # release the previous class's LU before factorising, so
+                # release the previous run's LU before factorising, so
                 # that two factorisations are not alive at the peak
                 lu = None
                 try:
@@ -211,10 +214,6 @@ def march(problem):
                     raise RuntimeError(
                         f"singular slab system at slab {m}: {exc}"
                     ) from exc
-                factors[label] = lu, v, w
-            lu, v, w = factors[label]
-            if last[label] == m:
-                del factors[label]  # no later slab has this length
             b = _slab_rhs(problem, rule, prev)
             # elementwise, not w @ b: numpy sends that complex-by-real product
             # to a threaded BLAS gemv, measured at 6 ms instead of 0.02 ms per

@@ -99,23 +99,6 @@ class TimeGrid:
         """
         return np.diff(self.t_points)[:, None] * np.array([1.0, 1.0 / 3.0])
 
-    def length_classes(self):
-        """Class label of each slab (0-based, in order of first appearance).
-
-        A slab joins the class of the first slab not yet labelled when its
-        length h satisfies |h - h_first| <= 1e-12 * h_first, so the slabs
-        of a class share the first one's slab matrix to roundoff (the
-        lengths of a ``uniform`` grid differ by a few ulps).
-        """
-        h = np.diff(self.t_points)
-        labels = np.full(h.size, -1)
-        label = 0
-        while (free := np.flatnonzero(labels < 0)).size:
-            first = h[free[0]]
-            labels[free[np.abs(h[free] - first) <= 1e-12 * first]] = label
-            label += 1
-        return labels
-
 
 def weighted_moments(h, rho, k_max):
     """Moments mu_k = int_0^h t^k exp(-2*rho*t) dt for k = 0..k_max.

@@ -19,7 +19,6 @@ from evohom.analytic import (
     i0_antiderivative,
     laplace_i0,
     ode_exact,
-    ode_hom_exact,
     series_closed_form,
     series_material_law,
 )
@@ -116,11 +115,11 @@ class TestBesselI0:
 
 class TestOdeHomExact:
     def test_at_zero(self):
-        assert ode_hom_exact(0.0) == 0.0
+        assert i0_antiderivative(0.0) == 0.0
 
     @pytest.mark.parametrize("t", sorted(I0_INT_ORACLE))
     def test_unit_step_frozen(self, t):
-        assert ode_hom_exact(t) == pytest.approx(I0_INT_ORACLE[t], rel=1e-13)
+        assert i0_antiderivative(t) == pytest.approx(I0_INT_ORACLE[t], rel=1e-13)
 
     def test_termwise_matches_quadrature(self):
         for t in (0.5, 1.0, 2.0):
@@ -147,11 +146,11 @@ class TestOdeHomExact:
 
     @pytest.mark.parametrize("t", sorted(CONV_SIN_ORACLE))
     def test_sine_source_frozen(self, t):
-        val = ode_hom_exact(t, source=lambda s: math.sin(2.0 * math.pi * s))
+        val = conv_i0(lambda s: math.sin(2.0 * math.pi * s), t)
         assert val == pytest.approx(CONV_SIN_ORACLE[t], rel=1e-9)
 
     def test_zero_source(self):
-        assert ode_hom_exact(1.0, source=lambda s: 0.0) == 0.0
+        assert conv_i0(lambda s: 0.0, 1.0) == 0.0
 
 
 class TestSeriesLaw:

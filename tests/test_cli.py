@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import evohom.cli as cli
+import evohom.solver as solver
 from evohom.cli import main
 
 
@@ -187,6 +188,17 @@ class TestSweep:
         assert code == 3
         assert "jobs must be at least 1" in err
         assert out == "" and not out_file.exists()
+
+    def test_unwritable_out_fails_before_solving(self, capsys, tmp_path, monkeypatch):
+        factorised = []
+        monkeypatch.setattr(solver, "splu", lambda matrix: factorised.append(matrix))
+        out_file = tmp_path / "missing" / "report.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--example", "EX1", "--slabs", "4", "--out", str(out_file)
+        )
+        assert code == 3
+        assert err.startswith("evohom: error:") and "report.csv" in err
+        assert out == "" and factorised == []
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--config", "/nonexistent.cfg")

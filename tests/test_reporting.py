@@ -1,13 +1,14 @@
 """Tests for pairings, strong norms, rate fits, and CSV reports."""
 
 import importlib
+import io
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from evohom.analytic import ode_exact, ode_hom_exact
+from evohom.analytic import i0_antiderivative, ode_exact
 from evohom.experiments import (
     ExperimentSpec,
     _ex3_problem,
@@ -144,7 +145,7 @@ class TestPairingCallable:
     def test_oracle_reference_value(self):
         grid = TimeGrid.uniform(2.0, 64)
         val = pairing(
-            lambda t, x: ode_exact(1, t, x) - ode_hom_exact(t),
+            lambda t, x: ode_exact(1, t, x) - i0_antiderivative(t),
             "x",
             domain=(0.0, 1.0),
             grid=grid,
@@ -461,7 +462,7 @@ class TestFitRate:
 
 
 class TestConvergenceReport:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         rows = [
             (1, "pair_u_x", 0.24),
             (2, "pair_u_x", 0.12),
@@ -472,9 +473,9 @@ class TestConvergenceReport:
         assert rep.quantities() == ("pair_u_x",)
         assert fit_rate(rep.series("pair_u_x")) == pytest.approx(-1.0, abs=1e-10)
         assert rep.value(2, "pair_u_x") == 0.12
-        path = tmp_path / "rep.csv"
-        rep.write(path)
-        text = path.read_text(encoding="utf-8")
+        buf = io.StringIO()
+        write_csv(buf, rep.example, rep.rows)
+        text = buf.getvalue()
         lines = text.split("\n")
         assert lines[0] == "example,n,quantity,value"
         assert lines[1].startswith("EX1,1,pair_u_x,2.4")
@@ -495,10 +496,10 @@ class TestConvergenceReport:
         with pytest.raises(ValueError, match="non-finite"):
             ConvergenceReport("EX1", ((1, "a", float("nan")),))
 
-    def test_write_csv_format(self, tmp_path):
-        path = tmp_path / "x.csv"
-        write_csv(path, "EX3", [(2, "pair_u_1", 2.6876e-2)])
-        lines = path.read_text(encoding="utf-8").strip().split("\n")
+    def test_write_csv_format(self):
+        buf = io.StringIO()
+        write_csv(buf, "EX3", [(2, "pair_u_1", 2.6876e-2)])
+        lines = buf.getvalue().strip().split("\n")
         assert lines == [
             "example,n,quantity,value",
             "EX3,2,pair_u_1,2.687600000000e-02",

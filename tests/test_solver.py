@@ -398,20 +398,30 @@ class TestPencilSolve:
         # the 30 lengths of this grid take 6 distinct values a few ulps apart
         assert self._count_factorisations(monkeypatch, TimeGrid.uniform(2.0, 30)) == 1
 
-    @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_one_factorisation_per_length_on_graded_grid(
-        self, benchmark_workloads, monkeypatch, seed
+    RUNS = {"graded-0": 9, "graded-1": 9, "graded-7": 9, "GRID": 5, "roundoff": 3}
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_one_factorisation_per_run_of_equal_lengths(
+        self, benchmark_workloads, monkeypatch, name
     ):
-        # 8 geometric start-up slabs of distinct lengths and a uniform tail
-        grid = TimeGrid(benchmark_workloads.graded_points(seed))
-        assert grid.num_slabs == 15
-        assert self._count_factorisations(monkeypatch, grid, rho=1.0) == 9
+        if name.startswith("graded-"):
+            # 8 geometric start-up slabs of distinct lengths and a uniform tail
+            points = benchmark_workloads.graded_points(int(name[len("graded-"):]))
+            assert len(points) == 16
+        elif name == "GRID":
+            # 0.05 comes back after 0.12: a new run, refactorised
+            points = self.GRID.t_points
+        else:
+            # lengths 0.1, 0.1 to roundoff, 0.2 and 0.2 * (1 + 1e-9)
+            points = np.cumsum([0.0, 0.1, 0.1, 0.2, 0.2 * (1.0 + 1e-9)])
+        grid = TimeGrid(points)
+        assert self._count_factorisations(monkeypatch, grid, rho=1.0) == self.RUNS[name]
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_previous_factorisation_released(
         self, benchmark_workloads, monkeypatch, seed
     ):
-        # each start-up slab is a class of its own: the last class's LU is
+        # each start-up slab is a run of its own: the last run's LU is
         # dropped before the next one is factorised, not after
         live_at_call = []
         factors = []

@@ -44,14 +44,6 @@ class TestTimeGrid:
         assert g.T == 2.0
         assert g.slab(1) == (0.0, 0.5)
         assert g.slab(4) == (1.5, 2.0)
-        assert not g.length_classes().any()
-
-    def test_length_classes(self):
-        # lengths 0.1, 0.2, 0.1 (to roundoff), 0.3, 0.2 (1e-9 off), 0.3
-        points = np.cumsum([0.0, 0.1, 0.2, 0.1, 0.3, 0.2 * (1.0 + 1e-9), 0.3])
-        grid = TimeGrid(points)
-        assert grid.length_classes().tolist() == [0, 1, 0, 2, 3, 2]
-        assert TimeGrid.uniform(2.0, 7).length_classes().tolist() == [0] * 7
 
     def test_validation(self):
         with pytest.raises(ValueError):
