@@ -27,6 +27,16 @@ costs about log10 cond(V) digits: cond(V) is 2.4 at rho*h = 0, 14 at
 rho*h = 2, 1.2e3 at rho*h = 6 and above 1e7 from rho*h = 15, where the
 pair all but coalesces, so the march refuses pencils with
 cond(V) > _PENCIL_COND_MAX.
+
+Every factorisation of a problem's march takes one ordering of its DOFs,
+computed once per problem from the cells of its spaces: a nested dissection
+(:func:`cell_dissection`) that bisects the cell box and numbers the DOFs
+straddling each cut after both halves.  SuperLU keeps that order
+(``permc_spec="NATURAL"``) and pivots on the diagonal unless a diagonal
+entry falls below _DIAG_PIVOT_THRESH of its column: the Hermitian part
+Re(lam) M0 + M1 of the pencil is positive definite, so diagonal pivots
+exist, and the threshold still pivots if one collapses.  On EX4 at n = 16
+this makes 3.5 M LU entries where SuperLU's default COLAMD made 8.6 M.
 """
 
 from __future__ import annotations
@@ -108,9 +118,57 @@ class EvolutionProblem:
         self.u0 = np.asarray(u0, dtype=float)
         if self.u0.shape != (self.ndof,):
             raise ValueError("u0 must be a stacked coefficient vector")
+        self.ordering = cell_dissection(self.spaces)
 
     def component_slice(self, i):
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+
+
+def cell_dissection(spaces):
+    """Nested-dissection ordering of the stacked DOFs of ``spaces``.
+
+    The cell box of the spaces is bisected recursively at the middle cell
+    boundary of its longer side (x on a tie), down to single cells.  The
+    DOFs whose support (``dof_cells``) straddles a cut are that box's
+    separator; the DOFs of the left half come first, then those of the
+    right half, then the separator.  Every box of a level is cut at once:
+    each DOF draws one base-3 digit per level (0 left, 1 right, 2 placed
+    here as a separator or in a single cell, 0 once placed), and a stable
+    sort of these keys keeps the DOFs placed together in their stacked order.
+    The keys fit in int64 up to 39 levels, boxes of 2**19 cells a side.
+    """
+    boxes = zip(*map(_support_box, spaces))
+    x_lo, x_hi, y_lo, y_hi = (np.concatenate(r) for r in boxes)
+    box_x0, box_x1 = np.zeros_like(x_lo), np.full_like(x_hi, x_hi.max())
+    box_y0, box_y1 = np.zeros_like(y_lo), np.full_like(y_hi, y_hi.max())
+    key = np.zeros(x_lo.size, dtype=np.int64)
+    open_ = np.ones(x_lo.size, dtype=bool)  # not yet placed
+    while open_.any():
+        in_y = box_y1 - box_y0 > box_x1 - box_x0  # the box is cut across y
+        a = np.where(in_y, box_y0, box_x0)
+        b = np.where(in_y, box_y1, box_x1)
+        cut = (a + b) // 2
+        left = np.where(in_y, y_hi, x_hi) <= cut
+        right = np.where(in_y, y_lo, x_lo) >= cut
+        placed = open_ & ((b - a <= 1) | ~(left | right))
+        key = 3 * key + np.where(placed, 2, open_ & right)
+        open_ &= ~placed
+        left &= open_
+        right &= open_
+        box_x1 = np.where(left & ~in_y, cut, box_x1)
+        box_y1 = np.where(left & in_y, cut, box_y1)
+        box_x0 = np.where(right & ~in_y, cut, box_x0)
+        box_y0 = np.where(right & in_y, cut, box_y0)
+    return np.argsort(key, kind="stable")
+
+
+def _support_box(space):
+    """x and y cell ranges of each DOF's support; a line is one cell high."""
+    ranges = space.dof_cells()
+    if len(ranges) == 2:
+        return (*ranges[0], *ranges[1])
+    ((x_lo, x_hi),) = ranges
+    return x_lo, x_hi, np.zeros_like(x_lo), np.ones_like(x_hi)
 
 
 def _slab_matrix(problem, rule):
@@ -166,6 +224,11 @@ class EvolutionSolution:
 # beyond it the complex slab solve would lose more than three digits.
 _PENCIL_COND_MAX = 1e3
 
+# SuperLU keeps the diagonal pivot unless it is below this fraction of its
+# column's largest entry.  At 0.1, EX4 at n = 16 makes 1 188 off-diagonal
+# pivots; at 0.01 no family's pencil makes one.
+_DIAG_PIVOT_THRESH = 0.01
+
 
 def _temporal_pencil(rule):
     """(lam, v, w) of one slab: T0^{-1}(T1 + J) v = lam v with Im lam > 0,
@@ -190,14 +253,21 @@ def march(problem):
     within 1e-12 (relative) of the first slab of the current run reuses
     them (the lengths of a uniform grid differ by a few ulps); any other
     length starts a new run, which drops the old LU and factorises anew.
-    The pencil, the factorisations and the march run with one BLAS thread
-    (:func:`one_blas_thread`): SuperLU's BLAS calls on these systems gain no
-    wall time from more threads, only CPU time, and a sweep that runs
-    solves in parallel threads would have them compete for the same cores.
+    Each LU factors the pencil ``(lam M0 + M1 + A)[p][:, p]`` in the
+    problem's nested-dissection ordering ``p`` (``problem.ordering``) with
+    diagonal pivots; each load is permuted by ``p`` and the solve mapped
+    back.  The pencil, the factorisations and the march run with one BLAS
+    thread (:func:`one_blas_thread`): SuperLU's BLAS calls on these systems
+    gain no wall time from more threads, only CPU time, and a sweep that
+    runs solves in parallel threads would have them compete for the same
+    cores.
     """
     with one_blas_thread():
         grid = problem.grid
-        spatial = (problem.m1mat + problem.operator.matrix).tocsr()
+        p = problem.ordering
+        m0p = problem.m0mat[p][:, p]
+        spatialp = (problem.m1mat + problem.operator.matrix).tocsr()[p][:, p]
+        z = np.empty(problem.ndof, dtype=complex)
         prev = problem.m0mat @ problem.u0
         h_run = 0.0  # length of the first slab of the current run
         for m in range(1, grid.num_slabs + 1):
@@ -209,7 +279,11 @@ def march(problem):
                 # that two factorisations are not alive at the peak
                 lu = None
                 try:
-                    lu = splu((lam * problem.m0mat + spatial).tocsc())
+                    lu = splu(
+                        (lam * m0p + spatialp).tocsc(),
+                        permc_spec="NATURAL",
+                        diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+                    )
                 except RuntimeError as exc:
                     raise RuntimeError(
                         f"singular slab system at slab {m}: {exc}"
@@ -218,7 +292,7 @@ def march(problem):
             # elementwise, not w @ b: numpy sends that complex-by-real product
             # to a threaded BLAS gemv, measured at 6 ms instead of 0.02 ms per
             # slab of EX4 at n = 2 on 2 vCPUs
-            z = lu.solve(w[0] * b[0] + w[1] * b[1])
+            z[p] = lu.solve((w[0] * b[0] + w[1] * b[1])[p])
             if not np.all(np.isfinite(z)):
                 raise RuntimeError(
                     f"singular slab system at slab {m}: non-finite solve"

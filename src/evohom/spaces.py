@@ -99,6 +99,21 @@ class LineSpace:
         """Unconstrained DOFs of cell ci (one cell, or an array of cells)."""
         return np.asarray(ci)[..., None] * self.stride + np.arange(self.basis.size)
 
+    def dof_cells(self):
+        """Cell range ``[lo, hi)`` of each DOF's support, as ``((lo, hi),)``.
+
+        A DOF spans the cells of the unconstrained DOFs that ``P`` joins in
+        it, so a periodic DOF that joins both ends spans the whole line.
+        """
+        full = self.cell_full_dofs(np.arange(self.mesh.ncells))  # (ncells, nlocal)
+        lo_full = np.searchsorted(full[:, -1], np.arange(self.nfull))
+        hi_full = np.searchsorted(full[:, 0], np.arange(self.nfull), side="right")
+        joined = self.P.tocsc()
+        starts = joined.indptr[:-1]
+        lo = np.minimum.reduceat(lo_full[joined.indices], starts)
+        hi = np.maximum.reduceat(hi_full[joined.indices], starts)
+        return ((lo, hi),)
+
     def eval_cell(self, ci, xs, deriv=0):
         """Local basis values at global points xs: (nlocal, npts).
 
@@ -307,6 +322,14 @@ class TensorSpace:
     @property
     def ndof(self):
         return self.sx.ndof * self.sy.ndof
+
+    def dof_cells(self):
+        """x and y cell ranges of each DOF's support, as
+        ``((xlo, xhi), (ylo, yhi))``: the product of its two line ranges."""
+        ((xlo, xhi),), ((ylo, yhi),) = self.sx.dof_cells(), self.sy.dof_cells()
+        nx, ny = self.sx.ndof, self.sy.ndof
+        x = (np.repeat(xlo, ny), np.repeat(xhi, ny))
+        return x, (np.tile(ylo, nx), np.tile(yhi, nx))
 
     def __repr__(self):
         return f"TensorSpace({self.sx.ndof} x {self.sy.ndof} DOFs)"

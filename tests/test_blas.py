@@ -136,9 +136,9 @@ def test_missing_library_is_skipped(monkeypatch):
 def test_solve_evolution_factors_on_one_thread(three_threads, monkeypatch):
     seen = []
 
-    def recording_splu(matrix):
+    def recording_splu(matrix, **options):
         seen.append(counts())
-        return splu(matrix)
+        return splu(matrix, **options)
 
     monkeypatch.setattr(solver, "splu", recording_splu)
     solver.solve_evolution(build_run("EX3", 1, slabs=4))

@@ -191,7 +191,9 @@ class TestSweep:
 
     def test_unwritable_out_fails_before_solving(self, capsys, tmp_path, monkeypatch):
         factorised = []
-        monkeypatch.setattr(solver, "splu", lambda matrix: factorised.append(matrix))
+        monkeypatch.setattr(
+            solver, "splu", lambda matrix, **options: factorised.append(matrix)
+        )
         out_file = tmp_path / "missing" / "report.csv"
         code, out, err = run_cli(
             capsys, "sweep", "--example", "EX1", "--slabs", "4", "--out", str(out_file)

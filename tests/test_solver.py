@@ -1,5 +1,6 @@
 """Tests for the space-time dG(1) slab march."""
 
+import functools
 import math
 import weakref
 
@@ -10,8 +11,9 @@ from scipy.sparse.linalg import splu
 
 import evohom.solver as solver
 from evohom.analytic import ode_exact
-from evohom.experiments import build_run
+from evohom.experiments import ExperimentSpec, _ex45_problem, build_run
 from evohom.fields import Constant, RegionIndicator, SineOsc
+from evohom.homogenise import build_limit_law
 from evohom.laws import MaterialLaw, MemoryTerm, augment_memory, example_material
 from evohom.meshes import build_mesh
 from evohom.operators import assemble_skew_operator
@@ -360,18 +362,33 @@ class TestPencilSolve:
     # lengths 0.05 (three times), 0.12, 0.08 and 0.15
     GRID = TimeGrid(np.array([0.0, 0.05, 0.1, 0.22, 0.3, 0.35, 0.5]))
 
+    @staticmethod
+    def _problem(example, degree, rho):
+        """The family's run at n = 1; for EX5 its limit law, whose memory
+        entry adds an intrinsic component, on a coarse mesh."""
+        if example != "EX5":
+            return build_run(example, 1, degree=degree, rho=rho)
+        law = build_limit_law("EX5")
+        spec = ExperimentSpec("EX5", (1,), degree=degree, rho=rho)
+        return _ex45_problem(spec, build_mesh(law.domain, (10, 10)), degree, law)
+
     @pytest.mark.parametrize("rho", [0.0, 0.7, 2.0])
     @pytest.mark.parametrize("degree", [1, 2])
-    @pytest.mark.parametrize("example", ["EX3", "EX4"])
+    @pytest.mark.parametrize("example", ["EX2", "EX3", "EX4", "EX5"])
     def test_matches_real_slab_system(self, benchmark_workloads, example, degree, rho):
         problem = benchmark_workloads.on_grid(
-            build_run(example, 1, degree=degree, rho=rho), self.GRID.t_points
+            self._problem(example, degree, rho), self.GRID.t_points
         )
         sol = solve_evolution(problem)
+        factors = {}  # the real system's LU per slab length (GRID has 4)
         prev_ref = prev = problem.m0mat @ problem.u0
         for m in range(1, self.GRID.num_slabs + 1):
             K, b_ref = assemble_slab_system(problem, m, prev_ref)
-            x = splu(K).solve(b_ref)
+            t_left, t_right = self.GRID.slab(m)
+            h = round(t_right - t_left, 12)
+            if h not in factors:
+                factors[h] = splu(K)
+            x = factors[h].solve(b_ref)
             y = np.concatenate(sol.coeffs[m - 1])
             assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
             _, b = assemble_slab_system(problem, m, prev)
@@ -382,9 +399,9 @@ class TestPencilSolve:
     def _count_factorisations(self, monkeypatch, grid, rho=0.0):
         calls = []
 
-        def counting_splu(matrix):
+        def counting_splu(matrix, **options):
             calls.append(matrix.shape)
-            return splu(matrix)
+            return splu(matrix, **options)
 
         monkeypatch.setattr(solver, "splu", counting_splu)
         problem = _scalar_problem(
@@ -430,9 +447,9 @@ class TestPencilSolve:
             def __init__(self, lu):
                 self.solve = lu.solve
 
-        def tracking_splu(matrix):
+        def tracking_splu(matrix, **options):
             live_at_call.append(sum(ref() is not None for ref in factors))
-            factor = Factor(splu(matrix))
+            factor = Factor(splu(matrix, **options))
             factors.append(weakref.ref(factor))
             return factor
 
@@ -449,3 +466,75 @@ class TestPencilSolve:
         problem = _scalar_problem(grid=TimeGrid.uniform(1.0, 4), rho=4.0 * rho_h)
         with pytest.raises(ArithmeticError, match=f"rho\\*h = {rho_h:.3g}"):
             solve_evolution(problem)
+
+
+class TestCellDissection:
+    """The nested-dissection ordering of every factorisation of the march."""
+
+    def test_line_order(self):
+        # P1 nodes 0..4 on 4 cells: each half's middle node is its
+        # separator, and the middle node 2 is numbered last
+        space = build_space(build_mesh((0.0, 1.0), 4), "cg", 1)
+        assert solver.cell_dissection((space,)).tolist() == [0, 1, 4, 3, 2]
+
+    def test_periodic_dof_spans_the_line(self):
+        # node 0 joins both ends, so it straddles the first cut with node 2
+        space = build_space(build_mesh((0.0, 1.0), 4), "cg", 1, periodic=True)
+        ((lo, hi),) = space.dof_cells()
+        assert lo.tolist() == [0, 0, 1, 2] and hi.tolist() == [4, 2, 3, 4]
+        assert solver.cell_dissection((space,)).tolist() == [1, 3, 0, 2]
+
+    def test_tensor_support_is_the_product(self):
+        space = build_space(build_mesh(((0.0, 1.0), (0.0, 1.0)), (2, 3)), "dgq", 0)
+        (x_lo, x_hi), (y_lo, y_hi) = space.dof_cells()
+        # x-major: DOF 3 is cell (1, 0)
+        assert (x_lo[3], x_hi[3], y_lo[3], y_hi[3]) == (1, 2, 0, 1)
+        assert np.all(x_hi - x_lo == 1) and np.all(y_hi - y_lo == 1)
+
+    def test_one_dof(self):
+        assert _scalar_problem().ordering.tolist() == [0]
+
+    @staticmethod
+    @functools.lru_cache
+    def _run(example, degree):
+        return build_run(example, 1, degree=degree)
+
+    @staticmethod
+    def _first_factor(monkeypatch, problem):
+        factors = []
+
+        def recording_splu(matrix, **options):
+            factors.append(splu(matrix, **options))
+            return factors[-1]
+
+        monkeypatch.setattr(solver, "splu", recording_splu)
+        slabs = solver.march(problem)
+        next(slabs)
+        slabs.close()
+        return factors[0]
+
+    def test_less_fill_than_colamd(self, monkeypatch):
+        # 0.276 M entries; COLAMD makes 0.459 M of the unpermuted pencil
+        lu = self._first_factor(monkeypatch, build_run("EX4", 2))
+        assert lu.nnz <= 350_000
+
+    @pytest.mark.parametrize("rho", [0.0, 2.0])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("example", ["EX1", "EX2", "EX3", "EX4", "EX5"])
+    def test_permutation_with_diagonal_pivots(self, monkeypatch, example, degree, rho):
+        # EX1 is diagonal and EX2 has a periodic DOF; the first slab's
+        # factorisation makes no off-diagonal pivot
+        run = self._run(example, degree)  # re-posed at rho: only lam moves
+        problem = EvolutionProblem(
+            run.spaces,
+            run.law,
+            run.operator,
+            run.grid,
+            forcing=run.forcing,
+            rho=rho,
+            m0mat=run.m0mat,
+            m1mat=run.m1mat,
+        )
+        identity = np.arange(problem.ndof)
+        assert np.array_equal(np.sort(problem.ordering), identity)
+        assert np.array_equal(self._first_factor(monkeypatch, problem).perm_r, identity)
