@@ -329,7 +329,8 @@ class TensorSpace:
         ((xlo, xhi),), ((ylo, yhi),) = self.sx.dof_cells(), self.sy.dof_cells()
         nx, ny = self.sx.ndof, self.sy.ndof
         x = (np.repeat(xlo, ny), np.repeat(xhi, ny))
-        return x, (np.tile(ylo, nx), np.tile(yhi, nx))
+        y = (np.tile(ylo, nx), np.tile(yhi, nx))
+        return x, y
 
     def __repr__(self):
         return f"TensorSpace({self.sx.ndof} x {self.sy.ndof} DOFs)"
