@@ -12,9 +12,9 @@ combined by +, -, * and scalar multiples.  Every tree can report its
 discontinuity points inside an interval (so quadrature panels can be
 aligned with them), whether it is piecewise constant (then
 breakpoint-aligned midpoint sampling integrates it exactly), and a period
-if it has one.  A :class:`Composite` (a sum, a product, or a pointwise
-function of parent fields) takes all three from its parents; its
-breakpoints are theirs, merged by :func:`meshes.partition`.
+if it has one.  A :class:`Composite` (a :class:`Sum` or a
+:class:`Product`) takes all three from its parents; its breakpoints are
+theirs, merged by :func:`meshes.partition`.
 
 ``serialize_field`` renders a tree as plain text:  numbers, ``sin_osc(n)``,
 ``stripe(n)``, ``region(a,b)``, ``+``, ``-``, ``*``, parentheses.
@@ -221,9 +221,9 @@ class RegionIndicator(Field):
 
 
 class Composite(Field):
-    """A field built pointwise from ``parents``: it breaks where any parent
-    breaks, has their common period and is piecewise constant if they all
-    are."""
+    """A sum or product of ``parents``: it breaks where any parent breaks,
+    has their common period and is piecewise constant if they all are, so
+    a quadrature rule fitted to a Sum is fitted to each of its terms."""
 
     def breakpoints(self, a, b):
         pts = [np.empty(0)] + [np.ravel(p.breakpoints(a, b)) for p in self.parents]

@@ -27,9 +27,9 @@ from scipy.sparse.linalg import spsolve
 
 from .fields import (
     ANY_PERIOD,
-    Composite,
     Constant,
     RegionIndicator,
+    Sum,
     as_field,
 )
 from .laws import MemoryTerm, family_law, omega1
@@ -43,7 +43,6 @@ __all__ = [
     "dual_stratified_limit",
     "homogenise_stratified",
     "integral_mean",
-    "pointwise_inverse",
     "schur_blocks",
     "schur_distance",
 ]
@@ -57,38 +56,29 @@ _POS_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
-class _DerivedField(Composite):
-    """A pointwise function of parent fields (quotients, adjugates, ...).
+def _period_rule(f, ell):
+    """Nodes and weights of the rule that integrates ``f`` over [0, ell].
 
-    Keeps enough of the tree structure (breakpoints, period, piecewise
-    constancy) for the mean integrator to stay exact where the parents
-    permit.
+    Piecewise-constant trees get the one-point (midpoint) Gauss rule on
+    each piece of the breakpoint partition, which is exact; all other trees
+    the _GAUSS_PTS-point rule on pieces subdivided to an eighth of the
+    tree's period (absolute accuracy better than 1e-12 for the smooth
+    families used here).
     """
-
-    def __init__(self, fn, parents):
-        self.fn = fn
-        self.parents = [as_field(p) for p in parents]
-
-    def __call__(self, x):
-        return self.fn(np.asarray(x, dtype=float))
-
-    def __repr__(self):
-        return f"DerivedField({self.parents})"
-
-
-def _quotient(num, den):
-    num, den = as_field(num), as_field(den)
-    return _DerivedField(lambda x: num(x) / den(x), [num, den])
+    cuts = partition(0.0, ell, f.breakpoints(0.0, ell))
+    if f.is_piecewise_constant():
+        return gauss_panels(cuts, 1)
+    p = f.period()
+    max_chunk = (ell if p in (None, ANY_PERIOD) else min(p, ell)) / 8.0
+    chunks = np.ceil(np.diff(cuts) / max_chunk).astype(int)
+    pieces = zip(cuts, cuts[1:], chunks)
+    edges = [np.linspace(a, b, k, endpoint=False) for a, b, k in pieces]
+    return gauss_panels(np.append(np.concatenate(edges), ell), _GAUSS_PTS)
 
 
 def integral_mean(coeff, period=1.0):
-    """Mean value (1/l) * int_0^l coeff of an l-periodic coefficient.
-
-    Piecewise-constant trees are integrated exactly by the one-point
-    (midpoint) Gauss rule on each piece of the breakpoint partition; all
-    other trees use the _GAUSS_PTS-point rule on pieces subdivided well
-    below the finest child period (absolute accuracy better than 1e-12 for
-    the smooth families used here).  Raises for coefficients that are not
+    """Mean value (1/l) * int_0^l coeff of an l-periodic coefficient, by
+    the rule of :func:`_period_rule`.  Raises for coefficients that are not
     periodic with the given period.
     """
     f = as_field(coeff)
@@ -97,16 +87,7 @@ def integral_mean(coeff, period=1.0):
         raise ValueError("period must be positive")
     if not f.is_periodic_with(ell):
         raise ValueError(f"coefficient {f!r} is not periodic with period {ell}")
-    cuts = partition(0.0, ell, f.breakpoints(0.0, ell))
-    if f.is_piecewise_constant():
-        xs, w = gauss_panels(cuts, 1)
-    else:
-        p = f.period()
-        max_chunk = (ell if p in (None, ANY_PERIOD) else min(p, ell)) / 8.0
-        chunks = np.ceil(np.diff(cuts) / max_chunk).astype(int)
-        pieces = zip(cuts, cuts[1:], chunks)
-        edges = [np.linspace(a, b, k, endpoint=False) for a, b, k in pieces]
-        xs, w = gauss_panels(np.append(np.concatenate(edges), ell), _GAUSS_PTS)
+    xs, w = _period_rule(f, ell)
     return float(np.dot(w, f(xs))) / ell
 
 
@@ -130,43 +111,66 @@ class EffectiveTensor:
         return f"EffectiveTensor({self.matrix.tolist()})"
 
 
-def _normalise_matrix(a_hat):
-    rows = list(a_hat)
-    d = len(rows)
-    out = []
-    for row in rows:
-        entries = list(row)
-        if len(entries) != d:
-            raise ValueError("coefficient matrix must be square")
-        out.append([as_field(e) for e in entries])
-    return out
-
-
-def _is_zero_entry(f):
-    return isinstance(f, Constant) and f.value == 0.0
-
-
-def _check_periodic_matrix(A, ell):
+def _periodic_matrix(a_hat, ell):
+    """The entries of a square matrix of ell-periodic coefficients, as
+    fields, and their sum, which breaks where any entry breaks."""
+    A = [list(row) for row in a_hat]
+    if any(len(row) != len(A) for row in A):
+        raise ValueError("coefficient matrix must be square")
+    A = [[as_field(e) for e in row] for row in A]
     for i, row in enumerate(A):
         for j, entry in enumerate(row):
             if not entry.is_periodic_with(ell):
                 raise ValueError(
                     f"entry ({i}, {j}) = {entry!r} is not periodic with period {ell}"
                 )
+    if ell <= 0.0:
+        raise ValueError("period must be positive")
+    return A, Sum([e for row in A for e in row])
 
 
-# Uniform samples per period (on top of the piece midpoints) of the
+def _sample(A, xs):
+    """The entries of the field matrix ``A`` at the points ``xs``, as an
+    array of shape (npts, d, d)."""
+    return np.moveaxis(np.array([[e(xs) for e in row] for row in A]), -1, 0)
+
+
+# Uniform samples per period (on top of the rule's nodes) of the
 # positivity and singularity checks.
 _NSAMP = 4096
 
 
-def _sample_on_period(f, ell):
-    cuts = partition(0.0, ell, f.breakpoints(0.0, ell))
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-    xs = np.concatenate(
-        [mids, np.linspace(0.0, ell, _NSAMP, endpoint=False) + ell / (2 * _NSAMP)]
-    )
-    return f(xs)
+def _period_samples(a_hat, ell):
+    """Mean weights (npts,) and samples (npts, d, d) of a coefficient matrix.
+
+    The points are the nodes of the :func:`_period_rule` of the sum of all
+    entries, which put one inside every piece of every entry and give the
+    mean of any pointwise function of the entries, and then _NSAMP uniform
+    points of weight 0, which only the positivity and singularity checks
+    read.
+    """
+    A, total = _periodic_matrix(a_hat, ell)
+    xs, w = _period_rule(total, ell)
+    uniform = np.linspace(0.0, ell, _NSAMP, endpoint=False) + ell / (2 * _NSAMP)
+    return np.append(w / ell, np.zeros(_NSAMP)), _sample(A, np.append(xs, uniform))
+
+
+def _mean_formulas(w, a):
+    """The mean formulas of :func:`homogenise_stratified` on samples ``a``
+    (npts, d, d) with mean weights ``w``."""
+    a11 = a[:, 0, 0]
+    if float(np.min(a11)) <= _POS_TOL:
+        raise ValueError("the 11-entry must be uniformly positive")
+    c1 = 1.0 / (w @ (1.0 / a11))
+    r_row = w @ (a[:, 0, 1:] / a11[:, None])  # m(a1j/a11)
+    r_col = w @ (a[:, 1:, 0] / a11[:, None])  # m(ai1/a11)
+    cross = a[:, 1:, 1:] - a[:, 1:, :1] * a[:, None, 0, 1:] / a11[:, None, None]
+    mat = np.empty(a.shape[1:])
+    mat[0, 0] = c1
+    mat[0, 1:] = c1 * r_row
+    mat[1:, 0] = c1 * r_col
+    mat[1:, 1:] = np.tensordot(w, cross, axes=1) + np.outer(c1 * r_col, r_row)
+    return mat
 
 
 def homogenise_stratified(a_hat, period=1.0):
@@ -183,79 +187,23 @@ def homogenise_stratified(a_hat, period=1.0):
 
     Requires a11 uniformly positive (checked on samples).
     """
-    A = _normalise_matrix(a_hat)
-    d = len(A)
-    ell = float(period)
-    _check_periodic_matrix(A, ell)
-    a11 = A[0][0]
-    if float(np.min(_sample_on_period(a11, ell))) <= _POS_TOL:
-        raise ValueError("the 11-entry must be uniformly positive")
-
-    m_inv = integral_mean(_quotient(Constant(1.0), a11), ell)
-    c1 = 1.0 / m_inv
-    mat = np.zeros((d, d))
-    mat[0, 0] = c1
-    r_row = np.zeros(d)  # m(a1j/a11)
-    r_col = np.zeros(d)  # m(ai1/a11)
-    for j in range(1, d):
-        r_row[j] = integral_mean(_quotient(A[0][j], a11), ell)
-        mat[0, j] = c1 * r_row[j]
-    for i in range(1, d):
-        r_col[i] = integral_mean(_quotient(A[i][0], a11), ell)
-        mat[i, 0] = c1 * r_col[i]
-    for i in range(1, d):
-        for j in range(1, d):
-            aij = A[i][j]
-            cross = _DerivedField(
-                lambda x, i=i, j=j: A[i][j](x) - A[i][0](x) * A[0][j](x) / a11(x),
-                [aij, A[i][0], A[0][j], a11],
-            )
-            mat[i, j] = integral_mean(cross, ell) + c1 * r_col[i] * r_row[j]
-    return EffectiveTensor(mat)
-
-
-def pointwise_inverse(a_hat, period=1.0):
-    """Pointwise matrix inverse of a coefficient matrix, as derived fields.
-
-    Supported shapes: diagonal matrices of any size (entrywise reciprocal)
-    and full 2 x 2 matrices (adjugate over determinant).  Raises when the
-    sampled determinant is not bounded away from zero.
-    """
-    A = _normalise_matrix(a_hat)
-    d = len(A)
-    ell = float(period)
-    diagonal = all(
-        _is_zero_entry(A[i][j]) for i in range(d) for j in range(d) if i != j
-    )
-    if diagonal:
-        out = []
-        for i in range(d):
-            aii = A[i][i]
-            if float(np.min(np.abs(_sample_on_period(aii, ell)))) <= _POS_TOL:
-                raise ValueError("singular pointwise inverse: zero diagonal entry")
-            row = [as_field(0.0) for _ in range(d)]
-            row[i] = _quotient(Constant(1.0), aii)
-            out.append(row)
-        return out
-    if d != 2:
-        raise ValueError(
-            "pointwise inverse is implemented for diagonal matrices and full 2x2"
-        )
-    a, b, c, e = A[0][0], A[0][1], A[1][0], A[1][1]
-    det = _DerivedField(lambda x: a(x) * e(x) - b(x) * c(x), [a, b, c, e])
-    if float(np.min(np.abs(_sample_on_period(det, ell)))) <= _POS_TOL:
-        raise ValueError("singular pointwise inverse: determinant vanishes on samples")
-    return [
-        [_quotient(e, det), _DerivedField(lambda x: -b(x) / det(x), [b, det])],
-        [_DerivedField(lambda x: -c(x) / det(x), [c, det]), _quotient(a, det)],
-    ]
+    return EffectiveTensor(_mean_formulas(*_period_samples(a_hat, float(period))))
 
 
 def dual_stratified_limit(a_hat, period=1.0):
-    """Invert pointwise, homogenise the inverse family, and invert back."""
-    inv = pointwise_inverse(a_hat, period)
-    hom = homogenise_stratified(inv, period)
-    return EffectiveTensor(np.linalg.inv(hom.matrix))
+    """Invert pointwise, homogenise the inverse family, and invert back.
+
+    Raises when a sample of a diagonal ``a_hat`` has a diagonal entry, or a
+    sample of any other ``a_hat`` its determinant, within _POS_TOL of zero.
+    """
+    w, a = _period_samples(a_hat, float(period))
+    d = a.shape[-1]
+    if not a[:, ~np.eye(d, dtype=bool)].any():
+        if float(np.min(np.abs(np.diagonal(a, axis1=1, axis2=2)))) <= _POS_TOL:
+            raise ValueError("singular pointwise inverse: zero diagonal entry")
+    elif float(np.min(np.abs(np.linalg.det(a)))) <= _POS_TOL:
+        raise ValueError("singular pointwise inverse: determinant vanishes on samples")
+    return EffectiveTensor(np.linalg.inv(_mean_formulas(w, np.linalg.inv(a))))
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +261,14 @@ def cell_problem_oracle(a_hat, period=1.0, ncells=1024):
     extrapolated, which removes the leading quadrature error for smooth
     coefficients.
     """
-    A = _normalise_matrix(a_hat)
-    d = len(A)
     ell = float(period)
-    _check_periodic_matrix(A, ell)
-    breaks = [np.ravel(A[i][j].breakpoints(0.0, ell)) for i in range(d) for j in range(d)]
+    A, total = _periodic_matrix(a_hat, ell)
+    breaks = total.breakpoints(0.0, ell)
 
     def solve(nc):
-        cuts = partition(0.0, ell, np.concatenate([np.linspace(0.0, ell, nc + 1), *breaks]))
-        widths = np.diff(cuts)
+        cuts = partition(0.0, ell, np.append(np.linspace(0.0, ell, nc + 1), breaks))
         mids = 0.5 * (cuts[:-1] + cuts[1:])
-        avals = np.empty((mids.size, d, d))
-        for i in range(d):
-            for j in range(d):
-                avals[:, i, j] = A[i][j](mids)
-        return cell_problem_fem(avals, widths)
+        return cell_problem_fem(_sample(A, mids), np.diff(cuts))
 
     t1 = solve(int(ncells))
     t2 = solve(2 * int(ncells))

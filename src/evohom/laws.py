@@ -422,12 +422,6 @@ def example_material(example_id, n=1):
 # ---------------------------------------------------------------------------
 
 
-def _fmt_scalar(v):
-    if v == int(v):
-        return str(int(v))
-    return repr(float(v))
-
-
 def serialize_entry_field(f):
     """Serialise a 1-D field or a separable 2-D field to grammar text."""
     if isinstance(f, Separable2D):
@@ -444,7 +438,7 @@ def serialize_law(law):
         f"law {law.label or 'unnamed'}",
         f"  dim {law.dim}",
         f"  components {', '.join(law.component_names)}",
-        f"  nu0 {_fmt_scalar(law.nu0)}",
+        f"  nu0 {serialize_field(Constant(law.nu0))}",
     ]
     names = law.component_names
 
@@ -457,9 +451,9 @@ def serialize_law(law):
         lines.append(f"  M1{_key(i, j)} = {serialize_entry_field(f)}")
     for (i, j), terms in sorted(law.memory.items()):
         for t in terms:
+            c, a, b = (serialize_field(Constant(v)) for v in (t.c, t.a, t.b))
             lines.append(
-                f"  M1{_key(i, j)} += {_fmt_scalar(t.c)} * rat({_fmt_scalar(t.a)}, "
-                f"{_fmt_scalar(t.b)}) * ({serialize_entry_field(t.region)})"
+                f"  M1{_key(i, j)} += {c} * rat({a}, {b}) * ({serialize_entry_field(t.region)})"
             )
     for (i, j), region in sorted(law.series.items()):
         lines.append(

@@ -88,21 +88,13 @@ def assemble_skew_operator(structure, spaces):
     if structure == "zero":
         pass
 
-    elif structure == "periodic-pair":
+    elif structure in ("periodic-pair", "interface-pair"):
         if len(spaces) != 2:
-            raise ValueError("periodic-pair needs exactly two component spaces")
+            raise ValueError(f"{structure} needs exactly two component spaces")
         su, sv = spaces
-        d = gram1d(su, sv, dcol=1)
-        blocks[(0, 1)] = d
-        blocks[(1, 0)] = (-d.T).tocsr()
-
-    elif structure == "interface-pair":
-        if len(spaces) != 2:
-            raise ValueError("interface-pair needs exactly two component spaces")
-        su, sv = spaces
-        lo = su.span[0]
-        mid = 0.5 * (su.span[0] + su.span[1])
-        support = RegionIndicator(lo, mid)
+        # the interface pair couples only on the left half of the span
+        lo, hi = su.span
+        support = RegionIndicator(lo, 0.5 * (lo + hi)) if structure == "interface-pair" else None
         d = gram1d(su, sv, coeff=support, dcol=1)
         blocks[(0, 1)] = d
         blocks[(1, 0)] = (-d.T).tocsr()

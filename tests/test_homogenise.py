@@ -19,7 +19,6 @@ from evohom.homogenise import (
     dual_stratified_limit,
     homogenise_stratified,
     integral_mean,
-    pointwise_inverse,
     schur_blocks,
     schur_distance,
 )
@@ -33,10 +32,6 @@ class TestIntegralMean:
     @pytest.mark.parametrize("n", [1, 3])
     def test_sine_zero(self, n):
         assert abs(integral_mean(SineOsc(n), 1.0)) <= 1e-13
-
-    def test_reciprocal_piecewise(self):
-        ((f,),) = pointwise_inverse([[Constant(1.0) + StripeIndicator(1)]], 1.0)
-        assert integral_mean(f, 1.0) == pytest.approx(0.75, rel=1e-14)
 
     def test_constant_any_period(self):
         assert integral_mean(2.5, 0.37) == pytest.approx(2.5, rel=1e-14)
@@ -134,6 +129,13 @@ class TestStratified:
         fem = cell_problem_oracle(a_hat, 1.0, ncells=2048)
         assert np.max(np.abs(closed - fem)) <= 1e-9
 
+    def test_entries_of_different_periods(self):
+        # periods 1/2 and 1/3 both divide 1, though neither divides the other
+        t = homogenise_stratified(
+            [[1.0 + StripeIndicator(2), 0.0], [0.0, 1.0 + StripeIndicator(3)]], 1.0
+        )
+        assert np.allclose(t.matrix, np.diag([4.0 / 3.0, 1.5]), atol=1e-14)
+
     def test_periodicity_enforced(self):
         with pytest.raises(ValueError, match="not periodic"):
             homogenise_stratified([[RegionIndicator(0.0, 0.5) + 1.0]], 1.0)
@@ -161,24 +163,31 @@ class TestDualLimit:
         with pytest.raises(ValueError, match="singular pointwise inverse"):
             dual_stratified_limit([[StripeIndicator(1), 0.0], [0.0, 1.0]], 1.0)
 
-    def test_unsupported_shape(self):
-        a = [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]
-        with pytest.raises(ValueError, match="diagonal matrices and full 2x2"):
-            pointwise_inverse(a, 1.0)
+    def test_full_three_by_three(self):
+        # the dual of A + (B - A) * stripe is the stratified limit of its
+        # exact pointwise inverse inv(A) + (inv(B) - inv(A)) * stripe, inverted
+        rng = np.random.default_rng(5)
+        stripe = StripeIndicator(1)
+        for _ in range(3):
+            A, B = (q @ q.T + 2.0 * np.eye(3) for q in rng.normal(size=(2, 3, 3)))
+            a_hat = [
+                [Constant(A[i, j]) + (B[i, j] - A[i, j]) * stripe for j in range(3)]
+                for i in range(3)
+            ]
+            Ai, Bi = np.linalg.inv(A), np.linalg.inv(B)
+            inv_hat = [
+                [Constant(Ai[i, j]) + (Bi[i, j] - Ai[i, j]) * stripe for j in range(3)]
+                for i in range(3)
+            ]
+            dual = dual_stratified_limit(a_hat, 1.0).matrix
+            ref = np.linalg.inv(cell_problem_oracle(inv_hat, 1.0, ncells=256))
+            assert np.max(np.abs(dual - ref)) <= 1e-10
 
-    def test_pointwise_inverse_correct(self):
-        a = [
-            [Constant(2.0) + StripeIndicator(1), Constant(0.5)],
-            [Constant(0.5), Constant(3.0) + SineOsc(1)],
-        ]
-        inv = pointwise_inverse(a, 1.0)
-        xs = np.array([0.13, 0.42, 0.68, 0.97])
-        for x in xs:
-            amat = np.array([[a[i][j](np.array([x]))[0] for j in range(2)] for i in range(2)])
-            imat = np.array(
-                [[inv[i][j](np.array([x]))[0] for j in range(2)] for i in range(2)]
-            )
-            assert np.allclose(imat @ amat, np.eye(2), atol=1e-13)
+    def test_smooth_diagonal_closed_form(self):
+        # a = 3 + sin(2 pi x): m(a) = 3 and 1/m(1/a) = sqrt(3^2 - 1)
+        a = Constant(3.0) + SineOsc(1)
+        t = dual_stratified_limit([[a, 0.0], [0.0, a]], 1.0)
+        assert np.max(np.abs(t.matrix - np.diag([3.0, 2.0 * math.sqrt(2.0)]))) <= 1e-15
 
 
 class TestSchurQuantities:

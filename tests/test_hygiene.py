@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from evohom import fields
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "evohom"
 MODULES = sorted(SRC.glob("*.py"))
@@ -284,3 +286,48 @@ def test_laws_are_built_in_laws_only():
     # every family's frame is written once, in laws._FRAMES
     modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert law_constructions(modules) == []
+
+
+# every coefficient field class of the package, by name
+FIELD_CLASSES = {
+    name
+    for name, obj in vars(fields).items()
+    if isinstance(obj, type) and issubclass(obj, fields.Field)
+}
+
+
+def field_subclasses(modules):
+    """``module:line`` of every class in ``modules`` (module name -> source)
+    outside ``fields`` with a base named (or reached as an attribute) like
+    one of the FIELD_CLASSES."""
+    return sorted(
+        f"{mod}:{node.lineno}"
+        for mod, src in modules.items()
+        if mod != "fields"
+        for node in ast.walk(ast.parse(src))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            FIELD_CLASSES & {getattr(base, "id", None), getattr(base, "attr", None)}
+            for base in node.bases
+        )
+    )
+
+
+def test_scanner_finds_a_field_class_outside_fields():
+    modules = {
+        "fields": "class Field:\n    pass\nclass Composite(Field):\n    pass\n",
+        "homogenise": "from .fields import Composite\n\nclass _Derived(Composite):\n    pass\n",
+        "laws": (
+            '"""class Quotient(Field) in a docstring is no class."""\n'
+            "from . import fields\n"
+            "class Scaled(fields.Product):\n    pass\n"
+            "class MaterialLaw:\n    pass\n"
+        ),
+    }
+    assert field_subclasses(modules) == ["homogenise:3", "laws:3"]
+
+
+def test_fields_are_built_in_fields_only():
+    # sums and products of the atoms are the only composite fields
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert field_subclasses(modules) == []
