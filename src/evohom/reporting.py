@@ -21,6 +21,10 @@ with :func:`eval_matrix_1d` at the Gauss points of the partition that
 :func:`merge_cuts` merges from the cells of all discrete operands (on
 tensor spaces one matrix per direction, applied in turn: sum
 factorisation), and callable operands of both go through one evaluator.
+A strong norm takes 1 + the highest polynomial degree of its discrete
+operands' spaces Gauss points per merged cell in each direction (a
+constant counts as degree 0), which integrates the squared difference
+exactly; against a callable it takes a fixed 3 (``_NORM_POINTS``).
 """
 
 import csv
@@ -79,7 +83,8 @@ VECTOR_TEST_DICTIONARY = {
 }
 
 
-# Gauss points per panel of a callable pairing and per strong-norm cell.
+# Gauss points per panel of a callable pairing, and per merged cell and
+# direction of a strong norm against a callable.
 _PAIRING_POINTS = 8
 _NORM_POINTS = 3
 
@@ -205,12 +210,17 @@ def strong_norm_reader(problem, ref, component, subdomain):
     two_d = isinstance(spaces[0], TensorSpace)
     if any(isinstance(s, TensorSpace) != two_d for s in spaces):
         raise ValueError("incompatible components: 1-D vs 2-D spaces")
+
+    def panels(cuts, lines):
+        # 1 + the highest degree integrates the squared difference exactly
+        npts = _NORM_POINTS if callable(ref) else 1 + max(s.degree for s in lines)
+        return gauss_panels(cuts, npts)
+
     if two_d:
         sx, sy = (None, None) if subdomain is None else subdomain
-        xcuts = merge_cuts([s.sx for s in spaces], *(sx or (None, None)))
-        ycuts = merge_cuts([s.sy for s in spaces], *(sy or (None, None)))
-        xs, wx = gauss_panels(xcuts, _NORM_POINTS)
-        ys, wy = gauss_panels(ycuts, _NORM_POINTS)
+        lines_x, lines_y = [s.sx for s in spaces], [s.sy for s in spaces]
+        xs, wx = panels(merge_cuts(lines_x, *(sx or (None, None))), lines_x)
+        ys, wy = panels(merge_cuts(lines_y, *(sy or (None, None))), lines_y)
         ws = np.kron(wy, wx)
         pts = (np.tile(xs, ys.size), np.repeat(ys, xs.size))
 
@@ -230,8 +240,7 @@ def strong_norm_reader(problem, ref, component, subdomain):
             return f
 
     else:
-        cuts = merge_cuts(spaces, *(subdomain or (None, None)))
-        xs, ws = gauss_panels(cuts, _NORM_POINTS)
+        xs, ws = panels(merge_cuts(spaces, *(subdomain or (None, None))), spaces)
         pts = (xs,)
 
         def point_values(space):
@@ -268,10 +277,11 @@ def strong_norm_diff(u, ref, component=0):
     """Space-time L2 norm of (u - ref) on a component (:func:`strong_norm_reader`).
 
     ``u`` is an EvolutionSolution; ``ref`` is one on a possibly different
-    mesh but one time grid (evaluated on the union-cell Gauss points of the
-    finer partition; other time points raise ValueError), a callable
-    ``f(t, xs)`` / ``f(t, xg, yg)``, or a constant.  Each slab is read at
-    its two dG(1) time coefficients.
+    mesh but one time grid (evaluated on the Gauss points of the cells
+    merged from both meshes, 1 + the higher degree per cell and direction;
+    other time points raise ValueError), a callable ``f(t, xs)`` /
+    ``f(t, xg, yg)`` (3 points per cell and direction), or a constant.
+    Each slab is read at its two dG(1) time coefficients.
     Without a callable they are weighted by their masses (h, h/3), which is
     exact; with one, they are mapped to the slab's 4 Gauss times
     (``_GAUSS_BASIS``), where the callable is read.  On tensor spaces the

@@ -23,7 +23,6 @@ from evohom.laws import MaterialLaw, example_material
 from evohom.meshes import build_mesh
 from evohom.operators import assemble_skew_operator
 from evohom.reporting import (
-    _NORM_POINTS,
     ConvergenceReport,
     eval_matrix_1d,
     fit_rate,
@@ -52,6 +51,10 @@ from evohom.timequad import TimeGrid, temporal_basis
 # family at n = 1 with unit-step forcing.
 ORACLE_PAIRING_X_N1 = 0.2427626039834412
 
+# Gauss points per merged cell and direction of the strong-norm oracles:
+# exact for squared differences of operands up to degree 3.
+_ORACLE_POINTS = 4
+
 
 def _coefficients_at(sol, m, ts, k):
     """Spatial coefficients of component k at the times ts of slab m + 1."""
@@ -71,10 +74,12 @@ def _unit_law(ncomp):
     return MaterialLaw(ncomp, {(i, i): Constant(1.0) for i in range(ncomp)}, {})
 
 
-def _linear_solution(ncells=4, span=(0.0, 1.0), fn=None, u0=None, slabs=8, grid=None):
+def _linear_solution(
+    ncells=4, span=(0.0, 1.0), fn=None, u0=None, slabs=8, grid=None, degree=1
+):
     """Solve M u' = b with b the load of ``fn``: u(t, x) = t * fn_proj(x)."""
     mesh = build_mesh(span, ncells)
-    space = build_space(mesh, "cg", 1)
+    space = build_space(mesh, "cg", degree)
     op = assemble_skew_operator("zero", (space,))
     mass = gram1d(space, space)
     b = restricted_load(space, fn if fn is not None else 1.0)
@@ -237,6 +242,32 @@ class TestStrongNormDiff:
         val = _norm_on(sol, 0.0, 0, (0.5, 1.0))
         assert val == pytest.approx(math.sqrt(7.0) / 3.0, rel=1e-12)
 
+    def test_degree_three_reference_integrated_exactly(self):
+        # the squared difference of a P1 and a P3 solution is of degree 6
+        # on each merged cell: 4 points per cell are exact, 3 are 2.9e-3
+        # (relative) off here.  The oracle takes 6 points per cell of the
+        # union partition and 4 Gauss times per slab.
+        fn = lambda x: np.sin(3.0 * x) + x**3
+        a = _linear_solution(ncells=4, fn=fn, slabs=3)
+        b = _linear_solution(ncells=3, fn=fn, slabs=3, degree=3)
+        cuts = np.union1d(*(s.problem.spaces[0].mesh.boundaries for s in (a, b)))
+        rx, rw = np.polynomial.legendre.leggauss(6)
+        h = np.diff(cuts)[:, None]
+        xs = (cuts[:-1, None] + 0.5 * h * (rx + 1.0)).ravel()
+        ws = (0.5 * h * rw).ravel()
+        evals = [eval_matrix_1d(s.problem.spaces[0], xs) for s in (a, b)]
+        rt, rwt = np.polynomial.legendre.leggauss(4)
+        acc = 0.0
+        for m, (t0, t1) in enumerate(zip(a.grid.t_points[:-1], a.grid.t_points[1:])):
+            ts = t0 + 0.5 * (t1 - t0) * (rt + 1.0)
+            d = evals[0] @ _coefficients_at(a, m, ts, 0).T
+            d -= evals[1] @ _coefficients_at(b, m, ts, 0).T
+            acc += (0.5 * (t1 - t0) * rwt) @ (ws @ (d * d))
+        expected = math.sqrt(acc)
+        assert expected > 1e-4
+        for u, ref in ((a, b), (b, a)):
+            assert strong_norm_diff(u, ref) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
     def test_tensor_component(self):
         sol = _vector_solution()
         assert strong_norm_diff(sol, lambda t, xg, yg: t * xg, component=1) <= 1e-12
@@ -284,8 +315,8 @@ class TestStrongNormDiff:
         dx, dy = subdomain or ((None, None), (None, None))
         for u, k in cases:
             spaces = [s.problem.spaces[k] for s in (u, ref)]
-            xs, wx = gauss_panels(merge_cuts([s.sx for s in spaces], *dx), _NORM_POINTS)
-            ys, wy = gauss_panels(merge_cuts([s.sy for s in spaces], *dy), _NORM_POINTS)
+            xs, wx = gauss_panels(merge_cuts([s.sx for s in spaces], *dx), _ORACLE_POINTS)
+            ys, wy = gauss_panels(merge_cuts([s.sy for s in spaces], *dy), _ORACLE_POINTS)
             eu, er = (
                 sp.kron(eval_matrix_1d(s.sx, xs), eval_matrix_1d(s.sy, ys)).tocsr()
                 for s in spaces
@@ -336,8 +367,8 @@ def _gauss_time_norm(u, ref, k, subdomain=None):
     spaces = [s.problem.spaces[k] for s in sols]
     if isinstance(spaces[0], TensorSpace):
         dx, dy = subdomain or ((None, None), (None, None))
-        xs, wx = gauss_panels(merge_cuts([s.sx for s in spaces], *dx), _NORM_POINTS)
-        ys, wy = gauss_panels(merge_cuts([s.sy for s in spaces], *dy), _NORM_POINTS)
+        xs, wx = gauss_panels(merge_cuts([s.sx for s in spaces], *dx), _ORACLE_POINTS)
+        ys, wy = gauss_panels(merge_cuts([s.sy for s in spaces], *dy), _ORACLE_POINTS)
         ws = np.kron(wx, wy)
         evals = [
             sp.kron(eval_matrix_1d(s.sx, xs), eval_matrix_1d(s.sy, ys)).tocsr()
@@ -345,7 +376,7 @@ def _gauss_time_norm(u, ref, k, subdomain=None):
         ]
     else:
         cuts = merge_cuts(spaces, *(subdomain or (None, None)))
-        xs, ws = gauss_panels(cuts, _NORM_POINTS)
+        xs, ws = gauss_panels(cuts, _ORACLE_POINTS)
         evals = [eval_matrix_1d(s, xs) for s in spaces]
 
     def values(obj, m, ts):
