@@ -14,7 +14,8 @@ aligned with them), whether it is piecewise constant (then
 breakpoint-aligned midpoint sampling integrates it exactly), and a period
 if it has one.  A :class:`Composite` (a :class:`Sum` or a
 :class:`Product`) takes all three from its parents; its breakpoints are
-theirs, merged by :func:`meshes.partition`.
+theirs, merged by :func:`meshes.partition`, and its period the least
+common multiple of theirs.
 
 ``serialize_field`` renders a tree as plain text:  numbers, ``sin_osc(n)``,
 ``stripe(n)``, ``region(a,b)``, ``+``, ``-``, ``*``, parentheses.
@@ -52,20 +53,16 @@ _PERIOD_RTOL = 1e-9
 
 
 def _merge_periods(periods):
-    """Combine child periods: constants fit everything; otherwise the
-    largest child period must be an integer multiple of every other
-    (true for all stripe/sine mixes with integer indices)."""
-    ps = [p for p in periods if p is not None and p != ANY_PERIOD]
+    """Combine child periods: constants fit everything; otherwise the least
+    common multiple of the others.  An atom's period is 1/n for an integer
+    n, and lcm(1/a, 1/b) = 1/gcd(a, b), so every period is 1/k for an
+    integer k, and the multiple is 1/gcd of the k."""
     if any(p is None for p in periods):
         return None
-    if not ps:
+    ks = [round(1.0 / p) for p in periods if p != ANY_PERIOD]
+    if not ks:
         return ANY_PERIOD
-    cand = max(ps)
-    for p in ps:
-        ratio = cand / p
-        if abs(ratio - round(ratio)) > _PERIOD_RTOL:
-            return None
-    return cand
+    return 1.0 / math.gcd(*ks)
 
 
 class Field:

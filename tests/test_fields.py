@@ -79,6 +79,9 @@ class TestAlgebra:
         mixed = StripeIndicator(1) + SineOsc(2)
         assert mixed.period() == pytest.approx(1.0)
         assert (StripeIndicator(1) + RegionIndicator(0.0, 1.0)).period() is None
+        # periods that do not divide one another: their least common multiple
+        assert (SineOsc(2) * SineOsc(3)).period() == 1.0
+        assert (StripeIndicator(4) + 2.0 * StripeIndicator(6)).period() == 0.5
 
     def test_is_periodic_with(self):
         st = StripeIndicator(2)

@@ -44,6 +44,12 @@ class TestIntegralMean:
     def test_fine_stripe_same_mean(self):
         assert integral_mean(StripeIndicator(8), 1.0) == pytest.approx(0.5, rel=1e-14)
 
+    def test_periods_not_nested(self):
+        # stripe(2) and stripe(3) are both 1-periodic, though neither
+        # period divides the other
+        f = StripeIndicator(2) + StripeIndicator(3)
+        assert integral_mean(f, 1.0) == pytest.approx(1.0, rel=1e-14)
+
     def test_nonperiodic_rejected(self):
         with pytest.raises(ValueError, match="not periodic"):
             integral_mean(RegionIndicator(0.0, 0.5), 1.0)
