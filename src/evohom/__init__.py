@@ -18,7 +18,7 @@ analytic     closed-form oracles (exponential ODE, Bessel kernel, series law)
 laws         material laws M(z) = M0 + z^-1 M1 with rational memory entries
 meshes       1D and tensor-product 2D meshes with stripe alignment
 spaces       CG/DG/Raviart-Thomas spaces, weighted Gram matrices
-operators    skew block operators A per example structure
+operators    skew operators A per example structure, as sparse matrices
 homogenise   integral means, stratified effective tensors, Schur quantities
 solver       per-slab assembly and the space-time dG march
 reporting    pairings, strong norms, rate fits, CSV reports

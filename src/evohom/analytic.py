@@ -89,9 +89,12 @@ def i0_antiderivative(t):
     """int_0^t I_0 by termwise integration of the series: the homogenised
     solution u_hom at time t under the unit-step source (no quadrature error).
 
-    int_0^t I_0 = sum_m t^{2m+1} / ((m!)^2 4^m (2m+1)).
+    int_0^t I_0 = sum_m t^{2m+1} / ((m!)^2 4^m (2m+1)), for 0 <= t <= 700;
+    the sum overflows a double near t = 712.
     """
     ts = np.atleast_1d(_check_times(t))
+    if not np.all(ts <= 700.0):
+        raise ValueError("argument outside the supported range [0, 700]")
     out = np.empty_like(ts)
     for i, v in enumerate(ts):
         q = 0.25 * v * v

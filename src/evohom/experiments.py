@@ -191,18 +191,15 @@ def _ex3_problem(spec, mesh, degree, law):
 
 def _ex45_problem(spec, mesh, degree, law):
     su = build_space(mesh, "q", degree, zero_trace=True)
-    rt = build_space(mesh, "rt", degree - 1)
-    spaces = [su, rt.vx, rt.vy]
-    op = assemble_skew_operator("div-grad", spaces)
     aug = augment_memory(law)
-    for _ in aug.slots:
-        wspace = build_space(mesh, "dgq", degree - 1)
-        op = extend_with_zero_components(op, [wspace.ndof])
-        spaces.append(wspace)
+    memory = [build_space(mesh, "dgq", degree - 1) for _ in aug.slots]
+    spaces = (su, *build_space(mesh, "rt", degree - 1), *memory)
+    op = assemble_skew_operator("div-grad", spaces[:3])
+    op = extend_with_zero_components(op, [s.ndof for s in memory])
     load = np.kron(restricted_load(su.sx, 1.0), restricted_load(su.sy, 1.0))
     forcing = ((_sin2pit, _stacked(spaces, 0, load)),)
     return EvolutionProblem(
-        tuple(spaces), aug.law, op, spec.grid(), forcing=forcing, rho=spec.rho
+        spaces, aug.law, op, spec.grid(), forcing=forcing, rho=spec.rho
     )
 
 

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .meshes import partition
+from .meshes import partition, stripe_points
 
 __all__ = [
     "Field",
@@ -178,11 +178,7 @@ class StripeIndicator(Field):
         return np.where(np.mod(k, 2.0) == 0.0, 1.0, 0.0)
 
     def breakpoints(self, a, b):
-        step = 1.0 / (2.0 * self.n)
-        k0 = math.floor(a / step) + 1
-        k1 = math.ceil(b / step) - 1
-        pts = np.arange(k0, k1 + 1) * step
-        return pts[(pts > a) & (pts < b)]
+        return stripe_points(a, b, self.n)
 
     def period(self):
         return 1.0 / self.n

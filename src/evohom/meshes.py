@@ -109,8 +109,8 @@ class TensorMesh2D:
         )
 
 
-def _stripe_points(a, b, n):
-    """Stripe discontinuities k/(2n) strictly inside (a, b)."""
+def stripe_points(a, b, n):
+    """Stripe discontinuities k/(2n) inside (a, b), farther than 1e-12 from its ends."""
     step = 1.0 / (2.0 * n)
     k_lo = int(np.floor(a / step)) - 1
     k_hi = int(np.ceil(b / step)) + 1
@@ -121,7 +121,7 @@ def _stripe_points(a, b, n):
 def _check_alignment(boundaries, a, b, n):
     missing = [
         p
-        for p in _stripe_points(a, b, n)
+        for p in stripe_points(a, b, n)
         if not np.any(np.abs(boundaries - p) <= _ALIGN_TOL)
     ]
     if missing:

@@ -1,4 +1,4 @@
-"""Skew block operators, law mass assembly, and quadratic-form checks.
+"""Skew spatial operators, law mass assembly, and quadratic-form checks.
 
 The spatial operator of every example family has the block form
 ``(0, D; -D^T, 0)`` for a single stored coupling block D, which makes the
@@ -13,14 +13,14 @@ assembled matrix skew-symmetric by construction:
   H(div)-conforming pair via <div v, u>;
 * ``zero`` — no spatial coupling.
 
-``assemble_law_masses`` turns an instant material law plus per-component
-spaces into stacked sparse M0/M1 matrices, including cross-component blocks
-(as produced by the memory augmentation).
+Every operator is a CSR matrix over the stacked DOFs of its spaces, in the
+layout of :func:`component_offsets`.  ``assemble_law_masses`` turns an
+instant material law plus per-component spaces into stacked sparse M0/M1
+matrices, including cross-component blocks (as produced by the memory
+augmentation).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,22 +44,6 @@ def component_offsets(spaces):
     return np.concatenate([[0], np.cumsum(sizes)]).astype(int)
 
 
-@dataclass(frozen=True)
-class SkewBlockOperator:
-    """Assembled skew-symmetric operator over stacked component DOFs."""
-
-    matrix: sp.csr_matrix
-    offsets: np.ndarray  # per-component DOF offsets, length ncomp+1
-
-    @property
-    def ncomp(self):
-        return len(self.offsets) - 1
-
-    @property
-    def ndof(self):
-        return int(self.offsets[-1])
-
-
 def _blocks_to_matrix(blocks, offsets):
     n = len(offsets) - 1
     grid = [[None] * n for _ in range(n)]
@@ -73,7 +57,7 @@ def _blocks_to_matrix(blocks, offsets):
 
 
 def assemble_skew_operator(structure, spaces):
-    """Assemble the block operator of the given structure over the spaces.
+    """CSR matrix of the given structure over the stacked DOFs of the spaces.
 
     ``structure`` is one of the structure names above or an example id
     (EX1..EX5).  Raises for nonconforming space combinations.
@@ -112,33 +96,19 @@ def assemble_skew_operator(structure, spaces):
         blocks[(1, 0)] = (-dx.T).tocsr()
         blocks[(2, 0)] = (-dy.T).tocsr()
 
-    matrix = _blocks_to_matrix(blocks, offsets)
-    return SkewBlockOperator(matrix=matrix, offsets=offsets)
+    return _blocks_to_matrix(blocks, offsets)
 
 
 def extend_with_zero_components(op, extra_sizes):
-    """Append components on which the operator acts as zero blocks.
+    """Pad the matrix ``op`` with zero blocks for appended components.
 
     This is the operator half of the memory augmentation: intrinsic
-    variables carry no spatial derivatives.
+    variables carry no spatial derivatives.  No sizes return ``op`` itself.
     """
-    extra_sizes = [int(s) for s in extra_sizes]
-    if not extra_sizes:
+    extra = sum(int(s) for s in extra_sizes)
+    if not extra:
         return op
-    n_old = op.ndof
-    n_new = n_old + sum(extra_sizes)
-    matrix = sp.bmat(
-        [
-            [op.matrix, sp.csr_matrix((n_old, n_new - n_old))],
-            [sp.csr_matrix((n_new - n_old, n_old)), sp.csr_matrix((n_new - n_old, n_new - n_old))],
-        ],
-        format="csr",
-    )
-    offsets = np.concatenate([op.offsets, op.offsets[-1] + np.cumsum(extra_sizes)])
-    return SkewBlockOperator(
-        matrix=matrix,
-        offsets=offsets.astype(int),
-    )
+    return sp.block_diag([op, sp.csr_matrix((extra, extra))], format="csr")
 
 
 def _entry_gram(row_space, col_space, coeff):

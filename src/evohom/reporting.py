@@ -114,14 +114,18 @@ def _scalar_test(v):
 def _load_terms(problem, v, domain, component):
     """A test function as ``(component, load vector)`` terms and a temporal factor.
 
-    Vector dictionary names give one term per non-vanishing flux component
-    (1, 2) of a 2-D solution; anything else is one scalar term.
+    The component's space picks the dictionary: on a 2-D component ``v``
+    names a vector test, one term per non-vanishing flux component (1, 2);
+    on a 1-D component it names a scalar test, one term.
     """
     spaces = problem.spaces
-    if v in VECTOR_TEST_DICTIONARY and (
-        v not in TEST_DICTIONARY_1D
-        or isinstance(spaces[min(1, len(spaces) - 1)], TensorSpace)
-    ):
+    space = spaces[component]
+    if isinstance(space, TensorSpace):
+        if v not in VECTOR_TEST_DICTIONARY:
+            raise ValueError(
+                "dictionary mismatch: scalar test on a 2-D component; "
+                "use the vector test dictionary"
+            )
         if len(spaces) < 3 or not all(
             isinstance(spaces[k], TensorSpace) for k in (1, 2)
         ):
@@ -140,12 +144,6 @@ def _load_terms(problem, v, domain, component):
                 terms.append((k, r))
         return terms, None
     spatial, temporal = _scalar_test(v)
-    space = spaces[component]
-    if isinstance(space, TensorSpace):
-        raise ValueError(
-            "dictionary mismatch: scalar test on a 2-D component; "
-            "use the vector test dictionary"
-        )
     lo, hi = (None, None) if domain is None else domain
     return [(component, restricted_load(space, spatial, lo, hi))], temporal
 

@@ -56,7 +56,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .blas import one_blas_thread
-from .operators import assemble_law_masses
+from .operators import assemble_law_masses, component_offsets
 from .timequad import (
     TRACE_LEFT,
     TRACE_RIGHT,
@@ -70,6 +70,10 @@ from .timequad import (
 class EvolutionProblem:
     """One well-posed evolutionary solve: spaces + instant law + A + data.
 
+    The DOFs of the spaces are stacked in order; ``offsets`` (from
+    :func:`component_offsets`) delimits each component's block of them.
+    ``operator`` is the spatial operator A as a sparse matrix over these
+    stacked DOFs, and M0, M1 and A must each be ``(ndof, ndof)``.
     ``forcing`` is a sequence of separable terms ``(g, b)`` with ``g`` a
     scalar time signal and ``b`` a stacked spatial load vector; ``u0`` is a
     stacked coefficient vector of the initial datum (default zero).  The
@@ -94,12 +98,8 @@ class EvolutionProblem:
         self.operator = operator
         if law.ncomp != len(self.spaces):
             raise ValueError("law and spaces disagree on the component count")
-        if operator.ncomp != len(self.spaces):
-            raise ValueError("operator and spaces disagree on the component count")
-        self.offsets = operator.offsets
+        self.offsets = component_offsets(self.spaces)
         self.ndof = int(self.offsets[-1])
-        if sum(s.ndof for s in self.spaces) != self.ndof:
-            raise ValueError("operator offsets do not match the spaces")
         if not isinstance(grid, TimeGrid):
             raise TypeError("grid must be a TimeGrid")
         self.grid = grid
@@ -112,11 +112,9 @@ class EvolutionProblem:
             self.m1mat = sp.csr_matrix(m1mat)
         else:
             self.m0mat, self.m1mat = assemble_law_masses(self.spaces, law)
-        if self.m0mat.shape != (self.ndof, self.ndof) or self.m1mat.shape != (
-            self.ndof,
-            self.ndof,
-        ):
-            raise ValueError("mass matrices must match the stacked DOF count")
+        square = (self.ndof, self.ndof)
+        if any(m.shape != square for m in (self.m0mat, self.m1mat, operator)):
+            raise ValueError("M0, M1 and A must match the stacked DOF count")
         self.forcing = []
         for g, b in forcing:
             b = np.asarray(b, dtype=float)
@@ -183,7 +181,7 @@ def _support_box(space):
 
 def _slab_matrix(problem, rule):
     t0, t1, jump = temporal_matrices(rule)
-    spatial = (problem.m1mat + problem.operator.matrix).tocsr()
+    spatial = (problem.m1mat + problem.operator).tocsr()
     return (
         sp.kron(t1 + jump, problem.m0mat) + sp.kron(t0, spatial)
     ).tocsc()
@@ -276,7 +274,7 @@ def march(problem):
         grid = problem.grid
         p = problem.ordering
         m0p = problem.m0mat[p][:, p]
-        spatialp = (problem.m1mat + problem.operator.matrix).tocsr()[p][:, p]
+        spatialp = (problem.m1mat + problem.operator).tocsr()[p][:, p]
         z = np.empty(problem.ndof, dtype=complex)
         prev = problem.m0mat @ problem.u0
         h_run = 0.0  # length of the first slab of the current run

@@ -358,36 +358,15 @@ def gram2d(row, col, coeff=None, drow=(0, 0), dcol=(0, 0)):
     return out
 
 
-class RTSpace:
-    """H(div)-conforming tensor-product Raviart–Thomas pair of order k.
-
-    Component spaces: vx in CG_{k+1}(x) x DG_k(y), vy in DG_k(x) x CG_{k+1}(y).
-    """
-
-    def __init__(self, mesh, degree=0):
-        if degree < 0:
-            raise ValueError("RT spaces need degree >= 0")
-        self.degree = int(degree)
-        k = self.degree
-        self.vx = TensorSpace(
-            NodalLineSpace(mesh.x, k + 1), GaussLineSpace(mesh.y, k)
-        )
-        self.vy = TensorSpace(
-            GaussLineSpace(mesh.x, k), NodalLineSpace(mesh.y, k + 1)
-        )
-
-    @property
-    def ndof(self):
-        return self.vx.ndof + self.vy.ndof
-
-
 def build_space(mesh, family, degree=1, periodic=False, constraints=(), zero_trace=False):
     """Spec-level space factory.
 
     1-D families: ``"cg"`` (optionally periodic or with point constraints)
     and ``"dg"``.  2-D families on tensor meshes: ``"q"`` (scalar continuous,
-    optionally zero-trace), ``"rt"`` (Raviart–Thomas pair of order
-    ``degree``), ``"dgq"`` (discontinuous tensor elements).
+    optionally zero-trace), ``"rt"`` (the H(div)-conforming Raviart–Thomas
+    pair of order k = ``degree`` >= 0, returned as the two component spaces
+    ``(vx, vy)`` with vx in CG_{k+1}(x) x DG_k(y) and vy in
+    DG_k(x) x CG_{k+1}(y)), ``"dgq"`` (discontinuous tensor elements).
     """
     family = family.lower()
     if isinstance(mesh, Mesh1D):
@@ -407,7 +386,11 @@ def build_space(mesh, family, degree=1, periodic=False, constraints=(), zero_tra
                 NodalLineSpace(mesh.y, degree, constraints=cons_y),
             )
         if family == "rt":
-            return RTSpace(mesh, degree)
+            if degree < 0:
+                raise ValueError("RT spaces need degree >= 0")
+            cg = [NodalLineSpace(m, degree + 1) for m in (mesh.x, mesh.y)]
+            dg = [GaussLineSpace(m, degree) for m in (mesh.x, mesh.y)]
+            return TensorSpace(cg[0], dg[1]), TensorSpace(dg[0], cg[1])
         if family == "dgq":
             return TensorSpace(
                 GaussLineSpace(mesh.x, degree), GaussLineSpace(mesh.y, degree)

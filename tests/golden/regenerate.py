@@ -5,8 +5,8 @@ Run from the repository root::
     PYTHONPATH=src python tests/golden/regenerate.py
 
 Each ``<example>_n<n-list>.csv`` holds the rows ``n, quantity, repr(value)``
-of one sweep that the tier-1 tests already run (``test_jobs_deterministic``
-and ``test_ex5_dichotomy``); those tests compare their rows to it at 1e-10
+of one sweep that the tier-1 tests already run (``test_jobs_deterministic``,
+``test_ex5_dichotomy`` and ``TestEX2Sweep``); those tests compare their rows to it at 1e-10
 relative through the ``assert_golden`` fixture.  Each ``text/<name>.txt``
 holds the exact text of one law (``serialize_law``) or of one ``evohom
 limits``, ``describe``, ``quadrature`` or ``oracle`` command, which the

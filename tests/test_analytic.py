@@ -121,6 +121,13 @@ class TestOdeHomExact:
     def test_unit_step_frozen(self, t):
         assert i0_antiderivative(t) == pytest.approx(I0_INT_ORACLE[t], rel=1e-13)
 
+    @pytest.mark.filterwarnings("error")
+    def test_supported_range(self):
+        assert i0_antiderivative(700.0) == pytest.approx(1.530688656412e302, rel=1e-12)
+        for t in (700.5, 712.0, 1000.0, [1.0, 1000.0]):
+            with pytest.raises(ValueError, match="supported range"):
+                i0_antiderivative(t)
+
     def test_termwise_matches_quadrature(self):
         for t in (0.5, 1.0, 2.0):
             assert i0_antiderivative(t) == pytest.approx(

@@ -73,6 +73,14 @@ class TestOracle:
         assert code == 0
         assert out == golden_text(f"oracle_{which}")
 
+    @pytest.mark.filterwarnings("error")
+    def test_hom_beyond_range_fails(self, capsys):
+        # the series of int_0^t I_0 overflows near t = 712: no inf, exit 3
+        code, out, err = run_cli(capsys, "oracle", "--which", "hom", "--t", "1000")
+        assert code == 3
+        assert "supported range" in err
+        assert "inf" not in out
+
     def test_missing_argument(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--which", "ode", "--t", "1.0")
         assert code == 3

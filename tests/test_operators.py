@@ -1,4 +1,4 @@
-"""Tests for skew block operators, law masses, and quadratic-form checks."""
+"""Tests for skew spatial operators, law masses, and quadratic-form checks."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from evohom.operators import (
     assemble_law_masses,
     assemble_skew_operator,
     complexified_accretivity_gap,
+    component_offsets,
     extend_with_zero_components,
     skew_gradient_form,
 )
@@ -21,10 +22,10 @@ def _assert_skew(a, tol):
     assert abs(a + a.T).max() <= tol * abs(a).max()
 
 
-def _block(op, i, j):
-    """The (i-row, j-column) component block of an assembled operator."""
-    o = op.offsets
-    return op.matrix[o[i] : o[i + 1], o[j] : o[j + 1]]
+def _block(op, spaces, i, j):
+    """The (i-row, j-column) component block of an operator over ``spaces``."""
+    o = component_offsets(spaces)
+    return op[o[i] : o[i + 1], o[j] : o[j + 1]]
 
 
 def _kept_positions(space):
@@ -40,14 +41,13 @@ class TestPeriodicPair:
 
     def test_shape_and_skewness(self):
         op, su, sv = self._op()
-        assert op.ndof == 8
-        assert op.ncomp == 2
-        _assert_skew(op.matrix, 1e-14)
+        assert op.shape == (8, 8)
+        _assert_skew(op, 1e-14)
 
     def test_constants_in_kernel(self):
         op, su, sv = self._op()
-        ones = np.ones(op.ndof)
-        assert np.max(np.abs(op.matrix @ ones)) <= 1e-14
+        ones = np.ones(op.shape[0])
+        assert np.max(np.abs(op @ ones)) <= 1e-14
 
     def test_structure_name_equivalent(self):
         mesh = build_mesh((0.0, 1.0), 4)
@@ -55,7 +55,7 @@ class TestPeriodicPair:
         sv = build_space(mesh, "cg", 1, periodic=True)
         a = assemble_skew_operator("periodic-pair", (su, sv))
         b = assemble_skew_operator("EX2", (su, sv))
-        assert (a.matrix != b.matrix).nnz == 0
+        assert (a != b).nnz == 0
 
     def test_wrong_arity(self):
         mesh = build_mesh((0.0, 1.0), 4)
@@ -79,11 +79,11 @@ class TestInterfacePair:
 
     def test_skewness_exact(self):
         op, su, sv = self._op()
-        _assert_skew(op.matrix, 1e-13)
+        _assert_skew(op, 1e-13)
 
     def test_vanishes_on_positive_half(self):
         op, su, sv = self._op()
-        d = _block(op, 0, 1).toarray()
+        d = _block(op, (su, sv), 0, 1).toarray()
         pos_v = _kept_positions(sv)
         pos_u = _kept_positions(su)
         h = 2.0 / 8
@@ -98,7 +98,7 @@ class TestInterfacePair:
     def test_integration_by_parts_identity(self):
         # <u, v'>_(-1,0) = -<u', v>_(-1,0) for u(0)=0, v(-1)=0
         op, su, sv = self._op()
-        d = _block(op, 0, 1).toarray()
+        d = _block(op, (su, sv), 0, 1).toarray()
         pos_u = _kept_positions(su)
         pos_v = _kept_positions(sv)
         u = np.maximum(0.0, -pos_u)  # u(x) = max(0, -x): zero at 0 and beyond
@@ -111,23 +111,22 @@ class TestDivGrad:
     def _spaces(self, ncells=2):
         mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), (ncells, ncells))
         su = build_space(mesh, "q", 1, zero_trace=True)
-        rt = build_space(mesh, "rt", 0)
-        return su, rt.vx, rt.vy
+        return (su, *build_space(mesh, "rt", 0))
 
     def test_shapes_and_skewness(self):
         su, svx, svy = self._spaces()
         op = assemble_skew_operator("EX4", (su, svx, svy))
-        assert op.ndof == su.ndof + svx.ndof + svy.ndof == 13
-        _assert_skew(op.matrix, 1e-14)
-        assert _block(op, 0, 1).shape == (1, 6)
-        assert _block(op, 0, 2).shape == (1, 6)
+        assert op.shape[0] == su.ndof + svx.ndof + svy.ndof == 13
+        _assert_skew(op, 1e-14)
+        assert _block(op, (su, svx, svy), 0, 1).shape == (1, 6)
+        assert _block(op, (su, svx, svy), 0, 2).shape == (1, 6)
 
     def test_gradient_pairing_value(self):
         # <u, d_x vx> for u the single interior Q1 hat and vx = x (exactly
         # representable in CG1 x DG0): int u * 1 = (1/2)^2 a tent-volume.
         su, svx, svy = self._spaces()
         op = assemble_skew_operator("div-grad", (su, svx, svy))
-        dx = _block(op, 0, 1).toarray()
+        dx = _block(op, (su, svx, svy), 0, 1).toarray()
         nodes_x = svx.sx.node_positions  # CG1 nodes in x
         coeff = np.repeat(nodes_x, svx.sy.ndof)  # vx(x, y) = x, x-major
         val = (dx @ coeff)[0]
@@ -148,12 +147,12 @@ class TestExtension:
         sv = build_space(mesh, "cg", 1, periodic=True)
         op = assemble_skew_operator("EX2", (su, sv))
         ext = extend_with_zero_components(op, [3, 2])
-        assert ext.ndof == op.ndof + 5
-        assert ext.ncomp == 4
-        assert list(ext.offsets) == [0, 4, 8, 11, 13]
-        assert abs(ext.matrix[:, op.ndof :]).max() == 0.0
-        assert abs(ext.matrix[op.ndof :, :]).max() == 0.0
-        _assert_skew(ext.matrix, 1e-14)
+        n = op.shape[0]
+        assert ext.shape == (n + 5, n + 5)
+        assert (ext[:n, :n] != op).nnz == 0
+        assert abs(ext[:, n:]).max() == 0.0
+        assert abs(ext[n:, :]).max() == 0.0
+        _assert_skew(ext, 1e-14)
         assert extend_with_zero_components(op, []) is op
 
 

@@ -100,23 +100,23 @@ def _vector_solution(cells=(2, 2), span=((-2.0, 2.0), (-2.0, 2.0)), degree=0):
     """2-D flux pair with vx(t,x,y) = t*x and vy = 0 exactly (RT of ``degree``)."""
     mesh = build_mesh(span, cells)
     su = build_space(mesh, "q", 1, zero_trace=True)
-    rt = build_space(mesh, "rt", degree)
-    spaces = (su, rt.vx, rt.vy)
+    vx, vy = build_space(mesh, "rt", degree)
+    spaces = (su, vx, vy)
     op = assemble_skew_operator("zero", (su,))
     from evohom.operators import extend_with_zero_components
 
-    op = extend_with_zero_components(op, [rt.vx.ndof, rt.vy.ndof])
+    op = extend_with_zero_components(op, [vx.ndof, vy.ndof])
     mass = sp.block_diag(
-        [gram2d(su, su), gram2d(rt.vx, rt.vx), gram2d(rt.vy, rt.vy)], format="csr"
+        [gram2d(su, su), gram2d(vx, vx), gram2d(vy, vy)], format="csr"
     )
     b = np.concatenate(
         [
             np.zeros(su.ndof),
             np.kron(
-                restricted_load(rt.vx.sx, lambda x: x),
-                restricted_load(rt.vx.sy, 1.0),
+                restricted_load(vx.sx, lambda x: x),
+                restricted_load(vx.sy, 1.0),
             ),
-            np.zeros(rt.vy.ndof),
+            np.zeros(vy.ndof),
         ]
     )
     problem = EvolutionProblem(

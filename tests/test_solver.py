@@ -312,6 +312,17 @@ class TestProblemValidation:
                 m1mat=sp.eye(1),
             )
 
+    def test_operator_shape_checked(self):
+        space = GaussLineSpace(build_mesh((0.0, 1.0), 2), 0)
+        op = assemble_skew_operator("zero", (space, space))
+        grid = TimeGrid.uniform(1.0, 2)
+        with pytest.raises(ValueError, match="M0, M1 and A must match"):
+            EvolutionProblem(
+                (space,), _UNIT_LAW, op, grid, m0mat=sp.eye(2), m1mat=sp.eye(2)
+            )
+        with pytest.raises(ValueError, match="M0, M1 and A must match"):
+            EvolutionProblem((space,), _UNIT_LAW, op, grid)
+
     def test_slab_index_checked(self):
         problem = _scalar_problem()
         with pytest.raises(ValueError, match="out of range"):
@@ -336,10 +347,9 @@ class TestTwoDimensionalSmoke:
             ((-2.0, 2.0), (-2.0, 2.0)), (10, 4), alignment=1, osc_region=(-1.0, 1.0)
         )
         su = build_space(mesh, "q", 1, zero_trace=True)
-        rt = build_space(mesh, "rt", 0)
-        spaces = (su, rt.vx, rt.vy)
+        spaces = (su, *build_space(mesh, "rt", 0))
         op = assemble_skew_operator("EX4", spaces)
-        ndof = op.ndof
+        ndof = op.shape[0]
         b = np.zeros(ndof)
         b[: su.ndof] = np.kron(
             restricted_load(su.sx, 1.0), restricted_load(su.sy, 1.0)

@@ -17,7 +17,6 @@ from evohom.meshes import (
 from evohom.spaces import (
     GaussLineSpace,
     NodalLineSpace,
-    RTSpace,
     TensorSpace,
     build_space,
     collocated_mass,
@@ -256,16 +255,19 @@ class TestLineSpaces:
 class TestTensorSpaces:
     def test_rt0_dof_count(self):
         mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), (2, 2))
-        rt = build_space(mesh, "rt", 0)
-        assert isinstance(rt, RTSpace)
-        assert rt.vx.ndof == 6 and rt.vy.ndof == 6
-        assert rt.ndof == 12
+        vx, vy = build_space(mesh, "rt", 0)
+        assert isinstance(vx, TensorSpace) and isinstance(vy, TensorSpace)
+        assert vx.ndof == 6 and vy.ndof == 6
 
     def test_rt1_dof_count(self):
         mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), (2, 2))
-        rt = build_space(mesh, "rt", 1)
-        assert rt.vx.ndof == 5 * 4 and rt.vy.ndof == 4 * 5
-        assert rt.ndof == 40
+        vx, vy = build_space(mesh, "rt", 1)
+        assert vx.ndof == 5 * 4 and vy.ndof == 4 * 5
+
+    def test_rt_rejects_negative_degree(self):
+        mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), (2, 2))
+        with pytest.raises(ValueError, match="degree >= 0"):
+            build_space(mesh, "rt", -1)
 
     def test_zero_trace_q1(self):
         mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), (2, 2))
