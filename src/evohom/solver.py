@@ -47,6 +47,23 @@ solves, two runs, 2 vCPUs) this path took 8.4-12.2 ms instead of
 11.1-15.4 ms on the EX4 reference pencil, 19.4-20.2 ms instead of
 22.4-25.5 ms at n = 16, 8.4-10.0 ms instead of 10.3-12.0 ms at n = 8 and
 1.5-1.7 ms instead of 1.9-2.2 ms at n = 2.
+
+A mirror R = signs x P reverses the DOFs along one axis of the cell box
+(P, :func:`_reflection`) with a sign per component.  The data and their
+images y under (M0 + M1 + A)^k, k below the component count, are then
+R-invariant: <P y_i, y_i> gives the sign of each component i they reach,
+and the others are even.  :func:`_mirrors` keeps R if it fixes each load,
+u0, and M0 and M1 + A in R M R^T x = M x for one fixed random x (Freivalds'
+check), to 1e-13 of the largest entry.  The solution is then R-invariant:
+the march factors S^T (lam M0 + M1 + A) S, S the +-1 basis of the vectors
+every mirror fixes (:func:`_invariant_basis`), in ``problem.ordering``
+restricted to the orbit representatives, and unfolds each slab to S z.
+EX4/EX5 runs are mirrored in y, their references in x and y.  First-slab
+pencils, full -> reduced (CPU medians, 2 vCPUs): EX4 at n = 16 38 401 ->
+19 200 unknowns, 3.46 M -> 1.57 M LU entries, factor 380 -> 163 ms, solve
+23 -> 8.3 ms; at n = 8 19 201 -> 9 600, 1.57 M -> 0.73 M; EX4 reference
+19 201 -> 4 800, 1.64 M -> 0.37 M, 168 -> 36 ms, 10 -> 1.6 ms; EX5
+reference 25 601 -> 6 400, 1.72 M -> 0.39 M.
 """
 
 from __future__ import annotations
@@ -57,6 +74,7 @@ from scipy.sparse.linalg import splu
 
 from .blas import one_blas_thread
 from .operators import assemble_law_masses, component_offsets
+from .spaces import TensorSpace
 from .timequad import (
     TRACE_LEFT,
     TRACE_RIGHT,
@@ -127,6 +145,7 @@ class EvolutionProblem:
         if self.u0.shape != (self.ndof,):
             raise ValueError("u0 must be a stacked coefficient vector")
         self.ordering = cell_dissection(self.spaces)
+        self.mirrors = _mirrors(self)
 
     def component_slice(self, i):
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
@@ -177,6 +196,62 @@ def _support_box(space):
         return (*ranges[0], *ranges[1])
     ((x_lo, x_hi),) = ranges
     return x_lo, x_hi, np.zeros_like(x_lo), np.ones_like(x_hi)
+
+
+def _reflection(problem, axis):
+    """Stacked DOF permutation that reverses each component's line space
+    along ``axis`` (0: x, 1: y); a tensor space reverses one factor."""
+    shape = lambda s: (s.sx.ndof, s.sy.ndof) if isinstance(s, TensorSpace) else (-1, 1)
+    return np.concatenate([
+        o + np.flip(np.arange(s.ndof).reshape(shape(s)), axis).ravel()
+        for o, s in zip(problem.offsets, problem.spaces)
+    ])
+
+
+def _mirrors(problem):
+    """``{axis: component signs}`` of each mirror of the problem (see the
+    module docstring); the diagonals, fixed whatever the signs, go first."""
+    n, starts = problem.ndof, problem.offsets[:-1]
+    m0, m1, op = problem.m0mat, problem.m1mat, problem.operator
+    apply = (m0.__matmul__, lambda v: m1 @ v + op @ v)
+    data = [b for _, b in problem.forcing] + [problem.u0]
+    reached = [sum(data)]
+    for _ in starts[1:]:
+        reached.append(sum(f(reached[-1]) for f in apply))
+    x = np.random.default_rng(0).random(n)
+    images = [f(x) for f in apply]
+    diag = m0.diagonal() + m1.diagonal() + op.diagonal()
+    fixed = lambda a, b: np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+    out = {}
+    for axis in (0, 1):
+        perm = _reflection(problem, axis)
+        if np.array_equal(perm, np.arange(n)) or not fixed(diag[perm], diag):
+            continue
+        signs = np.sign(sum(np.add.reduceat(y[perm] * y, starts) for y in reached))
+        sign = np.repeat(np.where(signs == 0, 1.0, signs), np.diff(problem.offsets))
+        pairs = [(sign * f(sign * x[perm])[perm], y) for f, y in zip(apply, images)]
+        if all(fixed(a, b) for a, b in pairs + [(sign * b[perm], b) for b in data]):
+            out[axis] = tuple(sign[starts].astype(int).tolist())
+    return out
+
+
+def _invariant_basis(problem):
+    """S, one column per orbit of DOFs under the mirrors but the odd ones (on
+    a mirror line, in a component that changes sign), and its ordering."""
+    n = problem.ndof
+    perms, signs = [np.arange(n)], [np.ones(n)]  # the group: (g x)_i = sign_i x_perm_i
+    for axis, s in problem.mirrors.items():
+        perm, sign = _reflection(problem, axis), np.repeat(s, np.diff(problem.offsets))
+        signs += [g * sign[q] for q, g in zip(perms, signs)]
+        perms += [perm[q] for q in perms]
+    perms, signs = np.array(perms), np.array(signs)
+    rep = perms.min(axis=0)
+    odd = ((perms == np.arange(n)) & (signs < 0)).any(axis=0)[rep]
+    kept = ~odd & (rep == np.arange(n))
+    col, rows = np.cumsum(kept) - 1, np.flatnonzero(~odd)
+    entries = signs[perms.argmin(axis=0), np.arange(n)][rows]
+    basis = sp.csr_matrix((entries, (rows, col[rep[rows]])), shape=(n, kept.sum()))
+    return basis, col[problem.ordering[kept[problem.ordering]]]
 
 
 def _slab_matrix(problem, rule):
@@ -263,8 +338,9 @@ def march(problem):
     length starts a new run, which drops the old LU and factorises anew.
     Each LU factors the transposed pencil ``(lam M0 + M1 + A)[p][:, p].T``
     in the problem's nested-dissection ordering ``p`` (``problem.ordering``)
-    with diagonal pivots; each load is permuted by ``p``, solved with the
-    transposed factor (``trans="T"``) and mapped back.  The pencil, the
+    with diagonal pivots, on the mirrors' invariant subspace if the problem
+    has mirrors; each load is permuted by ``p``, solved with the transposed
+    factor (``trans="T"``) and mapped back.  The pencil, the
     factorisations and the march run with one BLAS thread
     (:func:`one_blas_thread`): SuperLU's BLAS calls on these systems gain
     no wall time from more threads, only CPU time, and a sweep that runs
@@ -272,10 +348,14 @@ def march(problem):
     """
     with one_blas_thread():
         grid = problem.grid
-        p = problem.ordering
-        m0p = problem.m0mat[p][:, p]
-        spatialp = (problem.m1mat + problem.operator).tocsr()[p][:, p]
-        z = np.empty(problem.ndof, dtype=complex)
+        p, fold, unfold = problem.ordering, (lambda a: a), (lambda a: a)
+        m0, spatial = problem.m0mat, (problem.m1mat + problem.operator).tocsr()
+        if problem.mirrors:
+            basis, p = _invariant_basis(problem)
+            fold, unfold = basis.T.__matmul__, basis.__matmul__
+            m0, spatial = (fold(m @ basis).tocsr() for m in (m0, spatial))
+        m0p, spatialp = (m[p][:, p] for m in (m0, spatial))
+        z = np.empty(p.size, dtype=complex)
         prev = problem.m0mat @ problem.u0
         h_run = 0.0  # length of the first slab of the current run
         for m in range(1, grid.num_slabs + 1):
@@ -300,12 +380,12 @@ def march(problem):
             # elementwise, not w @ b: numpy sends that complex-by-real product
             # to a threaded BLAS gemv, measured at 6 ms instead of 0.02 ms per
             # slab of EX4 at n = 2 on 2 vCPUs
-            z[p] = lu.solve((w[0] * b[0] + w[1] * b[1])[p], trans="T")
+            z[p] = lu.solve(fold(w[0] * b[0] + w[1] * b[1])[p], trans="T")
             if not np.all(np.isfinite(z)):
                 raise RuntimeError(
                     f"singular slab system at slab {m}: non-finite solve"
                 )
-            c = 2.0 * np.outer(v, z).real
+            c = 2.0 * np.outer(v, unfold(z)).real
             prev = problem.m0mat @ (TRACE_RIGHT @ c)
             yield m, c
 

@@ -11,7 +11,7 @@ from scipy.sparse.linalg import splu
 
 import evohom.solver as solver
 from evohom.analytic import ode_exact
-from evohom.experiments import ExperimentSpec, _ex45_problem, build_run
+from evohom.experiments import _FAMILIES, ExperimentSpec, _ex45_problem, build_run
 from evohom.fields import Constant, RegionIndicator, SineOsc
 from evohom.homogenise import build_limit_law
 from evohom.laws import MaterialLaw, MemoryTerm, augment_memory, example_material
@@ -525,7 +525,9 @@ class TestCellDissection:
         return factors[0]
 
     def test_less_fill_than_colamd(self, monkeypatch):
-        # 0.276 M entries; COLAMD makes 0.459 M of the unpermuted pencil
+        # 0.132 M entries on the 2 400 unknowns left by the mirror in y
+        # (0.276 M on all 4 801); COLAMD makes 0.459 M of the full,
+        # unpermuted pencil
         lu = self._first_factor(monkeypatch, build_run("EX4", 2))
         assert lu.nnz <= 350_000
 
@@ -548,4 +550,93 @@ class TestCellDissection:
         )
         identity = np.arange(problem.ndof)
         assert np.array_equal(np.sort(problem.ordering), identity)
-        assert np.array_equal(self._first_factor(monkeypatch, problem).perm_r, identity)
+        # a mirror-symmetric problem factors fewer unknowns than its DOFs
+        perm_r = self._first_factor(monkeypatch, problem).perm_r
+        assert np.array_equal(perm_r, np.arange(perm_r.size))
+
+
+class TestMirrors:
+    """The march on the invariant subspace of a problem's mirrors."""
+
+    # u even, vx even, vy odd in y; vx odd in x; the memory variable of the
+    # EX5 limit follows vy
+    RUN = {1: (1, 1, -1)}
+    REFERENCE = {
+        "EX4": {0: (1, -1, 1), 1: (1, 1, -1)},
+        "EX5": {0: (1, -1, 1, 1), 1: (1, 1, -1, -1)},
+    }
+
+    @staticmethod
+    def _reference(example):
+        """The family's level-0 reference problem, as a sweep poses it."""
+        family, spec = _FAMILIES[example], ExperimentSpec(example)
+        law = family.ref_law(example)
+        return family.build(spec, family.ref_mesh(law.domain, 0), spec.degree + 1, law)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("example", ["EX4", "EX5"])
+    def test_runs_mirrored_in_y(self, example, degree):
+        assert build_run(example, 2, degree=degree).mirrors == self.RUN
+
+    @pytest.mark.parametrize("example", ["EX4", "EX5"])
+    def test_references_mirrored_in_x_and_y(self, example):
+        assert self._reference(example).mirrors == self.REFERENCE[example]
+
+    @pytest.mark.parametrize("example", ["EX1", "EX2", "EX3"])
+    def test_one_dimensional_families_have_none(self, example):
+        assert build_run(example, 2).mirrors == {}
+        assert build_run(example, 2, degree=2).mirrors == {}
+
+    @pytest.mark.parametrize("iy, mirrors", [(10, {}), (39, RUN)])
+    def test_load_off_the_mirror_line_breaks_it(self, iy, mirrors):
+        # u is Q1 on (20, 80) cells with zero trace: 19 x 79 DOFs, x-major,
+        # and the line y = 0 holds the DOFs iy = 39
+        run = build_run("EX4", 2)
+        ((g, load),) = run.forcing
+        load = load.copy()
+        load[3 * 79 + iy] *= 1.01
+        problem = EvolutionProblem(
+            run.spaces,
+            run.law,
+            run.operator,
+            run.grid,
+            forcing=[(g, load)],
+            m0mat=run.m0mat,
+            m1mat=run.m1mat,
+        )
+        assert problem.mirrors == mirrors
+
+    def test_first_factor_on_half_the_unknowns(self, monkeypatch):
+        problem = build_run("EX4", 2)
+        lu = TestCellDissection._first_factor(monkeypatch, problem)
+        assert (problem.ndof, lu.shape[0]) == (4801, 2400)
+
+    @pytest.mark.parametrize("example, size", [("EX4", 4800), ("EX5", 6400)])
+    def test_basis_spans_the_fixed_vectors(self, example, size):
+        problem = self._reference(example)
+        basis, order = solver._invariant_basis(problem)
+        assert basis.shape == (problem.ndof, size)
+        for axis, signs in problem.mirrors.items():
+            sign = np.repeat(signs, np.diff(problem.offsets))
+            perm = solver._reflection(problem, axis)
+            mirror = sp.csr_matrix((sign, perm, np.arange(problem.ndof + 1)))
+            assert abs(mirror @ basis - basis).max() == 0.0
+        # disjoint orbits of 1, 2 or 4 DOFs with entries +-1
+        gram = (basis.T @ basis).tocoo()
+        assert np.array_equal(gram.row, gram.col) and set(gram.data) <= {1.0, 2.0, 4.0}
+        assert set(np.abs(basis.data)) == {1.0}
+        assert np.array_equal(np.sort(order), np.arange(size))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.7])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("example", ["EX4", "EX5"])
+    def test_reduced_march_matches_full(self, monkeypatch, example, degree, rho):
+        knobs = {"degree": degree, "rho": rho, "slabs": 8}
+        reduced = build_run(example, 2, **knobs)
+        assert reduced.mirrors == self.RUN
+        monkeypatch.setattr(solver, "_mirrors", lambda problem: {})
+        full = build_run(example, 2, **knobs)
+        assert full.mirrors == {}
+        pairs = zip(solve_evolution(reduced).coeffs, solve_evolution(full).coeffs)
+        for a, b in pairs:
+            assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
