@@ -210,28 +210,28 @@ def _cmd_quadrature(args):
 
 def _cmd_oracle(args):
     which = args.which
-    print("name,value")
     if which == "ode":
         if args.n is None or args.t is None or args.x is None:
             raise ValueError("oracle ode needs --n, --t, and --x")
-        print(f"u_osc,{_fmt(float(ode_exact(args.n, args.t, args.x)))}")
+        rows = [("u_osc", float(ode_exact(args.n, args.t, args.x)))]
     elif which == "hom":
         if args.t is None:
             raise ValueError("oracle hom needs --t")
-        value = _fmt(float(i0_antiderivative(args.t)))  # u_hom of the unit step
-        print(f"u_hom,{value}\ni0_antiderivative,{value}")
+        value = float(i0_antiderivative(args.t))  # u_hom of the unit step
+        rows = [("u_hom", value), ("i0_antiderivative", value)]
     elif which == "i0":
         if args.t is None:
             raise ValueError("oracle i0 needs --t")
-        print(f"i0,{_fmt(float(bessel_i0(args.t)))}")
+        rows = [("i0", float(bessel_i0(args.t)))]
     else:  # series
         if args.z is None:
             raise ValueError("oracle series needs --z")
         z = complex(args.z)
         if z.imag == 0.0:
             z = z.real
-        print(f"series_truncated,{_fmt(series_material_law(z))}")
-        print(f"series_closed,{_fmt(series_closed_form(z))}")
+        rows = [("series_truncated", series_material_law(z))]
+        rows += [("series_closed", series_closed_form(z))]
+    print("\n".join(["name,value"] + [f"{name},{_fmt(v)}" for name, v in rows]))
     return 0
 
 
