@@ -29,7 +29,7 @@ pair all but coalesces, so the march refuses pencils with
 cond(V) > _PENCIL_COND_MAX.
 
 Every factorisation of a problem's march takes one ordering of its DOFs,
-computed once per problem from the cells of its spaces: a nested dissection
+computed once per march from the cells of its spaces: a nested dissection
 (:func:`cell_dissection`) that bisects the cell box and numbers the DOFs
 straddling each cut after both halves.  SuperLU keeps that order
 (``permc_spec="NATURAL"``) and pivots on the diagonal unless a diagonal
@@ -42,28 +42,24 @@ SuperLU factors the transposed pencil: its CSR form, transposed, is a CSC
 matrix over the same arrays, so nothing is copied, and each slab solves
 with that factor through ``trans="T"``.  The fill, the ordering and the
 diagonal pivots are those of the pencil's own LU, and the solutions agree
-to 2.2e-15 relative.  Per solve (CPU-time medians of 20 interleaved
-solves, two runs, 2 vCPUs) this path took 8.4-12.2 ms instead of
-11.1-15.4 ms on the EX4 reference pencil, 19.4-20.2 ms instead of
-22.4-25.5 ms at n = 16, 8.4-10.0 ms instead of 10.3-12.0 ms at n = 8 and
-1.5-1.7 ms instead of 1.9-2.2 ms at n = 2.
+to 2.2e-15 relative; the transposed solve is the faster one.
 
-A mirror R = signs x P reverses the DOFs along one axis of the cell box
+Every problem is factored and solved on its solve basis S
+(:func:`_solve_basis`), a sparse matrix with entries +-1: the march factors
+S^T (lam M0 + M1 + A) S, loads S^T b and unfolds each slab to S z.  A
+mirror R = signs x P reverses the DOFs along one axis of the cell box
 (P, :func:`_reflection`) with a sign per component.  The data and their
 images y under (M0 + M1 + A)^k, k below the component count, are then
 R-invariant: <P y_i, y_i> gives the sign of each component i they reach,
 and the others are even.  :func:`_mirrors` keeps R if it fixes each load,
 u0, and M0 and M1 + A in R M R^T x = M x for one fixed random x (Freivalds'
-check), to 1e-13 of the largest entry.  The solution is then R-invariant:
-the march factors S^T (lam M0 + M1 + A) S, S the +-1 basis of the vectors
-every mirror fixes (:func:`_invariant_basis`), in ``problem.ordering``
-restricted to the orbit representatives, and unfolds each slab to S z.
-EX4/EX5 runs are mirrored in y, their references in x and y.  First-slab
-pencils, full -> reduced (CPU medians, 2 vCPUs): EX4 at n = 16 38 401 ->
-19 200 unknowns, 3.46 M -> 1.57 M LU entries, factor 380 -> 163 ms, solve
-23 -> 8.3 ms; at n = 8 19 201 -> 9 600, 1.57 M -> 0.73 M; EX4 reference
-19 201 -> 4 800, 1.64 M -> 0.37 M, 168 -> 36 ms, 10 -> 1.6 ms; EX5
-reference 25 601 -> 6 400, 1.72 M -> 0.39 M.
+check), to 1e-13 of the largest entry.  The solution is then R-invariant,
+so S has one column per orbit of DOFs under the mirrors but the odd ones
+(on a mirror line, in a component that changes sign there), taken in the
+cell-dissection order of the orbit representatives.  With no mirror each
+DOF is its own orbit and S is the permutation matrix of the dissection.
+EX4/EX5 runs are mirrored in y, which halves their unknowns, and their
+references in x and y, which quarters them; EX1-EX3 have no mirror.
 """
 
 from __future__ import annotations
@@ -113,7 +109,7 @@ class EvolutionProblem:
     ):
         self.spaces = tuple(spaces)
         self.law = law
-        self.operator = operator
+        self.operator = sp.csr_matrix(operator)
         if law.ncomp != len(self.spaces):
             raise ValueError("law and spaces disagree on the component count")
         self.offsets = component_offsets(self.spaces)
@@ -131,7 +127,7 @@ class EvolutionProblem:
         else:
             self.m0mat, self.m1mat = assemble_law_masses(self.spaces, law)
         square = (self.ndof, self.ndof)
-        if any(m.shape != square for m in (self.m0mat, self.m1mat, operator)):
+        if any(m.shape != square for m in (self.m0mat, self.m1mat, self.operator)):
             raise ValueError("M0, M1 and A must match the stacked DOF count")
         self.forcing = []
         for g, b in forcing:
@@ -144,7 +140,6 @@ class EvolutionProblem:
         self.u0 = np.asarray(u0, dtype=float)
         if self.u0.shape != (self.ndof,):
             raise ValueError("u0 must be a stacked coefficient vector")
-        self.ordering = cell_dissection(self.spaces)
         self.mirrors = _mirrors(self)
 
     def component_slice(self, i):
@@ -235,9 +230,10 @@ def _mirrors(problem):
     return out
 
 
-def _invariant_basis(problem):
+def _solve_basis(problem):
     """S, one column per orbit of DOFs under the mirrors but the odd ones (on
-    a mirror line, in a component that changes sign), and its ordering."""
+    a mirror line, in a component that changes sign), the columns in the
+    :func:`cell_dissection` order of the orbit representatives."""
     n = problem.ndof
     perms, signs = [np.arange(n)], [np.ones(n)]  # the group: (g x)_i = sign_i x_perm_i
     for axis, s in problem.mirrors.items():
@@ -247,16 +243,18 @@ def _invariant_basis(problem):
     perms, signs = np.array(perms), np.array(signs)
     rep = perms.min(axis=0)
     odd = ((perms == np.arange(n)) & (signs < 0)).any(axis=0)[rep]
-    kept = ~odd & (rep == np.arange(n))
-    col, rows = np.cumsum(kept) - 1, np.flatnonzero(~odd)
+    order = cell_dissection(problem.spaces)
+    order = order[~odd[order] & (rep[order] == order)]
+    col = np.empty(n, dtype=np.intp)
+    col[order] = np.arange(order.size)
+    rows = np.flatnonzero(~odd)
     entries = signs[perms.argmin(axis=0), np.arange(n)][rows]
-    basis = sp.csr_matrix((entries, (rows, col[rep[rows]])), shape=(n, kept.sum()))
-    return basis, col[problem.ordering[kept[problem.ordering]]]
+    return sp.csr_matrix((entries, (rows, col[rep[rows]])), shape=(n, order.size))
 
 
 def _slab_matrix(problem, rule):
     t0, t1, jump = temporal_matrices(rule)
-    spatial = (problem.m1mat + problem.operator).tocsr()
+    spatial = problem.m1mat + problem.operator
     return (
         sp.kron(t1 + jump, problem.m0mat) + sp.kron(t0, spatial)
     ).tocsc()
@@ -336,11 +334,11 @@ def march(problem):
     within 1e-12 (relative) of the first slab of the current run reuses
     them (the lengths of a uniform grid differ by a few ulps); any other
     length starts a new run, which drops the old LU and factorises anew.
-    Each LU factors the transposed pencil ``(lam M0 + M1 + A)[p][:, p].T``
-    in the problem's nested-dissection ordering ``p`` (``problem.ordering``)
-    with diagonal pivots, on the mirrors' invariant subspace if the problem
-    has mirrors; each load is permuted by ``p``, solved with the transposed
-    factor (``trans="T"``) and mapped back.  The pencil, the
+    Each LU factors the transposed pencil ``(S^T (lam M0 + M1 + A) S).T``
+    on the problem's solve basis S (:func:`_solve_basis`; the permutation
+    matrix of its nested dissection when nothing is mirrored) with diagonal
+    pivots; each load b is folded to ``S^T b``, solved with the transposed
+    factor (``trans="T"``) and unfolded to ``S z``.  The pencil, the
     factorisations and the march run with one BLAS thread
     (:func:`one_blas_thread`): SuperLU's BLAS calls on these systems gain
     no wall time from more threads, only CPU time, and a sweep that runs
@@ -348,14 +346,11 @@ def march(problem):
     """
     with one_blas_thread():
         grid = problem.grid
-        p, fold, unfold = problem.ordering, (lambda a: a), (lambda a: a)
-        m0, spatial = problem.m0mat, (problem.m1mat + problem.operator).tocsr()
-        if problem.mirrors:
-            basis, p = _invariant_basis(problem)
-            fold, unfold = basis.T.__matmul__, basis.__matmul__
-            m0, spatial = (fold(m @ basis).tocsr() for m in (m0, spatial))
-        m0p, spatialp = (m[p][:, p] for m in (m0, spatial))
-        z = np.empty(p.size, dtype=complex)
+        basis = _solve_basis(problem)
+        fold = basis.T.tocsr()
+        m0, spatial = (
+            fold @ (m @ basis) for m in (problem.m0mat, problem.m1mat + problem.operator)
+        )
         prev = problem.m0mat @ problem.u0
         h_run = 0.0  # length of the first slab of the current run
         for m in range(1, grid.num_slabs + 1):
@@ -368,7 +363,7 @@ def march(problem):
                 lu = None
                 try:
                     lu = splu(
-                        (lam * m0p + spatialp).T,
+                        (lam * m0 + spatial).T,
                         permc_spec="NATURAL",
                         diag_pivot_thresh=_DIAG_PIVOT_THRESH,
                     )
@@ -380,12 +375,12 @@ def march(problem):
             # elementwise, not w @ b: numpy sends that complex-by-real product
             # to a threaded BLAS gemv, measured at 6 ms instead of 0.02 ms per
             # slab of EX4 at n = 2 on 2 vCPUs
-            z[p] = lu.solve(fold(w[0] * b[0] + w[1] * b[1])[p], trans="T")
+            z = lu.solve(fold @ (w[0] * b[0] + w[1] * b[1]), trans="T")
             if not np.all(np.isfinite(z)):
                 raise RuntimeError(
                     f"singular slab system at slab {m}: non-finite solve"
                 )
-            c = 2.0 * np.outer(v, unfold(z)).real
+            c = 2.0 * np.outer(v, basis @ z).real
             prev = problem.m0mat @ (TRACE_RIGHT @ c)
             yield m, c
 
