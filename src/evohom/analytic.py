@@ -95,22 +95,18 @@ def i0_antiderivative(t):
     ts = np.atleast_1d(_check_times(t))
     if not np.all(ts <= 700.0):
         raise ValueError("argument outside the supported range [0, 700]")
-    out = np.empty_like(ts)
-    for i, v in enumerate(ts):
-        q = 0.25 * v * v
-        coeff = 1.0  # 1 / ((m!)^2 4^m) * t^{2m+1} accumulated below
-        term = v
-        total = v
-        m = 0
-        while term > 0.0:
-            m += 1
-            coeff *= q / (m * m)
-            term = coeff * v / (2 * m + 1)
-            total += term
-            if term <= 1e-15 * total:
-                break
-        out[i] = total
-    out = out.reshape(np.shape(t))
+    q = 0.25 * ts * ts
+    coeff = np.ones_like(ts)  # t^{2m} / ((m!)^2 4^m)
+    total = ts.copy()
+    active = ts > 0.0
+    m = 0
+    while np.any(active):
+        m += 1
+        coeff = coeff * (q / (m * m))
+        term = coeff * ts / (2 * m + 1)
+        total = np.where(active, total + term, total)
+        active &= term > 1e-15 * total
+    out = total.reshape(np.shape(t))
     return out if out.ndim else float(out)
 
 

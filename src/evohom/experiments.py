@@ -430,7 +430,7 @@ def convergence_sweep(spec, out=None, jobs=1, reference_level=0):
     """Run one family over its n-list and report all quantities.
 
     The n-independent reference is prepared once and shared.  The
-    reference and the runs share one pool of ``jobs`` threads (``jobs`` >=
+    reference and the runs share one pool of ``jobs`` threads (an int >=
     1, else ValueError before anything is solved or written): the
     reference is submitted first and the runs longest first (descending
     n); each run task reads its slabs as it marches (:func:`_report`), so
@@ -439,20 +439,18 @@ def convergence_sweep(spec, out=None, jobs=1, reference_level=0):
     with one BLAS thread (:func:`one_blas_thread`), so the pool's threads do
     not compete with BLAS threads for the cores.
     ``reference_level`` = 1 swaps in the alternative reference resolution
-    for self-consistency studies; any value but 0 or 1 raises ValueError
-    before anything is solved or written.  ``out``, when given, is opened
-    (and truncated) next, before anything is solved, so a path that cannot
-    be written raises OSError at once; the report CSV is written to it.
-    On failure, the reference's included, the partial CSV is flushed with
-    an error row before the exception propagates; a run that starts after
-    the reference failed is not solved.
+    for self-consistency studies; any value but the ints 0 and 1 raises
+    ValueError before anything is solved or written.  ``out``, when given,
+    is opened (and truncated) next, before anything is solved, so a path
+    that cannot be written raises OSError at once; the report CSV is written
+    to it.  On failure, the reference's included, the partial CSV is flushed
+    with an error row before the exception propagates; a run that starts
+    after the reference failed is not solved.
     """
     if not isinstance(spec, ExperimentSpec):
         raise TypeError("convergence_sweep expects an ExperimentSpec")
-    jobs = int(jobs)
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if reference_level not in (0, 1):
+    jobs = _count(jobs, f"jobs must be at least 1 and an integer, got {jobs!r}")
+    if type(reference_level) is not int or reference_level not in (0, 1):
         raise ValueError(f"reference_level must be 0 or 1, got {reference_level!r}")
     sink = nullcontext() if out is None else open(out, "w", encoding="utf-8", newline="")
     with sink as fh:

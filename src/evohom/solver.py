@@ -45,8 +45,9 @@ diagonal pivots are those of the pencil's own LU, and the solutions agree
 to 2.2e-15 relative; the transposed solve is the faster one.
 
 Every problem is factored and solved on its solve basis S
-(:func:`_solve_basis`), a sparse matrix with entries +-1: the march factors
-S^T (lam M0 + M1 + A) S, loads S^T b and unfolds each slab to S z.  A
+(:func:`_solve_basis`), a sparse matrix with entries +-1: the march folds
+the loads and M0 u0 once, marches on S^T (lam M0 + M1 + A) S and unfolds
+only the slabs it yields, to S z.  A
 mirror R = signs x P reverses the DOFs along one axis of the cell box
 (P, :func:`_reflection`) with a sign per component.  The data and their
 images y under (M0 + M1 + A)^k, k below the component count, are then
@@ -140,7 +141,6 @@ class EvolutionProblem:
         self.u0 = np.asarray(u0, dtype=float)
         if self.u0.shape != (self.ndof,):
             raise ValueError("u0 must be a stacked coefficient vector")
-        self.mirrors = _mirrors(self)
 
     def component_slice(self, i):
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
@@ -231,12 +231,12 @@ def _mirrors(problem):
 
 
 def _solve_basis(problem):
-    """S, one column per orbit of DOFs under the mirrors but the odd ones (on
-    a mirror line, in a component that changes sign), the columns in the
+    """S, one column per orbit of DOFs under the :func:`_mirrors` but the
+    odd ones (on a mirror line, in a component that changes sign), in the
     :func:`cell_dissection` order of the orbit representatives."""
     n = problem.ndof
     perms, signs = [np.arange(n)], [np.ones(n)]  # the group: (g x)_i = sign_i x_perm_i
-    for axis, s in problem.mirrors.items():
+    for axis, s in _mirrors(problem).items():
         perm, sign = _reflection(problem, axis), np.repeat(s, np.diff(problem.offsets))
         signs += [g * sign[q] for q, g in zip(perms, signs)]
         perms += [perm[q] for q in perms]
@@ -260,11 +260,11 @@ def _slab_matrix(problem, rule):
     ).tocsc()
 
 
-def _slab_rhs(problem, rule, prev_trace_vec):
-    """Loads (b^0, b^1) of one slab as an array of shape (2, ndof)."""
+def _slab_rhs(forcing, rule, prev):
+    """Loads (b^0, b^1) of one slab from the terms (g, b) and the jump datum."""
     basis = temporal_basis((rule.nodes - rule.t_left) / rule.h)  # (2, nq)
-    rhs = np.outer(TRACE_LEFT, prev_trace_vec)
-    for g, b in problem.forcing:
+    rhs = np.outer(TRACE_LEFT, prev)
+    for g, b in forcing:
         gvals = np.asarray([g(t) for t in rule.nodes], dtype=float)
         rhs += np.outer(basis @ (rule.weights * gvals), b)
     return rhs
@@ -280,7 +280,7 @@ def assemble_slab_system(problem, m, prev_trace_vec):
     if not 1 <= m <= problem.grid.num_slabs:
         raise ValueError(f"slab index {m} out of range")
     rule = build_radau_rule(problem.grid.slab(m), problem.rho)
-    rhs = _slab_rhs(problem, rule, prev_trace_vec)
+    rhs = _slab_rhs(problem.forcing, rule, prev_trace_vec)
     return _slab_matrix(problem, rule), rhs.ravel()
 
 
@@ -337,12 +337,13 @@ def march(problem):
     Each LU factors the transposed pencil ``(S^T (lam M0 + M1 + A) S).T``
     on the problem's solve basis S (:func:`_solve_basis`; the permutation
     matrix of its nested dissection when nothing is mirrored) with diagonal
-    pivots; each load b is folded to ``S^T b``, solved with the transposed
-    factor (``trans="T"``) and unfolded to ``S z``.  The pencil, the
-    factorisations and the march run with one BLAS thread
-    (:func:`one_blas_thread`): SuperLU's BLAS calls on these systems gain
-    no wall time from more threads, only CPU time, and a sweep that runs
-    solves in parallel threads would have them compete for the same cores.
+    pivots.  The march folds the loads and M0 u0 once, solves each slab on
+    the basis with the transposed factor (``trans="T"``) and unfolds what it
+    yields, to ``S z``.  The pencil, the factorisations and the march run
+    with one BLAS thread (:func:`one_blas_thread`): SuperLU's BLAS calls on
+    these systems gain no wall time from more threads, only CPU time, and a
+    sweep that runs solves in parallel threads would have them compete for
+    the same cores.
     """
     with one_blas_thread():
         grid = problem.grid
@@ -351,7 +352,8 @@ def march(problem):
         m0, spatial = (
             fold @ (m @ basis) for m in (problem.m0mat, problem.m1mat + problem.operator)
         )
-        prev = problem.m0mat @ problem.u0
+        forcing = [(g, fold @ b) for g, b in problem.forcing]
+        prev = fold @ (problem.m0mat @ problem.u0)
         h_run = 0.0  # length of the first slab of the current run
         for m in range(1, grid.num_slabs + 1):
             rule = build_radau_rule(grid.slab(m), problem.rho)
@@ -371,18 +373,17 @@ def march(problem):
                     raise RuntimeError(
                         f"singular slab system at slab {m}: {exc}"
                     ) from exc
-            b = _slab_rhs(problem, rule, prev)
+            b = _slab_rhs(forcing, rule, prev)
             # elementwise, not w @ b: numpy sends that complex-by-real product
             # to a threaded BLAS gemv, measured at 6 ms instead of 0.02 ms per
             # slab of EX4 at n = 2 on 2 vCPUs
-            z = lu.solve(fold @ (w[0] * b[0] + w[1] * b[1]), trans="T")
+            z = lu.solve(w[0] * b[0] + w[1] * b[1], trans="T")
             if not np.all(np.isfinite(z)):
                 raise RuntimeError(
                     f"singular slab system at slab {m}: non-finite solve"
                 )
-            c = 2.0 * np.outer(v, basis @ z).real
-            prev = problem.m0mat @ (TRACE_RIGHT @ c)
-            yield m, c
+            prev = m0 @ (TRACE_RIGHT @ (2.0 * np.outer(v, z).real))
+            yield m, 2.0 * np.outer(v, basis @ z).real
 
 
 def solve_evolution(problem):

@@ -117,6 +117,24 @@ class TestOdeHomExact:
     def test_at_zero(self):
         assert i0_antiderivative(0.0) == 0.0
 
+    def test_matches_scalar_series_loop(self):
+        # the integrated series, summed one time at a time: each entry
+        # stops at its own first term below the tail, so the sums are
+        # identical
+        def series(v):
+            q, coeff, total, m = 0.25 * v * v, 1.0, v, 0
+            while True:
+                m += 1
+                coeff *= q / (m * m)
+                term = coeff * v / (2 * m + 1)
+                total += term
+                if term <= 1e-15 * total:
+                    return total
+
+        ts = np.concatenate([[0.0, 1e-300, 700.0], np.linspace(0.0, 700.0, 4007)])
+        assert i0_antiderivative(ts).tolist() == [series(v) for v in ts]
+        assert i0_antiderivative(ts.reshape(-1, 5)).shape == (802, 5)
+
     @pytest.mark.parametrize("t", sorted(I0_INT_ORACLE))
     def test_unit_step_frozen(self, t):
         assert i0_antiderivative(t) == pytest.approx(I0_INT_ORACLE[t], rel=1e-13)

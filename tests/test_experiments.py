@@ -276,11 +276,19 @@ class TestSweepMechanics:
         for (n, q, v), (n0, q0, v0) in zip(seq.rows, plain.rows):
             assert (n, q) == (n0, q0) and v != v0
 
-    @pytest.mark.parametrize("level", [7, -3])
+    @pytest.mark.parametrize("level", [7, -3, True, 1.0, "0"])
     def test_bad_reference_level_rejected(self, tmp_path, level):
         path = tmp_path / "sweep.csv"
         with pytest.raises(ValueError, match="reference_level must be 0 or 1"):
             convergence_sweep(ExperimentSpec("EX3", (1, 2)), out=path, reference_level=level)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("jobs", [0, -2, 2.5, True, "2"])
+    def test_bad_jobs_rejected(self, tmp_path, jobs):
+        # the command line takes only integers; the API refuses the rest
+        path = tmp_path / "sweep.csv"
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            convergence_sweep(ExperimentSpec("EX3", (1, 2)), out=path, jobs=jobs)
         assert not path.exists()
 
     def test_csv_written(self, tmp_path):

@@ -180,6 +180,23 @@ def _functions(body, prefix="", cls=None):
             yield from _functions(node.body, f"{prefix}{node.name}.")
 
 
+def defaulted_parameters(trees):
+    """(module, qualified name, callee name, bound arguments, position,
+    parameter) of each defaulted parameter of the functions and methods in
+    ``trees`` (module name -> ast); the position of a keyword-only one is
+    None.  Lambdas are not counted."""
+    for mod, tree in trees.items():
+        for qualname, callee, bound, node in _functions(tree.body):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i in range(first, len(positional)):
+                yield mod, qualname, callee, bound, i, positional[i].arg
+            for a, d in zip(args.kwonlyargs, args.kw_defaults):
+                if d is not None:
+                    yield mod, qualname, callee, bound, None, a.arg
+
+
 def unset_parameters(modules, callers=()):
     """``module.function(parameter)`` of each defaulted parameter in
     ``modules`` (module name -> source) that no call in ``modules`` or in
@@ -190,23 +207,14 @@ def unset_parameters(modules, callers=()):
     for tree in [*trees.values(), *(ast.parse(src) for src in callers)]:
         for name, npos, keywords, unpacks in _calls(tree):
             calls.setdefault(name, []).append((npos, keywords, unpacks))
-    unset = []
-    for mod, tree in trees.items():
-        for qualname, callee, bound, node in _functions(tree.body):
-            args = node.args
-            positional = args.posonlyargs + args.args
-            first = len(positional) - len(args.defaults)
-            defaulted = [(i, positional[i].arg) for i in range(first, len(positional))]
-            defaulted += [
-                (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
-            ]
-            for index, param in defaulted:
-                if not any(
-                    unpacks or param in keywords or (index is not None and npos > index - bound)
-                    for npos, keywords, unpacks in calls.get(callee, ())
-                ):
-                    unset.append(f"{mod}.{qualname}({param})")
-    return sorted(unset)
+    return sorted(
+        f"{mod}.{qualname}({param})"
+        for mod, qualname, callee, bound, index, param in defaulted_parameters(trees)
+        if not any(
+            unpacks or param in keywords or (index is not None and npos > index - bound)
+            for npos, keywords, unpacks in calls.get(callee, ())
+        )
+    )
 
 
 def test_scanner_finds_an_unset_parameter():
@@ -331,3 +339,12 @@ def test_fields_are_built_in_fields_only():
     # sums and products of the atoms are the only composite fields
     modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert field_subclasses(modules) == []
+
+
+if __name__ == "__main__":
+    # the package's size: its lines (as ``wc -l`` counts them) and its
+    # defaulted parameters; run as ``PYTHONPATH=src python tests/test_hygiene.py``
+    lines = sum(p.read_bytes().count(b"\n") for p in MODULES)
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    print(f"src/evohom lines: {lines}")
+    print(f"defaulted parameters (AST count): {sum(1 for _ in defaulted_parameters(trees))}")

@@ -597,38 +597,70 @@ class TestMirrors:
         law = family.ref_law(example)
         return family.build(spec, family.ref_mesh(law.domain, 0), spec.degree + 1, law)
 
-    @pytest.mark.parametrize("degree", [1, 2])
-    @pytest.mark.parametrize("example", ["EX4", "EX5"])
-    def test_runs_mirrored_in_y(self, example, degree):
-        assert build_run(example, 2, degree=degree).mirrors == self.RUN
-
-    @pytest.mark.parametrize("example", ["EX4", "EX5"])
-    def test_references_mirrored_in_x_and_y(self, example):
-        assert self._reference(example).mirrors == self.REFERENCE[example]
-
-    @pytest.mark.parametrize("example", ["EX1", "EX2", "EX3"])
-    def test_one_dimensional_families_have_none(self, example):
-        assert build_run(example, 2).mirrors == {}
-        assert build_run(example, 2, degree=2).mirrors == {}
-
-    @pytest.mark.parametrize("iy, mirrors", [(10, {}), (39, RUN)])
-    def test_load_off_the_mirror_line_breaks_it(self, iy, mirrors):
-        # u is Q1 on (20, 80) cells with zero trace: 19 x 79 DOFs, x-major,
-        # and the line y = 0 holds the DOFs iy = 39
-        run = build_run("EX4", 2)
-        ((g, load),) = run.forcing
-        load = load.copy()
-        load[3 * 79 + iy] *= 1.01
-        problem = EvolutionProblem(
+    @staticmethod
+    def _reposed(run, forcing, u0):
+        """``run`` with its data replaced."""
+        return EvolutionProblem(
             run.spaces,
             run.law,
             run.operator,
             run.grid,
-            forcing=[(g, load)],
+            forcing=forcing,
+            u0=u0,
+            rho=run.rho,
             m0mat=run.m0mat,
             m1mat=run.m1mat,
         )
-        assert problem.mirrors == mirrors
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("example", ["EX4", "EX5"])
+    def test_runs_mirrored_in_y(self, example, degree):
+        assert solver._mirrors(build_run(example, 2, degree=degree)) == self.RUN
+
+    @pytest.mark.parametrize("example", ["EX4", "EX5"])
+    def test_references_mirrored_in_x_and_y(self, example):
+        assert solver._mirrors(self._reference(example)) == self.REFERENCE[example]
+
+    @pytest.mark.parametrize("example", ["EX1", "EX2", "EX3"])
+    def test_one_dimensional_families_have_none(self, example):
+        assert solver._mirrors(build_run(example, 2)) == {}
+        assert solver._mirrors(build_run(example, 2, degree=2)) == {}
+
+    @pytest.mark.parametrize("iy, mirrors", [(10, {}), (39, RUN)])
+    def test_load_off_the_mirror_line_breaks_it(self, iy, mirrors):
+        # u is Q1 on (20, 80) cells with zero trace: 19 x 79 DOFs, x-major,
+        # and the line y = 0 holds the DOFs iy = 39; the same holds for the
+        # load moved as the initial datum
+        run = build_run("EX4", 2)
+        ((g, load),) = run.forcing
+        moved = load.copy()
+        moved[3 * 79 + iy] *= 1.01
+        assert solver._mirrors(self._reposed(run, [(g, moved)], None)) == mirrors
+        assert solver._mirrors(self._reposed(run, run.forcing, moved)) == mirrors
+
+    def test_problem_holds_data_only(self, monkeypatch):
+        # the mirrors are detected by the march, not by the problem
+        def refuse(problem):
+            raise AssertionError("mirror detection")
+
+        monkeypatch.setattr(solver, "_mirrors", refuse)
+        problem = build_run("EX4", 2)
+        assert not hasattr(problem, "mirrors")
+        with pytest.raises(AssertionError, match="mirror detection"):
+            next(solver.march(problem))
+
+    def test_march_carries_its_datum_on_the_basis(self, monkeypatch):
+        sizes = []
+
+        def recording_rhs(forcing, rule, prev):
+            sizes.append((prev.size, *(b.size for _, b in forcing)))
+            return slab_rhs(forcing, rule, prev)
+
+        slab_rhs = solver._slab_rhs
+        monkeypatch.setattr(solver, "_slab_rhs", recording_rhs)
+        problem = build_run("EX4", 2, slabs=4)
+        solve_evolution(problem)
+        assert problem.ndof == 4801 and sizes == [(2400, 2400)] * 4
 
     def test_first_factor_on_half_the_unknowns(self, monkeypatch):
         problem = build_run("EX4", 2)
@@ -640,7 +672,7 @@ class TestMirrors:
         problem = self._reference(example)
         basis = solver._solve_basis(problem)
         assert basis.shape == (problem.ndof, size)
-        for axis, signs in problem.mirrors.items():
+        for axis, signs in solver._mirrors(problem).items():
             sign = np.repeat(signs, np.diff(problem.offsets))
             perm = solver._reflection(problem, axis)
             mirror = sp.csr_matrix((sign, perm, np.arange(problem.ndof + 1)))
@@ -650,16 +682,28 @@ class TestMirrors:
         assert np.array_equal(gram.row, gram.col) and set(gram.data) <= {1.0, 2.0, 4.0}
         assert set(np.abs(basis.data)) == {1.0}
 
+    @staticmethod
+    def _assert_full_march_agrees(monkeypatch, problem):
+        """The march on the basis against the march with no mirror."""
+        reduced = solve_evolution(problem).coeffs
+        monkeypatch.setattr(solver, "_mirrors", lambda problem: {})
+        assert solver._solve_basis(problem).shape[1] == problem.ndof
+        for a, b in zip(reduced, solve_evolution(problem).coeffs):
+            assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
+
     @pytest.mark.parametrize("rho", [0.0, 0.7])
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("example", ["EX4", "EX5"])
     def test_reduced_march_matches_full(self, monkeypatch, example, degree, rho):
-        knobs = {"degree": degree, "rho": rho, "slabs": 8}
-        reduced = build_run(example, 2, **knobs)
-        assert reduced.mirrors == self.RUN
-        monkeypatch.setattr(solver, "_mirrors", lambda problem: {})
-        full = build_run(example, 2, **knobs)
-        assert full.mirrors == {}
-        pairs = zip(solve_evolution(reduced).coeffs, solve_evolution(full).coeffs)
-        for a, b in pairs:
-            assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
+        problem = build_run(example, 2, degree=degree, rho=rho, slabs=8)
+        assert solver._mirrors(problem) == self.RUN
+        self._assert_full_march_agrees(monkeypatch, problem)
+
+    def test_reduced_march_from_initial_data(self, monkeypatch):
+        # the u-load is even in y: as the initial datum it keeps the mirror,
+        # and the march folds M0 u0 once
+        run = build_run("EX4", 2, slabs=8)
+        ((_, load),) = run.forcing
+        problem = self._reposed(run, run.forcing, load)
+        assert solver._mirrors(problem) == self.RUN
+        self._assert_full_march_agrees(monkeypatch, problem)
