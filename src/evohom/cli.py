@@ -41,7 +41,7 @@ from .timequad import build_radau_rule, weighted_moments
 
 __all__ = ["main"]
 
-# Run knobs beside example and n: config cast and help text.  Their
+# Run knobs beside example and n: flag type and help text.  Their
 # defaults are ExperimentSpec's.
 _KNOBS = {
     "slabs": (int, "time slabs"),
@@ -105,35 +105,22 @@ def _read_config(path):
     return out
 
 
-def _parse_n_list(text):
+def _n_list(text):
     try:
-        return tuple(int(part) for part in str(text).split(",") if part.strip())
+        return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise ValueError(f"bad n-list {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad n-list {text!r}: {exc}") from exc
 
 
-def _merge_spec(args, *, need_n):
-    """Build an ExperimentSpec from config-file values overridden by flags."""
-    cfg = _read_config(args.config) if args.config else {}
-    example = args.example if args.example is not None else cfg.get("example")
-    if example is None:
+def _spec(args, *, need_n):
+    """The ExperimentSpec of the parsed ``run`` or ``sweep`` arguments."""
+    if args.example is None:
         raise ValueError("an example id is required (--example or config)")
-
-    knobs = {}
-    for key, (cast, _) in _KNOBS.items():
-        if getattr(args, key) is not None:
-            knobs[key] = getattr(args, key)
-        elif key in cfg:
-            knobs[key] = cast(cfg[key])
-    if need_n:
-        n = args.n if args.n is not None else cfg.get("n")
-        if n is None:
-            raise ValueError("an oscillation index is required (--n or config)")
-        n_list = (int(n),)
-    else:
-        raw = args.n_list if args.n_list is not None else cfg.get("n_list")
-        n_list = _parse_n_list(raw) if raw is not None else ()
-    return ExperimentSpec(example, n_list, **knobs)
+    if need_n and args.n is None:
+        raise ValueError("an oscillation index is required (--n or config)")
+    n_list = (args.n,) if need_n else args.n_list or ()
+    knobs = {key: getattr(args, key) for key in _KNOBS if getattr(args, key) is not None}
+    return ExperimentSpec(args.example, n_list, **knobs)
 
 
 def _add_run_knobs(parser, *, need_n):
@@ -142,7 +129,7 @@ def _add_run_knobs(parser, *, need_n):
         parser.add_argument("--n", type=int, help="oscillation index")
     else:
         parser.add_argument(
-            "--n-list", dest="n_list", help="comma-separated indices, e.g. 2,4,8"
+            "--n-list", dest="n_list", type=_n_list, help="comma-separated indices, e.g. 2,4,8"
         )
     for key, (cast, text) in _KNOBS.items():
         default = getattr(ExperimentSpec, key)
@@ -151,7 +138,7 @@ def _add_run_knobs(parser, *, need_n):
 
 
 def _cmd_run(args):
-    spec = _merge_spec(args, need_n=True)
+    spec = _spec(args, need_n=True)
     n = spec.n_list[0]
     sol = solve_evolution(run_problem(spec, n))
     rows = [(n, f"norm_{name}", value) for name, value in solution_norms(sol).items()]
@@ -160,7 +147,7 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
-    spec = _merge_spec(args, need_n=False)
+    spec = _spec(args, need_n=False)
     report = convergence_sweep(
         spec, out=args.out, jobs=args.jobs, reference_level=args.reference_level
     )
@@ -305,13 +292,24 @@ def _build_parser():
     p_desc.add_argument("--n", type=int, help="oscillation index")
     p_desc.set_defaults(func=_cmd_describe)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv):
+    """Parse ``argv``; a ``--config`` file's values become the defaults of
+    its subcommand and the line is parsed again, so argparse converts and
+    checks them like flags, and a flag overrides them."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        commands[args.command].set_defaults(**_read_config(args.config))
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"evohom: error: {exc}", file=sys.stderr)

@@ -26,13 +26,15 @@ from .blas import one_blas_thread
 from .fields import Constant
 from .homogenise import build_limit_law
 from .laws import augment_memory, example_material, family_law
-from .meshes import build_mesh
+from .meshes import as_count, build_mesh
 from .operators import (
     assemble_skew_operator,
     component_offsets,
     extend_with_zero_components,
 )
 from .reporting import (
+    TEST_DICTIONARY_1D,
+    VECTOR_TEST_DICTIONARY,
     ConvergenceReport,
     fit_rate,
     pairing,
@@ -67,16 +69,16 @@ DEFAULT_N_LISTS = {
     "EX5": (2, 4, 8, 16),
 }
 
-_SCALAR_TESTS = ("1", "x", "x2", "sinpix", "t")
-# The periodic pair's v is not paired against "1" and "t": the periodic skew
-# coupling conserves the mean of v, which starts at 0 and is not forced, so
-# both pairings vanish in exact arithmetic and would report roundoff.
+# A family pairs against every test of its dictionary (TEST_DICTIONARY_1D or
+# VECTOR_TEST_DICTIONARY) but for two subsets.  The periodic pair's v is not
+# paired against "1" and "t": the periodic skew coupling conserves the mean
+# of v, which starts at 0 and is not forced, so both pairings vanish in
+# exact arithmetic and would report roundoff.
 _EX2_V_TESTS = ("x", "x2", "sinpix")
 # The interface family pairs against the spatial tests on each half
 # separately (the temporal ramp test belongs to the single-component
 # family, whose dictionary is the model for "the same in x").
 _EX3_TESTS = ("1", "x", "x2", "sinpix")
-_VECTOR_TESTS = ("x0", "0y", "sinpix0", "0sinpiy", "1")
 _TWO_PI = 2.0 * math.pi
 # No slope is fitted to a series with max/min - 1 <= _FLAT_RTOL: it does not
 # depend on n (EX1's pair_u_1 and pair_u_t hold the time error of the
@@ -88,13 +90,6 @@ _FLAT_RTOL = 1e-6
 
 def _sin2pit(t):
     return math.sin(_TWO_PI * t)
-
-
-def _count(value, message):
-    """``value`` as an int >= 1, else ValueError(message); bools are refused."""
-    if isinstance(value, bool) or int(value) != value or int(value) < 1:
-        raise ValueError(message)
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -122,12 +117,12 @@ class ExperimentSpec:
             )
         object.__setattr__(self, "example", ex)
         ns = tuple(self.n_list) or DEFAULT_N_LISTS[ex]
-        cleaned = [_count(n, "oscillation indices must be integers >= 1") for n in ns]
+        cleaned = [as_count(n, 1, "oscillation indices must be integers >= 1") for n in ns]
         if len(set(cleaned)) != len(cleaned):
             raise ValueError("duplicate oscillation indices")
         object.__setattr__(self, "n_list", tuple(sorted(cleaned)))
-        slabs = _count(self.slabs, "slabs must be a positive integer")
-        degree = _count(self.degree, "element degree must be >= 1")
+        slabs = as_count(self.slabs, 1, "slabs must be a positive integer")
+        degree = as_count(self.degree, 1, "element degree must be >= 1")
         object.__setattr__(self, "slabs", slabs)
         object.__setattr__(self, "degree", degree)
         if not 0.0 < float(self.T) < math.inf:
@@ -280,7 +275,7 @@ _EX45 = _Family(
         _Quantity("strong_u", None, (0,), None, "ref"),
         _Quantity("strong_v", None, (1, 2), None, "ref"),
     )
-    + _pairs("pair_v", _VECTOR_TESTS, (1, 2), None, "ref"),
+    + _pairs("pair_v", VECTOR_TEST_DICTIONARY, (1, 2), None, "ref"),
 )
 _FAMILIES = {
     "EX1": _Family(
@@ -290,7 +285,7 @@ _FAMILIES = {
         None,
         _ex1_limits,
         64,
-        _pairs("pair_u", _SCALAR_TESTS, (0,), (0.0, 1.0), "hom"),
+        _pairs("pair_u", TEST_DICTIONARY_1D, (0,), (0.0, 1.0), "hom"),
     ),
     "EX2": _Family(
         _ex2_problem,
@@ -299,7 +294,7 @@ _FAMILIES = {
         lambda example: build_limit_law(example),
         lambda spec: {},
         None,
-        _pairs("pair_u", _SCALAR_TESTS, (0,), None, "ref")
+        _pairs("pair_u", TEST_DICTIONARY_1D, (0,), None, "ref")
         + _pairs("pair_v", _EX2_V_TESTS, (1,), None, "ref")
         + (
             _Quantity("strong_u", None, (0,), None, "ref"),
@@ -371,7 +366,7 @@ def oracle_pairing_series(n_list, name="x", *, cells=None):
     grid = ExperimentSpec("EX1").grid()
     out = []
     for n in n_list:
-        n = int(n)
+        n = as_count(n, 1, "oscillation indices must be integers >= 1")
         ncell = int(cells) if cells is not None else max(64, 8 * n)
         diff = lambda t, x, _n=n: ode_exact(_n, t, x) - i0_antiderivative(t)
         val = pairing(diff, name, domain=(0.0, 1.0), grid=grid, cells=ncell)
@@ -449,7 +444,7 @@ def convergence_sweep(spec, out=None, jobs=1, reference_level=0):
     """
     if not isinstance(spec, ExperimentSpec):
         raise TypeError("convergence_sweep expects an ExperimentSpec")
-    jobs = _count(jobs, f"jobs must be at least 1 and an integer, got {jobs!r}")
+    jobs = as_count(jobs, 1, f"jobs must be at least 1 and an integer, got {jobs!r}")
     if type(reference_level) is not int or reference_level not in (0, 1):
         raise ValueError(f"reference_level must be 0 or 1, got {reference_level!r}")
     sink = nullcontext() if out is None else open(out, "w", encoding="utf-8", newline="")

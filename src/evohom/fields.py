@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .meshes import partition, stripe_points
+from .meshes import as_count, partition, stripe_points
 
 __all__ = [
     "Field",
@@ -144,9 +144,7 @@ class SineOsc(Field):
     """sin(2*pi*n*x)."""
 
     def __init__(self, n):
-        if n < 1 or n != int(n):
-            raise ValueError("oscillation index n must be a positive integer")
-        self.n = int(n)
+        self.n = as_count(n, 1, "oscillation index n must be a positive integer")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -168,9 +166,7 @@ class StripeIndicator(Field):
     """
 
     def __init__(self, n):
-        if n < 1 or n != int(n):
-            raise ValueError("stripe index n must be a positive integer")
-        self.n = int(n)
+        self.n = as_count(n, 1, "stripe index n must be a positive integer")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

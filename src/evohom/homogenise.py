@@ -19,6 +19,7 @@ independent numerical oracle for the stratified formulas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .fields import (
     as_field,
 )
 from .laws import MemoryTerm, family_law, omega1
-from .meshes import gauss_panels, partition
+from .meshes import as_count, gauss_panels, partition
 
 __all__ = [
     "EffectiveTensor",
@@ -76,15 +77,21 @@ def _period_rule(f, ell):
     return gauss_panels(np.append(np.concatenate(edges), ell), _GAUSS_PTS)
 
 
+def _period(period):
+    """``period`` as a float, else ValueError unless positive and finite."""
+    ell = float(period)
+    if not 0.0 < ell < math.inf:
+        raise ValueError(f"period must be positive and finite, got {period!r}")
+    return ell
+
+
 def integral_mean(coeff, period=1.0):
     """Mean value (1/l) * int_0^l coeff of an l-periodic coefficient, by
     the rule of :func:`_period_rule`.  Raises for coefficients that are not
     periodic with the given period.
     """
     f = as_field(coeff)
-    ell = float(period)
-    if ell <= 0.0:
-        raise ValueError("period must be positive")
+    ell = _period(period)
     if not f.is_periodic_with(ell):
         raise ValueError(f"coefficient {f!r} is not periodic with period {ell}")
     xs, w = _period_rule(f, ell)
@@ -111,9 +118,11 @@ class EffectiveTensor:
         return f"EffectiveTensor({self.matrix.tolist()})"
 
 
-def _periodic_matrix(a_hat, ell):
-    """The entries of a square matrix of ell-periodic coefficients, as
-    fields, and their sum, which breaks where any entry breaks."""
+def _periodic_matrix(a_hat, period):
+    """The entries of a square matrix of periodic coefficients, as fields,
+    their sum, which breaks where any entry breaks, and the period as a
+    float (:func:`_period`)."""
+    ell = _period(period)
     A = [list(row) for row in a_hat]
     if any(len(row) != len(A) for row in A):
         raise ValueError("coefficient matrix must be square")
@@ -124,9 +133,7 @@ def _periodic_matrix(a_hat, ell):
                 raise ValueError(
                     f"entry ({i}, {j}) = {entry!r} is not periodic with period {ell}"
                 )
-    if ell <= 0.0:
-        raise ValueError("period must be positive")
-    return A, Sum([e for row in A for e in row])
+    return A, Sum([e for row in A for e in row]), ell
 
 
 def _sample(A, xs):
@@ -140,7 +147,7 @@ def _sample(A, xs):
 _NSAMP = 4096
 
 
-def _period_samples(a_hat, ell):
+def _period_samples(a_hat, period):
     """Mean weights (npts,) and samples (npts, d, d) of a coefficient matrix.
 
     The points are the nodes of the :func:`_period_rule` of the sum of all
@@ -149,7 +156,7 @@ def _period_samples(a_hat, ell):
     points of weight 0, which only the positivity and singularity checks
     read.
     """
-    A, total = _periodic_matrix(a_hat, ell)
+    A, total, ell = _periodic_matrix(a_hat, period)
     xs, w = _period_rule(total, ell)
     uniform = np.linspace(0.0, ell, _NSAMP, endpoint=False) + ell / (2 * _NSAMP)
     return np.append(w / ell, np.zeros(_NSAMP)), _sample(A, np.append(xs, uniform))
@@ -187,7 +194,7 @@ def homogenise_stratified(a_hat, period=1.0):
 
     Requires a11 uniformly positive (checked on samples).
     """
-    return EffectiveTensor(_mean_formulas(*_period_samples(a_hat, float(period))))
+    return EffectiveTensor(_mean_formulas(*_period_samples(a_hat, period)))
 
 
 def dual_stratified_limit(a_hat, period=1.0):
@@ -196,7 +203,7 @@ def dual_stratified_limit(a_hat, period=1.0):
     Raises when a sample of a diagonal ``a_hat`` has a diagonal entry, or a
     sample of any other ``a_hat`` its determinant, within _POS_TOL of zero.
     """
-    w, a = _period_samples(a_hat, float(period))
+    w, a = _period_samples(a_hat, period)
     d = a.shape[-1]
     if not a[:, ~np.eye(d, dtype=bool)].any():
         if float(np.min(np.abs(np.diagonal(a, axis1=1, axis2=2)))) <= _POS_TOL:
@@ -261,8 +268,7 @@ def cell_problem_oracle(a_hat, period=1.0, ncells=1024):
     extrapolated, which removes the leading quadrature error for smooth
     coefficients.
     """
-    ell = float(period)
-    A, total = _periodic_matrix(a_hat, ell)
+    A, total, ell = _periodic_matrix(a_hat, period)
     breaks = total.breakpoints(0.0, ell)
 
     def solve(nc):
@@ -270,8 +276,9 @@ def cell_problem_oracle(a_hat, period=1.0, ncells=1024):
         mids = 0.5 * (cuts[:-1] + cuts[1:])
         return cell_problem_fem(_sample(A, mids), np.diff(cuts))
 
-    t1 = solve(int(ncells))
-    t2 = solve(2 * int(ncells))
+    ncells = as_count(ncells, 1, "the oracle needs ncells >= 1")
+    t1 = solve(ncells)
+    t2 = solve(2 * ncells)
     return (4.0 * t2 - t1) / 3.0
 
 

@@ -50,7 +50,7 @@ from .fields import (
     StripeIndicator,
     serialize_field,
 )
-from .meshes import partition
+from .meshes import as_count, partition
 
 
 @dataclass(frozen=True)
@@ -357,9 +357,7 @@ def example_material(example_id, n=1):
     example_id = str(example_id).upper()
     if example_id not in EXAMPLE_IDS:
         raise ValueError(f"unknown example id {example_id!r}")
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError("oscillation index n must be a positive integer")
-    n = int(n)
+    n = as_count(n, 1, "oscillation index n must be a positive integer")
     label = f"{example_id}(n={n})"
     one = Constant(1.0)
 

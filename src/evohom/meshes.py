@@ -9,6 +9,9 @@ outside, with the region endpoints as mesh lines.
 Every 1-D integral in the package is a composite Gauss rule
 (:func:`gauss_panels`) over a partition built by :func:`partition`: the
 cells of spaces, the breakpoints of coefficients, the pieces of a period.
+
+Every count the package takes (subdivisions, slabs, degrees, oscillation
+indices, worker threads) goes through the one check :func:`as_count`.
 """
 
 from __future__ import annotations
@@ -20,6 +23,20 @@ import numpy as np
 _ALIGN_TOL = 1e-12
 # Points closer than this (absolute) are one point of a partition.
 _NODE_TOL = 1e-10
+
+
+def as_count(value, low, message):
+    """``value`` as an int >= ``low``, else ValueError(message).
+
+    Bools, strings, None, non-integral and non-finite values are refused;
+    integral floats such as 2.0 pass.
+    """
+    try:
+        if not isinstance(value, (bool, np.bool_, str)) and int(value) == value and value >= low:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(message)
 
 
 def partition(lo, hi, points):
@@ -177,15 +194,11 @@ def build_mesh(domain, subdivisions, alignment=0, osc_region=None):
     """
     domain = tuple(domain)
     two_d = isinstance(domain[0], (tuple, list, np.ndarray))
-    n = int(alignment)
-    if n < 0:
-        raise ValueError("alignment must be a nonnegative integer")
+    n = as_count(alignment, 0, "alignment must be a nonnegative integer")
 
     if not two_d:
         a, b = map(float, domain)
-        sub = int(subdivisions)
-        if sub < 1:
-            raise ValueError("subdivisions must be >= 1")
+        sub = as_count(subdivisions, 1, "subdivisions must be >= 1")
         boundaries = np.linspace(a, b, sub + 1)
         if n > 0:
             _check_alignment(boundaries, a, b, n)
@@ -193,11 +206,9 @@ def build_mesh(domain, subdivisions, alignment=0, osc_region=None):
 
     (ax, bx), (ay, by) = ((float(p), float(q)) for p, q in domain)
     try:
-        nx, ny = (int(s) for s in subdivisions)
+        nx, ny = (as_count(s, 1, "subdivisions must be >= 1") for s in subdivisions)
     except TypeError as exc:
         raise ValueError("a rectangle needs an (nx, ny) subdivision pair") from exc
-    if nx < 1 or ny < 1:
-        raise ValueError("subdivisions must be >= 1")
     if osc_region is not None:
         if n < 1:
             raise ValueError("a graded mesh needs alignment n >= 1")

@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fields import Field, Separable2D
-from .meshes import _NODE_TOL, Mesh1D, TensorMesh2D, gauss_panels, gauss_rule, partition
+from .meshes import _NODE_TOL, Mesh1D, TensorMesh2D, as_count, gauss_panels, gauss_rule, partition
 
 # Gauss points per piece of a load vector.
 _LOAD_POINTS = 8
@@ -85,10 +85,10 @@ class LineSpace:
 
     def __init__(self, mesh, degree, ref_nodes, stride):
         self.mesh = mesh if isinstance(mesh, Mesh1D) else Mesh1D(mesh)
-        self.degree = int(degree)
+        self.degree = degree
         self.basis = _LagrangeBasis(ref_nodes)
         self.span = self.mesh.span
-        self.stride = int(stride)
+        self.stride = stride
         self.nfull = self.mesh.ncells * self.stride + self.basis.size - self.stride
 
     @property
@@ -130,8 +130,7 @@ class NodalLineSpace(LineSpace):
     """H1-conforming Lagrange elements, optionally periodic or constrained."""
 
     def __init__(self, mesh, degree=1, periodic=False, constraints=()):
-        if degree < 1:
-            raise ValueError("nodal line spaces need degree >= 1")
+        degree = as_count(degree, 1, "nodal line spaces need degree >= 1")
         super().__init__(mesh, degree, np.linspace(0.0, 1.0, degree + 1), degree)
         k = self.degree
         # Cell c owns nodes c*k ... c*k + k - 1; the last cell also owns the
@@ -167,15 +166,10 @@ class GaussLineSpace(LineSpace):
     """Discontinuous elements collocated at per-cell Gauss nodes."""
 
     def __init__(self, mesh, degree=0):
-        if degree < 0:
-            raise ValueError("discontinuous line spaces need degree >= 0")
-        ref_nodes, ref_w = gauss_rule(degree + 1)
-        super().__init__(mesh, degree, ref_nodes, degree + 1)
+        degree = as_count(degree, 0, "discontinuous line spaces need degree >= 0")
+        super().__init__(mesh, degree, gauss_rule(degree + 1)[0], degree + 1)
         self.P = sp.identity(self.nfull, format="csr")
-        widths = self.mesh.widths
-        lefts = self.mesh.boundaries[:-1]
-        self.nodes_global = (lefts[:, None] + widths[:, None] * ref_nodes[None, :]).ravel()
-        self.weights_global = (widths[:, None] * ref_w[None, :]).ravel()
+        self.nodes_global, self.weights_global = gauss_panels(self.mesh.boundaries, degree + 1)
 
 
 def _coeff_pieces(coeff):
@@ -386,8 +380,7 @@ def build_space(mesh, family, degree=1, periodic=False, constraints=(), zero_tra
                 NodalLineSpace(mesh.y, degree, constraints=cons_y),
             )
         if family == "rt":
-            if degree < 0:
-                raise ValueError("RT spaces need degree >= 0")
+            degree = as_count(degree, 0, "RT spaces need degree >= 0")
             cg = [NodalLineSpace(m, degree + 1) for m in (mesh.x, mesh.y)]
             dg = [GaussLineSpace(m, degree) for m in (mesh.x, mesh.y)]
             return TensorSpace(cg[0], dg[1]), TensorSpace(dg[0], cg[1])

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .meshes import as_count
+
 __all__ = [
     "TimeGrid",
     "temporal_basis",
@@ -72,8 +74,7 @@ class TimeGrid:
         """Uniform grid with `num_slabs` slabs on [0, T]."""
         if not 0.0 < T < math.inf:
             raise ValueError("final time must be positive and finite")
-        if num_slabs < 1:
-            raise ValueError("need at least one slab")
+        num_slabs = as_count(num_slabs, 1, "need at least one slab")
         return cls(np.linspace(0.0, float(T), num_slabs + 1))
 
     @property

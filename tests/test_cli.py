@@ -174,6 +174,27 @@ class TestSweep:
         data = [line for line in out.splitlines()[1:] if not ",slope_" in line]
         assert {line.split(",")[1] for line in data} == {"1"}
 
+    @pytest.mark.parametrize(
+        "line, flag",
+        [("slabs = x", "--slabs"), ("T = soon", "--T"), ("n_list = 1,a", "--n-list")],
+    )
+    def test_config_value_is_checked_like_its_flag(self, capsys, tmp_path, line, flag):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"example = EX1\n{line}\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert f"argument {flag}: " in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_config_keys_a_command_does_not_take_are_ignored(self, capsys, tmp_path, command):
+        # run takes n and ignores n_list; sweep takes n_list and ignores n
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("example = EX1\nn = 2\nn_list = 1,2\nslabs = 2\n")
+        code, out, _ = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 0
+        ns = {line.split(",")[1] for line in out.splitlines()[1:]}
+        assert ns == ({"2"} if command == "run" else {"1", "2"})
+
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("example EX1\n")

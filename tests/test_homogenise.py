@@ -61,6 +61,22 @@ class TestIntegralMean:
             integral_mean(Constant(1.0), 0.0)
 
 
+# every function that takes a period checks it first, in one place
+_PERIOD_TAKERS = {
+    "integral_mean": lambda p: integral_mean(Constant(2.0), p),
+    "homogenise_stratified": lambda p: homogenise_stratified([[SineOsc(1) + 2.0]], p),
+    "dual_stratified_limit": lambda p: dual_stratified_limit([[SineOsc(1) + 2.0]], p),
+    "cell_problem_oracle": lambda p: cell_problem_oracle([[SineOsc(1) + 2.0]], p),
+}
+
+
+@pytest.mark.parametrize("period", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("taker", _PERIOD_TAKERS)
+def test_period_must_be_positive_and_finite(taker, period):
+    with pytest.raises(ValueError, match="period must be positive and finite"):
+        _PERIOD_TAKERS[taker](period)
+
+
 class TestStratified:
     def test_two_phase_isotropic(self):
         one_plus = Constant(1.0) + StripeIndicator(1)
