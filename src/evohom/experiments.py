@@ -364,10 +364,12 @@ def oracle_pairing_series(n_list, name="x", *, cells=None):
     rule resolves the oscillation (>= 8 cells per period).
     """
     grid = ExperimentSpec("EX1").grid()
+    if cells is not None:
+        cells = as_count(cells, 1, "the oracle's cells must be an integer >= 1")
     out = []
     for n in n_list:
         n = as_count(n, 1, "oscillation indices must be integers >= 1")
-        ncell = int(cells) if cells is not None else max(64, 8 * n)
+        ncell = cells or max(64, 8 * n)
         diff = lambda t, x, _n=n: ode_exact(_n, t, x) - i0_antiderivative(t)
         val = pairing(diff, name, domain=(0.0, 1.0), grid=grid, cells=ncell)
         out.append((n, abs(val)))

@@ -30,10 +30,11 @@ from .fields import (
     ANY_PERIOD,
     Constant,
     RegionIndicator,
+    StripeIndicator,
     Sum,
     as_field,
 )
-from .laws import MemoryTerm, family_law, omega1
+from .laws import LAYERS, LOW, MemoryTerm, family_law, omega1
 from .meshes import as_count, gauss_panels, partition
 
 __all__ = [
@@ -299,9 +300,10 @@ def schur_blocks(a, split):
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("operator must be square")
-    k = int(split)
-    if not 0 < k < n:
-        raise ValueError("split size must be strictly between 0 and n")
+    message = "split size must be an integer strictly between 0 and n"
+    k = as_count(split, 1, message)
+    if k >= n:
+        raise ValueError(message)
     a00, a01, a10, a11 = a[:k, :k], a[:k, k:], a[k:, :k], a[k:, k:]
     try:
         q00 = np.linalg.inv(a00)
@@ -318,7 +320,7 @@ def schur_distance(a, b, split, probes):
     index parts matching the quantity's row/column spaces.  Zero iff the
     quantities agree on the probe span.
     """
-    k = int(split)
+    k = as_count(split, 1, "the split of a Schur distance must be an integer >= 1")
     p0 = [np.asarray(p)[:k] for p in probes]
     p1 = [np.asarray(p)[k:] for p in probes]
     sides = ((p0, p0), (p1, p0), (p0, p1), (p1, p1))  # (u, v) per quantity
@@ -345,6 +347,11 @@ def build_limit_law(example_id):
     are rational (c/(a + b z)); the first family's limit is not rational
     (it is the Bessel-series law of the analytic module) and is rejected
     here.
+
+    A layered family's limit is read from its ``laws.LAYERS`` row: inside
+    the oscillation region each M0 entry is the :func:`integral_mean` of its
+    phase (:func:`homogenise_stratified` for a harmonic one) and each
+    conductive M1 the mean of the stripe; outside it M0 is 1 and M1 is 0.
     """
     example_id = str(example_id).upper()
     label = f"{example_id}-limit"
@@ -371,58 +378,30 @@ def build_limit_law(example_id):
             series={(0, 0): bump, (1, 1): bump},
         )
 
-    if example_id not in ("EX4", "EX5", "MAXWELL"):
+    if example_id not in LAYERS:
         raise ValueError(f"unknown example id {example_id!r}")
-    # The layered families: the mean formulas inside the oscillation region,
-    # 1 outside it.
+    # The layered families: the two-phase means of the row's phases inside
+    # the oscillation region, 1 outside it.
+    phases, conductive, harmonic = LAYERS[example_id]
     omega = omega1(example_id)
     ext = 1.0 - omega
-    memory = (MemoryTerm(-2.0, 1.0, 1.0, omega),)
-
-    if example_id == "EX4":
-        return family_law(
-            example_id,
-            label,
-            {
-                (0, 0): omega * 0.5 + ext,
-                (1, 1): omega * 1.5 + ext,
-                (2, 2): omega * (4.0 / 3.0) + ext,
-            },
-            {(0, 0): omega * 0.5},
-        )
-
-    if example_id == "EX5":
-        return family_law(
-            example_id,
-            label,
-            {
-                (0, 0): omega * 1.5 + ext,
-                (1, 1): omega * 0.5 + ext,
-                (2, 2): ext,
-            },
-            {
-                (1, 1): omega * 0.5,
-                (2, 2): omega * 2.0,
-            },
-            memory={(2, 2): memory},
-        )
-
-    e_mean = omega * 0.5 + ext
-    return family_law(
-        example_id,
-        label,
-        {
-            (0, 0): ext,
-            (1, 1): e_mean,
-            (2, 2): e_mean,
-            (3, 3): omega * (4.0 / 3.0) + ext,
-            (4, 4): omega * 1.5 + ext,
-            (5, 5): omega * 1.5 + ext,
-        },
-        {
-            (0, 0): omega * 2.0,
-            (1, 1): omega * 0.5,
-            (2, 2): omega * 0.5,
-        },
-        memory={(0, 0): memory},
-    )
+    stripe = StripeIndicator(1)
+    m0, m1, memory = {}, {}, {}
+    for i, phase in enumerate(phases):
+        if i in conductive and i in harmonic:
+            # The symbol z*(1 - s) + s takes the values z and 1 on the two
+            # phases; its harmonic mean 2z/(1 + z) = 2 - 2/(1 + z) has no
+            # instant part, M1 = 2 and the memory entry -2/(1 + z).
+            if phase is not LOW:
+                raise ValueError(f"{example_id}: a harmonic conductive phase must be LOW")
+            m0[i, i], m1[i, i] = ext, omega * 2.0
+            memory[i, i] = (MemoryTerm(-2.0, 1.0, 1.0, omega),)
+            continue
+        if i in harmonic:
+            mean = float(homogenise_stratified([[phase(1.0, stripe)]]).matrix[0, 0])
+        else:
+            mean = integral_mean(phase(1.0, stripe))
+        m0[i, i] = omega * mean + ext
+        if i in conductive:
+            m1[i, i] = omega * integral_mean(stripe)
+    return family_law(example_id, label, m0, m1, memory=memory)

@@ -29,13 +29,18 @@ the component names, domain and abscissa nu0 that a family's oscillating
 law (:func:`example_material`) and its homogenised limit
 (``homogenise.build_limit_law``) share.  :func:`family_law` builds every law
 of a family on its frame, and :func:`omega1` is the indicator of the
-family's oscillation region.
+family's oscillation region.  Each layered family (EX4, EX5, MAXWELL) also
+has one row in ``LAYERS``: the phase of each component's instant entry
+inside that region (``LOW`` = 1 - s or ``HIGH`` = 1 + s for the stripe s),
+its conductive components (M1 = s there) and its components that average
+harmonically.  Its oscillating law and its limit are both read from the row.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -315,6 +320,17 @@ _FRAMES = {
 }
 EXAMPLE_IDS = tuple(_FRAMES)
 
+# The phases of a layered family's instant entries inside the oscillation
+# region: phase(1.0, s) is 1 - s or 1 + s for the stripe indicator s.
+LOW, HIGH = operator.sub, operator.add
+# One row per layered family: the phases of its components in frame order,
+# its conductive components and its harmonic ones (the layers run across x).
+LAYERS = {
+    "EX4": ((LOW, HIGH, HIGH), (0,), (2,)),  # u, vx, vy
+    "EX5": ((HIGH, LOW, LOW), (1, 2), (2,)),
+    "MAXWELL": ((LOW,) * 3 + (HIGH,) * 3, (0, 1, 2), (0, 3)),  # E1-E3, H1-H3
+}
+
 
 def family_law(example_id, label, m0, m1, **z_parts):
     """A law with entries ``m0`` and ``m1`` on the frame of a family.
@@ -352,7 +368,9 @@ def example_material(example_id, n=1):
 
     ``n`` is the oscillation index (stripe/sine frequency).  The material
     constants (exterior permittivity and permeability of the 2-D and
-    formula-level families, the conductive family's scales) are all 1.
+    formula-level families, the conductive family's scales) are all 1.  A
+    layered family's law is built from its ``LAYERS`` row, 1 outside the
+    oscillation region.
     """
     example_id = str(example_id).upper()
     if example_id not in EXAMPLE_IDS:
@@ -378,41 +396,14 @@ def example_material(example_id, n=1):
 
     # The layered families: stripes across x inside the oscillation region,
     # 1 outside it.
+    phases, conductive, _ = LAYERS[example_id]
     omega = omega1(example_id)
     stripe = StripeIndicator(n)
     if isinstance(omega, Separable2D):
         stripe = Separable2D.of_x(stripe)
     ext = 1.0 - omega
-    low = omega * (1.0 - stripe) + ext
-    high = omega * (1.0 + stripe) + ext
-    cond = omega * stripe
-
-    if example_id == "EX4":
-        return family_law(
-            example_id, label, {(0, 0): low, (1, 1): high, (2, 2): high}, {(0, 0): cond}
-        )
-
-    if example_id == "EX5":
-        return family_law(
-            example_id,
-            label,
-            {(0, 0): high, (1, 1): low, (2, 2): low},
-            {(1, 1): cond, (2, 2): cond},
-        )
-
-    return family_law(
-        example_id,
-        label,
-        {
-            (0, 0): low,
-            (1, 1): low,
-            (2, 2): low,
-            (3, 3): high,
-            (4, 4): high,
-            (5, 5): high,
-        },
-        {(0, 0): cond, (1, 1): cond, (2, 2): cond},
-    )
+    m0 = {(i, i): omega * phase(1.0, stripe) + ext for i, phase in enumerate(phases)}
+    return family_law(example_id, label, m0, {(i, i): omega * stripe for i in conductive})
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,11 @@ def partition(lo, hi, points):
     return np.concatenate([[lo], pts, [hi]])
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)  # typed: True never hits the entry of 1
 def gauss_rule(npts):
     """Gauss–Legendre nodes/weights on the reference cell [0, 1] (read-only)."""
-    x, w = np.polynomial.legendre.leggauss(int(npts))
+    npts = as_count(npts, 1, "a Gauss rule needs an integer number of points >= 1")
+    x, w = np.polynomial.legendre.leggauss(npts)
     x, w = 0.5 * (x + 1.0), 0.5 * w
     x.setflags(write=False)
     w.setflags(write=False)

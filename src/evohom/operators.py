@@ -26,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fields import RegionIndicator
+from .meshes import as_count
 from .spaces import TensorSpace, gram1d, gram2d
 
 _STRUCTURES = ("zero", "periodic-pair", "interface-pair", "div-grad")
@@ -165,7 +166,7 @@ def complexified_accretivity_gap(a, ntrials=200, seed=0):
     rng = np.random.default_rng(seed)
     d = a.shape[0]
     worst = np.inf
-    for _ in range(int(ntrials)):
+    for _ in range(as_count(ntrials, 1, "ntrials must be a positive integer")):
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         val = np.real(np.vdot(z, a @ z)) - alpha * np.vdot(z, z).real
         worst = min(worst, float(val))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meshes import gauss_rule
+from .meshes import as_count, gauss_rule
 from .solver import EvolutionSolution
 from .spaces import (
     TensorSpace,
@@ -182,9 +182,8 @@ def pairing(u, v, domain=None, component=0, *, grid=None, cells=64):
     if domain is None:
         raise ValueError("callable pairings need an explicit domain interval")
     spatial, temporal = _scalar_test(v)
-    xs, ws = gauss_panels(
-        np.linspace(domain[0], domain[1], int(cells) + 1), _PAIRING_POINTS
-    )
+    cells = as_count(cells, 1, "a callable pairing needs an integer number of cells >= 1")
+    xs, ws = gauss_panels(np.linspace(domain[0], domain[1], cells + 1), _PAIRING_POINTS)
     tq, wq = slab_gauss(grid)
     values = _sampler(u, (xs,))(tq.ravel())
     p = (ws * coeff_values(spatial, xs)) @ values

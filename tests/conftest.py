@@ -20,11 +20,14 @@ def benchmark_workloads():
 @pytest.fixture(scope="session")
 def assert_golden():
     """Check a report's rows against its ``tests/golden/`` file at 1e-10
-    relative (``tests/golden/regenerate.py`` writes the files)."""
+    relative (``tests/golden/regenerate.py`` writes the files).  A sweep at
+    another element degree than 1 or weight rho than 0 adds
+    ``_deg<degree>_rho<rho>`` to its file name."""
 
-    def check(report):
+    def check(report, degree=1, rho=0.0):
         ns = sorted({n for n, _, _ in report.rows if n > 0})
-        name = f"{report.example}_n{'-'.join(map(str, ns))}.csv"
+        tag = "" if (degree, rho) == (1, 0.0) else f"_deg{degree}_rho{rho:g}"
+        name = f"{report.example}_n{'-'.join(map(str, ns))}{tag}.csv"
         path = Path(__file__).resolve().parent / "golden" / name
         with open(path, encoding="utf-8", newline="") as fh:
             golden = [(int(n), q, float(v)) for n, q, v in list(csv.reader(fh))[1:]]

@@ -7,7 +7,9 @@ Run from the repository root::
 Each ``<example>_n<n-list>.csv`` holds the rows ``n, quantity, repr(value)``
 of one sweep that the tier-1 tests already run (``test_jobs_deterministic``,
 ``test_ex5_dichotomy`` and ``TestEX2Sweep``); those tests compare their rows to it at 1e-10
-relative through the ``assert_golden`` fixture.  Each ``text/<name>.txt``
+relative through the ``assert_golden`` fixture.  The degree-2 sweeps of
+``test_degree_two_weighted_sweep`` (whose references are degree 3) add
+``_deg<degree>_rho<rho>`` to that name.  Each ``text/<name>.txt``
 holds the exact text of one law (``serialize_law``) or of one ``evohom
 limits``, ``describe``, ``quadrature`` or ``oracle`` command, which the
 tests that print it compare exactly through the ``golden_text`` fixture.  A change that moves a
@@ -35,6 +37,10 @@ SPECS = (
     ExperimentSpec("EX3", (1, 2)),
     ExperimentSpec("EX4", (1, 2)),
     ExperimentSpec("EX5", (2, 4, 8, 16)),
+    ExperimentSpec("EX2", (1, 2, 4), degree=2, rho=0.5),
+    ExperimentSpec("EX2", (1, 2, 4), degree=2),
+    ExperimentSpec("EX3", (2, 4, 8), degree=2, rho=0.5),
+    ExperimentSpec("EX3", (2, 4, 8), degree=2),
 )
 LIMIT_IDS = ("EX2", "EX3", "EX4", "EX5", "MAXWELL")
 LIMIT_ZS = ("3.0", "2.5+1j")
@@ -103,7 +109,8 @@ def main():
         print(HERE / "text" / f"{name}.txt")
     for spec in SPECS:
         report = convergence_sweep(spec, jobs=2)
-        name = f"{spec.example}_n{'-'.join(map(str, spec.n_list))}.csv"
+        tag = "" if (spec.degree, spec.rho) == (1, 0.0) else f"_deg{spec.degree}_rho{spec.rho:g}"
+        name = f"{spec.example}_n{'-'.join(map(str, spec.n_list))}{tag}.csv"
         # the 1e-10 relative of the assert_golden fixture
         worst = worst_move(HERE / name, report.rows)
         moved = "" if worst is None else " (worst {:.1e} at n = {}, {})".format(*worst)

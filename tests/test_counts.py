@@ -4,19 +4,23 @@ below its bound with its own ValueError, and accepts integral floats."""
 
 import math
 
+import numpy as np
 import pytest
 
 from evohom.experiments import ExperimentSpec, convergence_sweep, oracle_pairing_series
 from evohom.fields import Constant, SineOsc, StripeIndicator
-from evohom.homogenise import cell_problem_oracle
+from evohom.homogenise import cell_problem_oracle, schur_blocks, schur_distance
 from evohom.laws import example_material
-from evohom.meshes import as_count, build_mesh
+from evohom.meshes import as_count, build_mesh, gauss_rule
+from evohom.operators import complexified_accretivity_gap
+from evohom.reporting import pairing
 from evohom.spaces import GaussLineSpace, NodalLineSpace, build_space
 from evohom.timequad import TimeGrid
 
 _LINE = build_mesh((0.0, 1.0), 4)
 _SQUARE = build_mesh(((0.0, 1.0), (0.0, 1.0)), (2, 2))
 _TINY = ExperimentSpec("EX1", (1,), slabs=2)
+_DIAG = np.diag([1.0, 2.0, 3.0])
 
 # site -> (call with the count, lower bound, the site's message)
 SITES = {
@@ -73,13 +77,45 @@ SITES = {
         1,
         "the oracle needs ncells >= 1",
     ),
+    "oracle_pairing_series-cells": (
+        lambda c: oracle_pairing_series([1], cells=c),
+        1,
+        "the oracle's cells must be an integer >= 1",
+    ),
+    "schur_blocks-split": (
+        lambda c: schur_blocks(_DIAG, c),
+        1,
+        "split size must be an integer strictly between 0 and n",
+    ),
+    "schur_distance-split": (
+        lambda c: schur_distance(_DIAG, _DIAG, c, [np.ones(3)]),
+        1,
+        "the split of a Schur distance must be an integer >= 1",
+    ),
+    "gauss_rule": (gauss_rule, 1, "a Gauss rule needs an integer number of points >= 1"),
+    "pairing-cells": (
+        lambda c: pairing(lambda t, x: x, "x", (0.0, 1.0), grid=TimeGrid.uniform(1.0, 2), cells=c),
+        1,
+        "a callable pairing needs an integer number of cells >= 1",
+    ),
+    "complexified_accretivity_gap-ntrials": (
+        lambda c: complexified_accretivity_gap(np.eye(2), ntrials=c),
+        1,
+        "ntrials must be a positive integer",
+    ),
 }
 
 BAD = [2.5, True, "x", None, math.nan, math.inf, "below"]
+# None is the default of oracle_pairing_series' cells: a panel count per n
+CASES = [
+    (site, bad)
+    for site in SITES
+    for bad in BAD
+    if not (bad is None and site == "oracle_pairing_series-cells")
+]
 
 
-@pytest.mark.parametrize("bad", BAD, ids=map(str, BAD))
-@pytest.mark.parametrize("site", SITES)
+@pytest.mark.parametrize("site, bad", CASES, ids=[f"{site}-{bad}" for site, bad in CASES])
 def test_count_site_refuses(site, bad):
     call, low, message = SITES[site]
     with pytest.raises(ValueError, match=message):

@@ -265,13 +265,15 @@ class TestSweepMechanics:
     @pytest.mark.parametrize(
         "example, n_list", [("EX2", (1, 2, 4)), ("EX3", (2, 4, 8))], ids=["EX2", "EX3"]
     )
-    def test_degree_two_weighted_sweep(self, example, n_list):
+    def test_degree_two_weighted_sweep(self, example, n_list, assert_golden):
         # degree 2 (reference at degree 3) under the weighted Radau rule
         spec = ExperimentSpec(example, n_list, degree=2, rho=0.5)
         seq = convergence_sweep(spec, jobs=1)
         assert all(math.isfinite(v) for _, _, v in seq.rows)
+        assert_golden(seq, degree=2, rho=0.5)
         assert convergence_sweep(spec, jobs=2).rows == seq.rows
         plain = convergence_sweep(ExperimentSpec(example, n_list, degree=2))
+        assert_golden(plain, degree=2)
         assert len(plain.rows) == len(seq.rows)
         for (n, q, v), (n0, q0, v0) in zip(seq.rows, plain.rows):
             assert (n, q) == (n0, q0) and v != v0

@@ -22,7 +22,16 @@ from evohom.homogenise import (
     schur_blocks,
     schur_distance,
 )
-from evohom.laws import augment_memory, eval_material_law, serialize_law
+from evohom import laws
+from evohom.laws import (
+    LOW,
+    augment_memory,
+    entry_blocks,
+    eval_material_law,
+    example_material,
+    material_symbol,
+    serialize_law,
+)
 
 
 class TestIntegralMean:
@@ -414,6 +423,65 @@ class TestLimitLaws:
         pts = np.array([[0.13, 0.2], [0.48, -0.7]])
         m = eval_material_law(law, 3.0, pts)
         assert np.allclose(m[0], m[1], atol=1e-14)
+
+
+# The components of each layered family whose limit averages harmonically,
+# written here apart from ``laws.LAYERS`` so that a wrong row fails.
+HARMONIC = {"EX4": {"vy"}, "EX5": {"vy"}, "MAXWELL": {"E1", "H1"}}
+
+
+def _layer_points(example, n):
+    """One point in each stripe phase inside the oscillation region (s = 0,
+    then s = 1) and one point outside it."""
+    xs = [0.75 / n, 0.25 / n, 1.5]
+    if example == "MAXWELL":
+        return np.array(xs)
+    return np.array([[x, 0.3] for x in xs])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("example", sorted(HARMONIC))
+def test_layered_limit_is_the_two_phase_mean(example, n):
+    # the limit's entries against the two-phase means of the oscillating
+    # law, sampled at one point per stripe phase; the limit is constant
+    # inside the oscillation region, so one of those points reads it there
+    law, limit = example_material(example, n), build_limit_law(example)
+    pts = _layer_points(example, n)
+    m0, m1 = entry_blocks(law, law.m0, pts), entry_blocks(law, law.m1, pts)
+    lim0, lim1 = (entry_blocks(limit, m, pts) for m in (limit.m0, limit.m1))
+    for i, name in enumerate(law.component_names):
+        (p0, p1), (c0, c1) = m0[:2, i, i], m1[:2, i, i]
+        got = lim0[0, i, i], lim1[0, i, i]
+        if name not in HARMONIC[example]:
+            assert got == pytest.approx((0.5 * (p0 + p1), 0.5 * (c0 + c1)), rel=1e-14), name
+        elif c0 == c1 == 0.0:
+            assert got == pytest.approx((2.0 * p0 * p1 / (p0 + p1), 0.0), rel=1e-14), name
+        else:
+            # harmonic and conductive: the harmonic mean of the two phase
+            # symbols z*m0 + m1
+            for z in (0.7, 2.0 + 1.5j, 0.3 - 4.0j):
+                q0, q1 = z * p0 + c0, z * p1 + c1
+                symbol = material_symbol(limit, z, pts[:1])[0, i, i]
+                assert symbol == pytest.approx(2.0 * q0 * q1 / (q0 + q1), rel=1e-14), (name, z)
+    # outside the oscillation region the limit is the oscillating law
+    assert np.array_equal(lim0[2], m0[2]) and np.array_equal(lim1[2], m1[2])
+    outside = [material_symbol(m, 2.0 + 1.0j, pts[2:]) for m in (limit, law)]
+    assert np.array_equal(*outside)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        # a harmonic LOW phase without conduction has harmonic mean 0
+        (((LOW,) * 3, (), (2,)), "uniformly positive"),
+        # no closed form for a harmonic conductive HIGH phase
+        (((LOW, LOW, laws.HIGH), (2,), (2,)), "must be LOW"),
+    ],
+)
+def test_layered_row_outside_the_rule_fails(monkeypatch, row, message):
+    monkeypatch.setitem(laws.LAYERS, "EX4", row)
+    with pytest.raises(ValueError, match=message):
+        build_limit_law("EX4")
 
 
 class TestEffectiveTensorType:
