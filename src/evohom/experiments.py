@@ -410,12 +410,11 @@ def _report(spec, reference, n, problem):
     it is, so only the last slab waits for it.
     """
     quantities = _FAMILIES[spec.example].quantities
-    block = max(1, 2**20 // (16 * problem.ndof))  # slabs in 1 MB, or one
     last, held, readers = problem.grid.num_slabs, [], []
     with closing(march(problem)) as slabs:
         for m, c in slabs:
             held.append(c)
-            if m == last or (len(held) >= block and reference.done()):
+            if m == last or (len(held) >= problem.block and reference.done()):
                 ctx = reference.result()
                 readers = readers or [_reader(problem, q, *ctx) for q in quantities]
                 chunk, held = np.stack(held), []

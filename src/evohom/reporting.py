@@ -6,8 +6,10 @@ against a fixed dictionary of test functions, and strong norms of
 differences against a reference.  A solution is read by readers
 (:func:`pairing_reader`, :func:`strong_norm_reader`) that take its slabs in
 blocks as a march yields them, each slab in its two dG(1) time coefficients
-``coeffs[m, 0:2]``.  A strong norm between discrete solutions on one time
-grid, or against a constant c (the coefficients (c, 0)), weights the
+``coeffs[m, 0:2]``; a stored solution is unfolded from its basis for them
+in blocks of about 1 MB, and a stored reference slab by slab, at the rows
+of the component read.  A strong norm between discrete solutions on one
+time grid, or against a constant c (the coefficients (c, 0)), weights the
 squared differences of those coefficients by the exact masses h and h/3 of
 the orthogonal pair (l0, l1) (:meth:`TimeGrid.basis_masses`).  Every other
 pairing or strong norm takes the 4-point per-slab Gauss rule
@@ -176,7 +178,7 @@ def pairing(u, v, domain=None, component=0, *, grid=None, cells=64):
     (1, 2) of a 2-D solution.  ``domain`` restricts the spatial integral.
     """
     if isinstance(u, EvolutionSolution):
-        return pairing_reader(u.problem, v, domain, component)(u.coeffs)
+        return _read_stored(pairing_reader(u.problem, v, domain, component), u)
     if grid is None or not isinstance(grid, TimeGrid):
         raise ValueError("callable pairings need an explicit TimeGrid")
     if domain is None:
@@ -252,9 +254,8 @@ def strong_norm_reader(problem, ref, component, subdomain):
     elif np.isscalar(ref):  # the coefficients (ref, 0) at every point
         fr = lambda m: np.array([[ref, 0.0]])
     elif np.array_equal(ref.grid.t_points, problem.grid.t_points):
-        g = point_values(spaces[1])
-        rc = ref.coeffs[:, :, ref.problem.component_slice(component)]
-        fr = lambda m: g(rc[m])
+        g, rows = point_values(spaces[1]), ref.problem.component_slice(component)
+        fr = lambda m: g(ref.unfold(ref.stored[m], rows))
     else:
         raise ValueError("strong norms of two discrete solutions need one time grid")
     acc, done = 0.0, 0
@@ -289,7 +290,13 @@ def strong_norm_diff(u, ref, component=0):
     """
     if not isinstance(u, EvolutionSolution):
         raise ValueError("strong norms need u to be a discrete solution")
-    return strong_norm_reader(u.problem, ref, component, None)(u.coeffs)
+    return _read_stored(strong_norm_reader(u.problem, ref, component, None), u)
+
+
+def _read_stored(read, sol):
+    """The last value of ``read`` fed a stored solution in blocks of about 1 MB."""
+    k, stored = sol.problem.block, sol.stored
+    return [read(sol.unfold(stored[a : a + k], slice(None))) for a in range(0, len(stored), k)][-1]
 
 
 def fit_rate(points):

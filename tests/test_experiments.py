@@ -234,16 +234,16 @@ class TestSweepMechanics:
     def test_jobs_deterministic(self, assert_golden, monkeypatch):
         # EX4 runs complex SuperLU factorisations in the worker threads; at
         # jobs > 1 the reference is solved alongside the runs, longest first.
-        # Only the discrete reference is stored: the runs are read while they
-        # march.  At jobs=2 the reference is held back until a run has
-        # yielded a slab, so that run holds its slabs until the reference is
-        # done; its rows must not move.
+        # Only the discrete reference is stored, on its solve basis: the runs
+        # are read while they march.  At jobs=2 the reference is held back
+        # until a run has yielded a slab, so that run holds its slabs until
+        # the reference is done; its rows must not move.
         stored = []
         init = EvolutionSolution.__init__
 
-        def counted(self, problem, coeffs):
-            stored.append(problem)
-            init(self, problem, coeffs)
+        def counted(self, problem, coeffs, basis=None):
+            init(self, problem, coeffs, basis)
+            stored.append(self)
 
         monkeypatch.setattr(EvolutionSolution, "__init__", counted)
         for spec, references in (
@@ -254,6 +254,10 @@ class TestSweepMechanics:
             stored.clear()
             seq = convergence_sweep(spec, jobs=1)
             assert len(stored) == references
+            if spec.example == "EX4":  # on a quarter of its 19 201 DOFs
+                assert [(s.problem.ndof, s.stored.shape) for s in stored] == [
+                    (19201, (64, 2, 4800))
+                ]
             assert_golden(seq)
             ns = [n for n, q, _ in seq.rows if not q.startswith("slope_")]
             assert ns == sorted(ns) and set(ns) == set(spec.n_list)

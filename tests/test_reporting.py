@@ -470,6 +470,27 @@ def test_readers_take_slabs_in_any_blocks(one_grid_operands):
         assert values[0] == reader()(sol.coeffs[:1]) != whole
 
 
+def test_stored_reference_reads_as_its_full_length_solution(one_grid_operands, monkeypatch):
+    # the mirrored limit is stored on a quarter of its DOFs and unfolded
+    # where it is read, in blocks of about 1 MB (here all 4 slabs) or of one
+    # slab; every read equals that of the full-length solution with no
+    # basis, bit for bit
+    run, ref = one_grid_operands["ex5"], one_grid_operands["lim"]
+    full = EvolutionSolution(ref.problem, ref.coeffs)
+    assert (ref.stored.shape[2], full.stored.shape[2]) == (72, ref.problem.ndof) == (72, 289)
+    reads = []
+    for block in (ref.problem.block, 1):
+        monkeypatch.setattr(ref.problem, "block", block)
+        for sol in (ref, full):
+            reads.append(
+                [strong_norm_diff(run, sol, k) for k in range(3)]
+                + [strong_norm_diff(sol, 0.25, k) for k in range(4)]
+                + [pairing(sol, v, None, 1) for v in reporting.VECTOR_TEST_DICTIONARY]
+            )
+    assert ref.problem.block == 1 < ref.grid.num_slabs
+    assert reads[1:] == reads[:-1]
+
+
 class TestFitRate:
     def test_exact_power_law(self):
         assert fit_rate([(1, 1.0), (2, 0.5), (4, 0.25)]) == pytest.approx(

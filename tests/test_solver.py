@@ -25,7 +25,7 @@ from evohom.spaces import (
     eval_matrix_1d,
     restricted_load,
 )
-from evohom.timequad import TRACE_LEFT, TimeGrid, temporal_basis
+from evohom.timequad import TRACE_LEFT, TRACE_RIGHT, TimeGrid, temporal_basis
 
 # names the one component of the problems whose masses are preassembled
 _UNIT_LAW = MaterialLaw(1, {(0, 0): Constant(1.0)}, {})
@@ -255,6 +255,26 @@ class TestSolutionInterface:
         sol = solve_evolution(_scalar_problem())
         with pytest.raises(ValueError):
             sol.coeffs[0, 0, 0] = 1.0
+
+    @staticmethod
+    def _mirrored(axes):
+        """A small problem mirrored in x and y (the EX4 limit), in y (an EX4
+        run) or not at all (an EX3 run)."""
+        spec = ExperimentSpec("EX4" if axes else "EX3", slabs=4)
+        if axes == (0, 1):
+            law = build_limit_law("EX4")
+            return _ex45_problem(spec, build_mesh(law.domain, (6, 6)), 2, law)
+        return build_run(spec.example, 1, slabs=4)
+
+    @pytest.mark.parametrize("axes", [(0, 1), (1,), ()], ids=["xy", "y", "none"])
+    def test_stored_on_the_basis_unfolds_to_the_march(self, axes):
+        problem = self._mirrored(axes)
+        assert tuple(solver._mirrors(problem)) == axes
+        sol = solve_evolution(problem)
+        assert sol.stored.shape == (4, 2, solver._solve_basis(problem).shape[1])
+        assert np.array_equal(sol.coeffs, np.stack([c for _, c in solver.march(problem)]))
+        for m in range(1, 5):
+            assert np.array_equal(sol.right_trace(m), TRACE_RIGHT @ sol.coeffs[m - 1])
 
     def test_component_slices(self):
         problem, _ = TestIntrinsicVariable()._augmented_problem(4)
