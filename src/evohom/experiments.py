@@ -39,8 +39,8 @@ from .reporting import (
     fit_rate,
     pairing,
     pairing_reader,
+    read_stored,
     slab_gauss,
-    strong_norm_diff,
     strong_norm_reader,
     write_csv,
 )
@@ -347,12 +347,12 @@ def build_run(example, n, **knobs):
 
 
 def solution_norms(sol):
-    """Space-time L2 norm of every component (diagnostic/stability check)."""
-    names = sol.problem.law.component_names
-    return {
-        str(names[i]): strong_norm_diff(sol, 0.0, component=i)
-        for i in range(len(sol.problem.spaces))
-    }
+    """Space-time L2 norm of every component (diagnostic/stability check),
+    all read in one pass over the stored slabs."""
+    problem = sol.problem
+    comps = range(len(problem.spaces))
+    norms = read_stored([strong_norm_reader(problem, 0.0, i, None) for i in comps], sol)
+    return {str(problem.law.component_names[i]): v for i, v in zip(comps, norms)}
 
 
 def oracle_pairing_series(n_list, name="x", *, cells=None):
@@ -380,17 +380,22 @@ def _prepare(spec, level):
     """The reference operands by name and their pairing per paired quantity."""
     family = _FAMILIES[spec.example]
     operands = family.limits(spec)
-    if family.ref_mesh is not None:
-        law = family.ref_law(spec.example)
-        ref = family.build(spec, family.ref_mesh(law.domain, level), spec.degree + 1, law)
-        operands["ref"] = solve_evolution(ref)
+    paired = [q for q in family.quantities if q.test is not None]
     # grid and cells apply to the analytic operands only
     analytic = {"grid": spec.grid(), "cells": family.panels}
     ref_pair = {
         q.name: pairing(operands[q.operand], q.test, q.domain, q.comps[0], **analytic)
-        for q in family.quantities
-        if q.test is not None
+        for q in paired
+        if q.operand != "ref"
     }
+    if family.ref_mesh is not None:
+        law = family.ref_law(spec.example)
+        ref = family.build(spec, family.ref_mesh(law.domain, level), spec.degree + 1, law)
+        operands["ref"] = solve_evolution(ref)
+        # its pairings are read in one pass over its slabs
+        stored = [q for q in paired if q.operand == "ref"]
+        readers = [pairing_reader(ref, q.test, q.domain, q.comps[0]) for q in stored]
+        ref_pair.update(zip([q.name for q in stored], read_stored(readers, operands["ref"])))
     return operands, ref_pair
 
 

@@ -1,12 +1,13 @@
 """Coefficient fields as small expression trees.
 
-The oscillating-coefficient examples only ever use four atoms:
+Every coefficient is built from five atoms:
 
     Constant(c)            the constant c
     SineOsc(n)             sin(2*pi*n*x)
     StripeIndicator(n)     1 on the stripe set O_n = union_k (2k/(2n), (2k+1)/(2n))
                            extended 1/n-periodically over the real line
     RegionIndicator(a, b)  1 on the interval [a, b)
+    Function(f)            a plain callable f(x): no breakpoints, no period
 
 combined by +, -, * and scalar multiples.  Every tree can report its
 discontinuity points inside an interval (so quadrature panels can be
@@ -22,11 +23,16 @@ common multiple of theirs.
 
 Two-dimensional coefficients on tensor-product meshes are sums of
 separable terms fx(x)*fy(y); see :class:`Separable2D`.
+
+A caller's coefficient becomes a field here only: :func:`as_field` takes a
+Field, a real number (numpy scalars too) or a plain callable, and
+:func:`as_separable` a Separable2D or a real number; else TypeError.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -39,10 +45,12 @@ __all__ = [
     "SineOsc",
     "StripeIndicator",
     "RegionIndicator",
+    "Function",
     "Sum",
     "Product",
     "Separable2D",
     "as_field",
+    "as_separable",
     "serialize_field",
 ]
 
@@ -117,8 +125,10 @@ class Field:
 def as_field(obj):
     if isinstance(obj, Field):
         return obj
-    if isinstance(obj, (int, float)):
-        return Constant(float(obj))
+    if isinstance(obj, numbers.Real):
+        return Constant(obj)
+    if callable(obj) and not isinstance(obj, Separable2D):
+        return Function(obj)
     raise TypeError(f"cannot interpret {obj!r} as a coefficient field")
 
 
@@ -209,6 +219,19 @@ class RegionIndicator(Field):
         return f"RegionIndicator({self.a}, {self.b})"
 
 
+class Function(Field):
+    """A plain callable f(x): no breakpoints and no period."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, x):
+        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
+
+    def __repr__(self):
+        return f"Function({self.fn!r})"
+
+
 class Composite(Field):
     """A sum or product of ``parents``: it breaks where any parent breaks,
     has their common period and is piecewise constant if they all are, so
@@ -264,14 +287,6 @@ class Separable2D:
     def __init__(self, terms):
         self.terms = [(as_field(fx), as_field(fy)) for fx, fy in terms]
 
-    @classmethod
-    def constant(cls, value):
-        return cls([(Constant(value), Constant(1.0))])
-
-    @classmethod
-    def of_x(cls, fx):
-        return cls([(fx, Constant(1.0))])
-
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -287,22 +302,20 @@ class Separable2D:
         return Sum([fy for _, fy in self.terms]).breakpoints(a, b)
 
     def __add__(self, other):
-        other = _as_separable(other)
-        return Separable2D(self.terms + other.terms)
+        return Separable2D(self.terms + as_separable(other).terms)
 
     def __radd__(self, other):
-        return _as_separable(other) + self
+        return as_separable(other) + self
 
     def __sub__(self, other):
-        other = _as_separable(other)
-        negated = [(Product(Constant(-1.0), fx), fy) for fx, fy in other.terms]
+        negated = [(Product(Constant(-1.0), fx), fy) for fx, fy in as_separable(other).terms]
         return Separable2D(self.terms + negated)
 
     def __rsub__(self, other):
-        return _as_separable(other) - self
+        return as_separable(other) - self
 
     def __mul__(self, other):
-        other = _as_separable(other)
+        other = as_separable(other)
         terms = []
         for fx1, fy1 in self.terms:
             for fx2, fy2 in other.terms:
@@ -310,17 +323,17 @@ class Separable2D:
         return Separable2D(terms)
 
     def __rmul__(self, other):
-        return _as_separable(other) * self
+        return as_separable(other) * self
 
     def __repr__(self):
         return f"Separable2D({self.terms!r})"
 
 
-def _as_separable(obj):
+def as_separable(obj):
     if isinstance(obj, Separable2D):
         return obj
-    if isinstance(obj, (int, float)):
-        return Separable2D.constant(float(obj))
+    if isinstance(obj, numbers.Real):
+        return Separable2D([(obj, 1.0)])
     raise TypeError(f"cannot interpret {obj!r} as a 2D coefficient")
 
 

@@ -400,7 +400,7 @@ def example_material(example_id, n=1):
     omega = omega1(example_id)
     stripe = StripeIndicator(n)
     if isinstance(omega, Separable2D):
-        stripe = Separable2D.of_x(stripe)
+        stripe = Separable2D([(stripe, 1.0)])
     ext = 1.0 - omega
     m0 = {(i, i): omega * phase(1.0, stripe) + ext for i, phase in enumerate(phases)}
     return family_law(example_id, label, m0, {(i, i): omega * stripe for i in conductive})

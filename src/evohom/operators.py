@@ -79,7 +79,7 @@ def assemble_skew_operator(structure, spaces):
         su, sv = spaces
         # the interface pair couples only on the left half of the span
         lo, hi = su.span
-        support = RegionIndicator(lo, 0.5 * (lo + hi)) if structure == "interface-pair" else None
+        support = RegionIndicator(lo, 0.5 * (lo + hi)) if structure == "interface-pair" else 1.0
         d = gram1d(su, sv, coeff=support, dcol=1)
         blocks[(0, 1)] = d
         blocks[(1, 0)] = (-d.T).tocsr()

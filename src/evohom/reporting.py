@@ -35,11 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import as_field
 from .meshes import as_count, gauss_rule
 from .solver import EvolutionSolution
 from .spaces import (
     TensorSpace,
-    coeff_values,
     eval_matrix_1d,
     gauss_panels,
     merge_cuts,
@@ -56,6 +56,7 @@ __all__ = [
     "eval_matrix_1d",
     "pairing",
     "pairing_reader",
+    "read_stored",
     "strong_norm_diff",
     "strong_norm_reader",
     "fit_rate",
@@ -63,19 +64,19 @@ __all__ = [
     "write_csv",
 ]
 
-# Scalar test dictionary: name -> (spatial factor or None for 1, temporal
-# factor or None for 1).  The names double as CSV quantity suffixes.
+# Scalar test dictionary: name -> (spatial factor, read by fields.as_field;
+# temporal factor or None for 1).  The names double as CSV quantity suffixes.
 TEST_DICTIONARY_1D = {
-    "1": (None, None),
+    "1": (1.0, None),
     "x": (lambda x: x, None),
     "x2": (lambda x: x * x, None),
     "sinpix": (lambda x: np.sin(np.pi * x), None),
-    "t": (None, lambda t: t),
+    "t": (1.0, lambda t: t),
 }
 
 # Vector test dictionary for the 2-D flux pair: name -> (component-1 term,
-# component-2 term), each a separable (fx, fy) pair of 1-D callables or
-# None for a vanishing component (scalars mean constants).
+# component-2 term), each a separable (fx, fy) pair of 1-D coefficients
+# (read by fields.as_field) or None for a vanishing component.
 VECTOR_TEST_DICTIONARY = {
     "x0": ((lambda x: x, 1.0), None),
     "0y": (None, (1.0, lambda y: y)),
@@ -178,7 +179,7 @@ def pairing(u, v, domain=None, component=0, *, grid=None, cells=64):
     (1, 2) of a 2-D solution.  ``domain`` restricts the spatial integral.
     """
     if isinstance(u, EvolutionSolution):
-        return _read_stored(pairing_reader(u.problem, v, domain, component), u)
+        return read_stored([pairing_reader(u.problem, v, domain, component)], u)[0]
     if grid is None or not isinstance(grid, TimeGrid):
         raise ValueError("callable pairings need an explicit TimeGrid")
     if domain is None:
@@ -188,7 +189,7 @@ def pairing(u, v, domain=None, component=0, *, grid=None, cells=64):
     xs, ws = gauss_panels(np.linspace(domain[0], domain[1], cells + 1), _PAIRING_POINTS)
     tq, wq = slab_gauss(grid)
     values = _sampler(u, (xs,))(tq.ravel())
-    p = (ws * coeff_values(spatial, xs)) @ values
+    p = (ws * as_field(spatial)(xs)) @ values
     w = wq if temporal is None else wq * np.asarray(temporal(tq), dtype=float)
     return float(np.sum(w * p.reshape(tq.shape)))
 
@@ -290,13 +291,17 @@ def strong_norm_diff(u, ref, component=0):
     """
     if not isinstance(u, EvolutionSolution):
         raise ValueError("strong norms need u to be a discrete solution")
-    return _read_stored(strong_norm_reader(u.problem, ref, component, None), u)
+    return read_stored([strong_norm_reader(u.problem, ref, component, None)], u)[0]
 
 
-def _read_stored(read, sol):
-    """The last value of ``read`` fed a stored solution in blocks of about 1 MB."""
+def read_stored(readers, sol):
+    """The last values of ``readers`` fed a stored solution in one pass, in
+    blocks of about 1 MB, each block unfolded once for all of them."""
     k, stored = sol.problem.block, sol.stored
-    return [read(sol.unfold(stored[a : a + k], slice(None))) for a in range(0, len(stored), k)][-1]
+    for a in range(0, len(stored), k):
+        c = sol.unfold(stored[a : a + k], slice(None))
+        values = [read(c) for read in readers]
+    return values
 
 
 def fit_rate(points):

@@ -18,7 +18,9 @@ degrees of freedom to unconstrained nodal values; all assembled forms are
 x-major degree-of-freedom ordering, and 2-D forms with separable coefficients
 assemble as Kronecker sums of 1-D weighted Grams.
 
-Every 1-D integral and point value goes through one path:
+Every coefficient arrives as a field from :func:`fields.as_field` (from
+:func:`fields.as_separable` in 2-D), whose breakpoints and values the forms
+read.  Every 1-D integral and point value goes through one path:
 
 * :func:`merge_cuts` partitions an interval by the cell boundaries of the
   spaces involved and the breakpoints of the coefficient (clipped to the
@@ -42,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .fields import Field, Separable2D
+from .fields import Constant, as_field, as_separable
 from .meshes import _NODE_TOL, Mesh1D, TensorMesh2D, as_count, gauss_panels, gauss_rule, partition
 
 # Gauss points per piece of a load vector.
@@ -172,26 +174,6 @@ class GaussLineSpace(LineSpace):
         self.nodes_global, self.weights_global = gauss_panels(self.mesh.boundaries, degree + 1)
 
 
-def _coeff_pieces(coeff):
-    """Normalise a 1-D coefficient to (scale, callable|None, breakpoints-fn)."""
-    if coeff is None:
-        return 1.0, None, lambda lo, hi: ()
-    if np.isscalar(coeff):
-        return float(coeff), None, lambda lo, hi: ()
-    if isinstance(coeff, Field):
-        return 1.0, coeff, coeff.breakpoints
-    if callable(coeff):
-        return 1.0, coeff, lambda lo, hi: ()
-    raise TypeError(f"unsupported coefficient {coeff!r}")
-
-
-def coeff_values(coeff, xs):
-    """Values of a 1-D coefficient (None, scalar, Field or callable) at xs."""
-    scale, fn, _ = _coeff_pieces(coeff)
-    vals = np.full(np.shape(xs), scale)
-    return vals if fn is None else vals * np.asarray(fn(xs), dtype=float)
-
-
 def merge_cuts(spaces, lo=None, hi=None, extra=()):
     """Partition of [lo, hi] by the cell boundaries of ``spaces`` and ``extra``.
 
@@ -238,23 +220,23 @@ def _piece_basis(space, cuts, xs, deriv=0):
     return cells, vals.reshape(-1, cells.size, npts)
 
 
-def gram1d(row, col, coeff=None, drow=0, dcol=0):
+def gram1d(row, col, coeff=1.0, drow=0, dcol=0):
     """Weighted Gram matrix  G_ij = int coeff * d^drow(row_i) * d^dcol(col_j).
 
     Integration runs over the union mesh of the two spaces (and the
-    coefficient's breakpoints), so aligned piecewise-constant data and
-    polynomial factors are integrated exactly.  Returns a CSR matrix of
-    shape (row.ndof, col.ndof).
+    breakpoints of ``fields.as_field(coeff)``), so aligned piecewise-constant
+    data and polynomial factors are integrated exactly.  Returns a CSR
+    matrix of shape (row.ndof, col.ndof), empty for a zero Constant.
     """
     lo = max(row.span[0], col.span[0])
     hi = min(row.span[1], col.span[1])
-    scale, _, bp = _coeff_pieces(coeff)
-    if hi <= lo + _NODE_TOL or scale == 0.0:
+    coeff = as_field(coeff)
+    if hi <= lo + _NODE_TOL or (isinstance(coeff, Constant) and coeff.value == 0.0):
         return sp.csr_matrix((row.ndof, col.ndof))
     npts = max(4, (row.degree + col.degree) // 2 + 2)
-    cuts = merge_cuts((row, col), extra=bp(lo, hi))
+    cuts = merge_cuts((row, col), extra=coeff.breakpoints(lo, hi))
     xs, w = gauss_panels(cuts, npts)
-    w = (w * coeff_values(coeff, xs)).reshape(-1, npts)
+    w = (w * coeff(xs)).reshape(-1, npts)
     ri, br = _piece_basis(row, cuts, xs, drow)
     ci, bc = _piece_basis(col, cuts, xs, dcol)
     # One local block per piece, summed piece by piece: integrals that cancel
@@ -272,32 +254,33 @@ def gram1d(row, col, coeff=None, drow=0, dcol=0):
 def restricted_load(space, f, lo=None, hi=None):
     """Load vector  b_i = int_{lo}^{hi} f * space_i  (default: the whole span).
 
-    The interval is split at the cell boundaries and at the breakpoints of a
-    :class:`Field` ``f``, so piecewise-polynomial data integrate exactly.
+    The interval is split at the cell boundaries and at the breakpoints of
+    ``fields.as_field(f)``, so piecewise-polynomial data integrate exactly.
     """
-    _, _, bp = _coeff_pieces(f)
-    cuts = merge_cuts([space], lo, hi, bp(*space.span))
+    f = as_field(f)
+    cuts = merge_cuts([space], lo, hi, f.breakpoints(*space.span))
     xs, w = gauss_panels(cuts, _LOAD_POINTS)
     cells, basis = _piece_basis(space, cuts, xs)
-    w = (w * coeff_values(f, xs)).reshape(-1, _LOAD_POINTS)
+    w = (w * f(xs)).reshape(-1, _LOAD_POINTS)
     local = np.einsum("ikq,kq->ki", basis, w)
     out = np.zeros(space.nfull)
     np.add.at(out, space.cell_full_dofs(cells), local)
     return space.P.T @ out
 
 
-def collocated_mass(space, coeff=None):
+def collocated_mass(space, coeff=1.0):
     """Diagonal weighted mass of a Gauss-collocated space.
 
-    Instead of integrating the coefficient exactly, it is *sampled* at the
-    collocation nodes: diag(w_q * coeff(x_q)).  For piecewise-constant
-    aligned coefficients this equals the exact Gram; for smooth coefficients
-    it is the spectral-collocation variant that makes the semidiscrete
-    system decouple into per-node ODEs with the sampled coefficient.
+    Instead of integrating ``fields.as_field(coeff)`` exactly, it is
+    *sampled* at the collocation nodes: diag(w_q * coeff(x_q)).  For
+    piecewise-constant aligned coefficients this equals the exact Gram; for
+    smooth coefficients it is the spectral-collocation variant that makes
+    the semidiscrete system decouple into per-node ODEs with the sampled
+    coefficient.
     """
     if not isinstance(space, GaussLineSpace):
         raise TypeError("collocated masses are defined for Gauss line spaces")
-    vals = space.weights_global * coeff_values(coeff, space.nodes_global)
+    vals = space.weights_global * as_field(coeff)(space.nodes_global)
     return sp.diags(vals, format="csr")
 
 
@@ -330,21 +313,10 @@ class TensorSpace:
         return f"TensorSpace({self.sx.ndof} x {self.sy.ndof} DOFs)"
 
 
-def _coeff_terms_2d(coeff):
-    """Normalise a 2-D coefficient into separable (fx, fy) term pairs."""
-    if coeff is None:
-        return [(None, None)]
-    if np.isscalar(coeff):
-        return [(float(coeff), None)]
-    if isinstance(coeff, Separable2D):
-        return list(coeff.terms)
-    raise TypeError("2-D coefficients must be scalars or Separable2D")
-
-
-def gram2d(row, col, coeff=None, drow=(0, 0), dcol=(0, 0)):
-    """Weighted 2-D Gram matrix as a Kronecker sum over separable terms."""
+def gram2d(row, col, coeff=1.0, drow=(0, 0), dcol=(0, 0)):
+    """Weighted 2-D Gram matrix: a Kronecker sum over ``fields.as_separable(coeff).terms``."""
     out = None
-    for fx, fy in _coeff_terms_2d(coeff):
+    for fx, fy in as_separable(coeff).terms:
         gx = gram1d(row.sx, col.sx, coeff=fx, drow=drow[0], dcol=dcol[0])
         gy = gram1d(row.sy, col.sy, coeff=fy, drow=drow[1], dcol=dcol[1])
         term = sp.kron(gx, gy, format="csr")

@@ -89,6 +89,25 @@ class TestExperimentSpec:
         assert grid.num_slabs == 16
 
 
+def test_the_reference_is_paired_in_one_pass(monkeypatch):
+    # the eight pairings of the stored EX2 reference read its 4 slabs from one
+    # unfolded block (about 1 MB holds them all), each as pairing reads it
+    blocks = []
+
+    def solve(problem):
+        sol = solve_evolution(problem)
+        unfold = sol.unfold
+        sol.unfold = lambda y, rows: blocks.append(len(y)) or unfold(y, rows)
+        return sol
+
+    monkeypatch.setattr(experiments, "solve_evolution", solve)
+    operands, ref_pair = experiments._prepare(ExperimentSpec("EX2", slabs=4), 0)
+    assert len(ref_pair) == 8 and blocks == [4]
+    for q in experiments._FAMILIES["EX2"].quantities:
+        if q.test is not None:
+            assert ref_pair[q.name] == pairing(operands["ref"], q.test, q.domain, q.comps[0])
+
+
 class TestBuildRun:
     @pytest.mark.parametrize(
         "example,n", [("EX1", 1), ("EX2", 1), ("EX3", 2), ("EX4", 1), ("EX5", 1)]

@@ -12,8 +12,10 @@ from evohom.fields import (
     SineOsc,
     StripeIndicator,
     Sum,
+    as_field,
     serialize_field,
 )
+from evohom.homogenise import integral_mean
 
 
 class TestAtoms:
@@ -63,6 +65,27 @@ class TestAtoms:
             StripeIndicator(-1)
         with pytest.raises(ValueError):
             RegionIndicator(1.0, 1.0)
+
+
+class TestAsField:
+    def test_numpy_scalars_are_constants(self):
+        f = Constant(1.0) + np.int64(2)
+        assert f(np.array([0.3]))[0] == 3.0
+        assert integral_mean(np.float32(2.0)) == 2.0
+        assert as_field(np.float32(2.5)).value == 2.5
+
+    def test_a_plain_callable_has_no_breakpoints_and_no_period(self):
+        f = as_field(lambda x: x * x)
+        assert np.array_equal(f(np.array([0.5, 2.0])), [0.25, 4.0])
+        assert f.breakpoints(0.0, 1.0).size == 0
+        assert f.period() is None and not f.is_piecewise_constant()
+        with pytest.raises(ValueError, match="not periodic"):
+            integral_mean(lambda x: x)
+
+    @pytest.mark.parametrize("obj", ["x", 1j, None, object(), Separable2D([(1.0, 1.0)])])
+    def test_anything_else_is_refused(self, obj):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            as_field(obj)
 
 
 class TestAlgebra:
@@ -181,8 +204,8 @@ class TestSeparable2D:
 
     def test_product_of_sums(self):
         r = RegionIndicator(0.0, 1.0)
-        a = Separable2D.of_x(StripeIndicator(1)) + Separable2D([(Constant(1.0), r)])
-        b = Separable2D.constant(2.0)
+        a = Separable2D([(StripeIndicator(1), 1.0)]) + Separable2D([(Constant(1.0), r)])
+        b = Separable2D([(2.0, 1.0)])
         prod = a * b
         x, y = 0.25, 0.5
         assert prod(x, y) == pytest.approx(2.0 * (1.0 + 1.0))

@@ -341,6 +341,45 @@ def test_fields_are_built_in_fields_only():
     assert field_subclasses(modules) == []
 
 
+# The modules that take a coefficient only as a field, from
+# fields.as_field or fields.as_separable.  reporting keeps its dispatch on
+# space-time operands (a solution, a callable u(t, x) or a constant), which
+# are not coefficients.
+COEFFICIENT_READERS = ("spaces", "operators", "homogenise", "laws")
+
+
+def coefficient_normalisers(modules):
+    """``module:line`` of every reference to ``isscalar`` or ``callable`` in
+    the COEFFICIENT_READERS among ``modules`` (module name -> source)."""
+    return sorted(
+        f"{mod}:{line}"
+        for mod, src in modules.items()
+        if mod in COEFFICIENT_READERS
+        for name, line, _ in _references(ast.parse(src))
+        if name in ("isscalar", "callable")
+    )
+
+
+def test_scanner_finds_a_coefficient_normaliser_outside_fields():
+    modules = {
+        "fields": "def as_field(obj):\n    return callable(obj)\n",
+        "spaces": (
+            '"""np.isscalar(c) in a docstring is no reference."""\n'
+            "import numpy as np\n"
+            "def scale(c):\n    return float(c) if np.isscalar(c) else 1.0\n"
+        ),
+        "laws": "from numpy import isscalar\nkind = callable\n",
+        "reporting": "def operand(u):\n    return callable(u)\n",
+    }
+    assert coefficient_normalisers(modules) == ["laws:1", "laws:2", "spaces:4"]
+
+
+def test_coefficients_are_normalised_in_fields_only():
+    # one normaliser per dimension: fields.as_field and fields.as_separable
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert coefficient_normalisers(modules) == []
+
+
 if __name__ == "__main__":
     # the package's size: its lines (as ``wc -l`` counts them) and its
     # defaulted parameters; run as ``PYTHONPATH=src python tests/test_hygiene.py``

@@ -491,6 +491,18 @@ def test_stored_reference_reads_as_its_full_length_solution(one_grid_operands, m
     assert reads[1:] == reads[:-1]
 
 
+def test_solution_norms_read_in_one_pass(one_grid_operands, monkeypatch):
+    # in blocks of one slab, the three component norms take one unfold a
+    # slab between them, and each equals its own strong norm
+    sol = one_grid_operands["ex5"]
+    expected = [strong_norm_diff(sol, 0.0, k) for k in range(3)]
+    blocks, unfold = [], sol.unfold
+    monkeypatch.setattr(sol, "unfold", lambda y, rows: blocks.append(len(y)) or unfold(y, rows))
+    monkeypatch.setattr(sol.problem, "block", 1)
+    assert list(solution_norms(sol).values()) == expected
+    assert blocks == [1, 1, 1, 1]
+
+
 class TestFitRate:
     def test_exact_power_law(self):
         assert fit_rate([(1, 1.0), (2, 0.5), (4, 0.25)]) == pytest.approx(

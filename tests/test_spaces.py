@@ -1,5 +1,7 @@
 """Tests for meshes, line/tensor spaces, and Gram/load assembly."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -334,3 +336,60 @@ class TestCrossSpaceGram:
         xf = fine.node_positions
         val = xc @ (cross @ xf)
         assert val == pytest.approx(1.0 / 3.0, rel=1e-13)
+
+
+# The coefficient contract of the assembly sites: each takes its
+# coefficient through fields.as_field (1-D) or fields.as_separable (2-D),
+# so every accepted spelling assembles exactly as the field it spells, and
+# anything else is a TypeError.
+_LINE = build_space(build_mesh((0.0, 1.0), 4), "cg", 2)
+_DG = build_space(build_mesh((0.0, 1.0), 4), "dg", 1)
+_Q = build_space(build_mesh(((0.0, 1.0), (0.0, 1.0)), (2, 2)), "q", 1)
+_NUMBERS = {
+    "int": (2, 2.0),
+    "float": (2.5, 2.5),
+    "bool": (True, 1.0),
+    "np.int64": (np.int64(2), 2.0),
+    "np.float32": (np.float32(2.5), 2.5),
+}
+_SPELLINGS_1D = {
+    **{name: (c, Constant(v)) for name, (c, v) in _NUMBERS.items()},
+    "field": (StripeIndicator(2), StripeIndicator(2)),
+    "callable": (lambda x: np.sin(2.0 * math.pi * x), SineOsc(1)),
+    "bound method": (SineOsc(2).__call__, SineOsc(2)),
+}
+_SPELLINGS_2D = {
+    **{name: (c, Separable2D([(Constant(v), Constant(1.0))])) for name, (c, v) in _NUMBERS.items()},
+    "separable with a callable factor": (
+        Separable2D([(lambda x: np.sin(2.0 * math.pi * x), 2)]),
+        Separable2D([(SineOsc(1), Constant(2.0))]),
+    ),
+}
+_REFUSED = {"str": "x", "complex": 1j, "None": None, "object": object()}
+_SITES = {
+    "gram1d": (lambda c: gram1d(_LINE, _LINE, c, dcol=1), _SPELLINGS_1D),
+    "restricted_load": (lambda c: restricted_load(_LINE, c, 0.1, 0.9), _SPELLINGS_1D),
+    "collocated_mass": (lambda c: collocated_mass(_DG, c), _SPELLINGS_1D),
+    "gram2d": (lambda c: gram2d(_Q, _Q, c, drow=(1, 0)), _SPELLINGS_2D),
+}
+_CASES = [
+    (site, name)
+    for site, (_, spellings) in _SITES.items()
+    for name in [*spellings, *_REFUSED]
+]
+
+
+@pytest.mark.parametrize("site, spelling", _CASES, ids=[f"{s}-{n}" for s, n in _CASES])
+def test_a_coefficient_assembles_as_the_field_it_spells(site, spelling):
+    assemble, spellings = _SITES[site]
+    if spelling in _REFUSED:
+        with pytest.raises(TypeError):
+            assemble(_REFUSED[spelling])
+        return
+    coeff, field = spellings[spelling]
+
+    def parts(m):
+        return (m.data, m.indices, m.indptr) if sp.issparse(m) else (m,)
+
+    for a, b in zip(parts(assemble(coeff)), parts(assemble(field)), strict=True):
+        assert np.array_equal(a, b)
