@@ -45,7 +45,7 @@ from .reporting import (
     write_csv,
 )
 from .solver import EvolutionProblem, march, solve_evolution
-from .spaces import build_space, collocated_mass, restricted_load
+from .spaces import build_space, collocated_mass, product_load, restricted_load
 from .timequad import TimeGrid
 
 __all__ = [
@@ -191,7 +191,7 @@ def _ex45_problem(spec, mesh, degree, law):
     spaces = (su, *build_space(mesh, "rt", degree - 1), *memory)
     op = assemble_skew_operator("div-grad", spaces[:3])
     op = extend_with_zero_components(op, [s.ndof for s in memory])
-    load = np.kron(restricted_load(su.sx, 1.0), restricted_load(su.sy, 1.0))
+    load = product_load(su, (1.0, 1.0), (None, None))
     forcing = ((_sin2pit, _stacked(spaces, 0, load)),)
     return EvolutionProblem(
         spaces, aug.law, op, spec.grid(), forcing=forcing, rho=spec.rho
@@ -305,7 +305,7 @@ _FAMILIES = {
     "EX3": _Family(
         _ex3_problem,
         lambda domain, n: build_mesh(domain, 40 * n),
-        lambda domain, level: build_mesh(domain, 160 if level else 320),
+        lambda domain, level: build_mesh(domain, 640 if level else 320),
         lambda example: _ex3_plain_limit(),
         _ex3_limits,
         32,

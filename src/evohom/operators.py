@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from .fields import RegionIndicator
 from .meshes import as_count
-from .spaces import TensorSpace, gram1d, gram2d
+from .spaces import gram1d, gram2d
 
 _STRUCTURES = ("zero", "periodic-pair", "interface-pair", "div-grad")
 
@@ -88,7 +88,7 @@ def assemble_skew_operator(structure, spaces):
         if len(spaces) != 3:
             raise ValueError("div-grad needs (scalar, flux-x, flux-y) spaces")
         su, svx, svy = spaces
-        if not all(isinstance(s, TensorSpace) for s in (su, svx, svy)):
+        if not all(len(s.lines) == 2 for s in (su, svx, svy)):
             raise ValueError("div-grad needs tensor-product spaces")
         dx = gram2d(su, svx, dcol=(1, 0))
         dy = gram2d(su, svy, dcol=(0, 1))
@@ -113,7 +113,7 @@ def extend_with_zero_components(op, extra_sizes):
 
 
 def _entry_gram(row_space, col_space, coeff):
-    if isinstance(row_space, TensorSpace) or isinstance(col_space, TensorSpace):
+    if len(row_space.lines) > 1 or len(col_space.lines) > 1:
         return gram2d(row_space, col_space, coeff=coeff)
     return gram1d(row_space, col_space, coeff=coeff)
 

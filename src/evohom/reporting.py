@@ -16,21 +16,21 @@ pairing or strong norm takes the 4-point per-slab Gauss rule
 (:func:`slab_gauss`) of the discrete operand's grid (or a callable
 pairing's explicit grid), at the same local coordinates on every slab, so
 a solution's values there are its coefficients times one fixed 2 x 4
-matrix, ``_GAUSS_BASIS``.  Space takes the one 1-D path of
-:mod:`evohom.spaces`: a solution pairing sums ``(component, load vector)``
-terms from :func:`restricted_load`, strong norms evaluate each solution
-with :func:`eval_matrix_1d` at the Gauss points of the partition that
-:func:`merge_cuts` merges from the cells of all discrete operands (on
-tensor spaces one matrix per direction, applied in turn: sum
-factorisation), and callable operands of both go through one evaluator.
-A strong norm takes 1 + the highest polynomial degree of its discrete
-operands' spaces Gauss points per merged cell in each direction (a
-constant counts as degree 0), which integrates the squared difference
-exactly; against a callable it takes a fixed 3 (``_NORM_POINTS``).
+matrix, ``_GAUSS_BASIS``.  Space is read line by line through
+:mod:`evohom.spaces` (sum factorisation lives there): a solution pairing
+sums ``(component, load vector)`` terms from :func:`product_load`, and a
+strong norm evaluates each solution (:func:`point_evaluator`) at the Gauss
+points of the cells of all discrete operands, merged per line by
+:func:`merge_cuts`: 1 + their highest degree per cell and line (a constant
+counts as degree 0), exact for the squared difference, or a fixed 3
+against a callable (``_NORM_POINTS``).  An operand is a solution, a real
+constant (``numbers.Real``) or a callable; anything else is a TypeError.
 """
 
 import csv
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +39,11 @@ from .fields import as_field
 from .meshes import as_count, gauss_rule
 from .solver import EvolutionSolution
 from .spaces import (
-    TensorSpace,
     eval_matrix_1d,
     gauss_panels,
     merge_cuts,
+    point_evaluator,
+    product_load,
     restricted_load,
 )
 from .timequad import TimeGrid, temporal_basis
@@ -114,6 +115,11 @@ def _scalar_test(v):
     return TEST_DICTIONARY_1D[v]
 
 
+def _per_line(space, domain):
+    """One ``(lo, hi)`` or None per line of ``space`` from a domain: one pair in 1-D."""
+    return (domain,) if len(space.lines) == 1 else domain or (None,) * len(space.lines)
+
+
 def _load_terms(problem, v, domain, component):
     """A test function as ``(component, load vector)`` terms and a temporal factor.
 
@@ -121,34 +127,21 @@ def _load_terms(problem, v, domain, component):
     names a vector test, one term per non-vanishing flux component (1, 2);
     on a 1-D component it names a scalar test, one term.
     """
-    spaces = problem.spaces
-    space = spaces[component]
-    if isinstance(space, TensorSpace):
+    spaces, space = problem.spaces, problem.spaces[component]
+    if len(space.lines) > 1:
         if v not in VECTOR_TEST_DICTIONARY:
-            raise ValueError(
-                "dictionary mismatch: scalar test on a 2-D component; "
-                "use the vector test dictionary"
-            )
-        if len(spaces) < 3 or not all(
-            isinstance(spaces[k], TensorSpace) for k in (1, 2)
-        ):
-            raise ValueError(
-                "dictionary mismatch: vector tests need a 2-D flux pair"
-            )
-        dx, dy = ((None, None), (None, None)) if domain is None else domain
-        terms = []
-        for k, term in zip((1, 2), VECTOR_TEST_DICTIONARY[v]):
-            if term is not None:
-                fx, fy = term
-                r = np.kron(
-                    restricted_load(spaces[k].sx, fx, *dx),
-                    restricted_load(spaces[k].sy, fy, *dy),
-                )
-                terms.append((k, r))
+            raise ValueError("dictionary mismatch: scalar test on a 2-D component; "
+                             "use the vector test dictionary")
+        if len(spaces) < 3 or not all(len(spaces[k].lines) > 1 for k in (1, 2)):
+            raise ValueError("dictionary mismatch: vector tests need a 2-D flux pair")
+        terms = [
+            (k, product_load(spaces[k], term, _per_line(spaces[k], domain)))
+            for k, term in zip((1, 2), VECTOR_TEST_DICTIONARY[v])
+            if term is not None
+        ]
         return terms, None
     spatial, temporal = _scalar_test(v)
-    lo, hi = (None, None) if domain is None else domain
-    return [(component, restricted_load(space, spatial, lo, hi))], temporal
+    return [(component, product_load(space, (spatial,), _per_line(space, domain)))], temporal
 
 
 def pairing_reader(problem, v, domain, component):
@@ -180,6 +173,7 @@ def pairing(u, v, domain=None, component=0, *, grid=None, cells=64):
     """
     if isinstance(u, EvolutionSolution):
         return read_stored([pairing_reader(u.problem, v, domain, component)], u)[0]
+    _check_operand(u)
     if grid is None or not isinstance(grid, TimeGrid):
         raise ValueError("callable pairings need an explicit TimeGrid")
     if domain is None:
@@ -194,10 +188,16 @@ def pairing(u, v, domain=None, component=0, *, grid=None, cells=64):
     return float(np.sum(w * p.reshape(tq.shape)))
 
 
+def _check_operand(obj):
+    """Raise TypeError unless ``obj`` is an operand: a solution, a real or a callable."""
+    if not (isinstance(obj, (EvolutionSolution, numbers.Real)) or callable(obj)):
+        raise TypeError(f"{obj!r} is not a solution, a real constant or a callable")
+
+
 def _sampler(obj, pts):
     """fn(ts) -> values of a callable ``obj(t, *pts)`` or a constant at the
     points (rows) and the times ts (columns)."""
-    if np.isscalar(obj):
+    if isinstance(obj, numbers.Real):
         return lambda ts: np.full((pts[0].size, len(ts)), float(obj))
     return lambda ts: np.stack([np.asarray(obj(t, *pts), dtype=float) for t in ts], 1)
 
@@ -205,57 +205,30 @@ def _sampler(obj, pts):
 def strong_norm_reader(problem, ref, component, subdomain):
     """``read(c)``: :func:`strong_norm_diff` against ``ref`` of a solution
     of ``problem``, read in blocks of slabs as in :func:`pairing_reader`."""
+    _check_operand(ref)
     refs = [ref.problem] if isinstance(ref, EvolutionSolution) else []
     spaces = [p.spaces[component] for p in (problem, *refs)]
-    two_d = isinstance(spaces[0], TensorSpace)
-    if any(isinstance(s, TensorSpace) != two_d for s in spaces):
+    if len({len(s.lines) for s in spaces}) > 1:
         raise ValueError("incompatible components: 1-D vs 2-D spaces")
-
-    def panels(cuts, lines):
+    rules = []  # one Gauss rule a line, on the cuts of that line of every space
+    for lines, bounds in zip(zip(*(s.lines for s in spaces)), _per_line(spaces[0], subdomain)):
         # 1 + the highest degree integrates the squared difference exactly
         npts = _NORM_POINTS if callable(ref) else 1 + max(s.degree for s in lines)
-        return gauss_panels(cuts, npts)
+        rules.append(gauss_panels(merge_cuts(lines, *(bounds or (None, None))), npts))
+    # the points are the product of the per-line nodes, x fastest
+    nodes, weights = zip(*rules)
+    ws = functools.reduce(np.kron, weights[::-1])
+    pts = tuple(g.ravel() for g in np.meshgrid(*nodes))
 
-    if two_d:
-        sx, sy = (None, None) if subdomain is None else subdomain
-        lines_x, lines_y = [s.sx for s in spaces], [s.sy for s in spaces]
-        xs, wx = panels(merge_cuts(lines_x, *(sx or (None, None))), lines_x)
-        ys, wy = panels(merge_cuts(lines_y, *(sy or (None, None))), lines_y)
-        ws = np.kron(wy, wx)
-        pts = (np.tile(xs, ys.size), np.repeat(ys, xs.size))
-
-        def point_values(space):
-            ex = eval_matrix_1d(space.sx, xs)
-            ey = eval_matrix_1d(space.sy, ys)
-            nx, ny = space.sx.ndof, space.sy.ndof
-
-            def f(c):
-                # ex along x, then ey along y.  Only the two small arrays
-                # before the last product are transposed; that product
-                # lands in (ys, xs, coefficients) order, i.e. (points, 2).
-                a = ex @ c.reshape(2, nx, ny).transpose(1, 0, 2).reshape(nx, -1)
-                a = a.reshape(-1, 2, ny).transpose(2, 0, 1).reshape(ny, -1)
-                return (ey @ a).reshape(-1, 2)
-
-            return f
-
-    else:
-        xs, ws = panels(merge_cuts(spaces, *(subdomain or (None, None))), spaces)
-        pts = (xs,)
-
-        def point_values(space):
-            e = eval_matrix_1d(space, xs)
-            return lambda c: e @ c.T
-
-    fu, wt = point_values(spaces[0]), problem.grid.basis_masses()
+    fu, wt = point_evaluator(spaces[0], nodes), problem.grid.basis_masses()
     if callable(ref):
         tq, wt = slab_gauss(problem.grid)
         f, sample = fu, _sampler(ref, pts)
         fu, fr = (lambda c: f(c) @ _GAUSS_BASIS), (lambda m: sample(tq[m]))
-    elif np.isscalar(ref):  # the coefficients (ref, 0) at every point
+    elif isinstance(ref, numbers.Real):  # the coefficients (ref, 0) at every point
         fr = lambda m: np.array([[ref, 0.0]])
     elif np.array_equal(ref.grid.t_points, problem.grid.t_points):
-        g, rows = point_values(spaces[1]), ref.problem.component_slice(component)
+        g, rows = point_evaluator(spaces[1], nodes), ref.problem.component_slice(component)
         fr = lambda m: g(ref.unfold(ref.stored[m], rows))
     else:
         raise ValueError("strong norms of two discrete solutions need one time grid")
@@ -276,18 +249,9 @@ def strong_norm_diff(u, ref, component=0):
     """Space-time L2 norm of (u - ref) on a component (:func:`strong_norm_reader`).
 
     ``u`` is an EvolutionSolution; ``ref`` is one on a possibly different
-    mesh but one time grid (evaluated on the Gauss points of the cells
-    merged from both meshes, 1 + the higher degree per cell and direction;
-    other time points raise ValueError), a callable ``f(t, xs)`` /
-    ``f(t, xg, yg)`` (3 points per cell and direction), or a constant.
-    Each slab is read at its two dG(1) time coefficients.
-    Without a callable they are weighted by their masses (h, h/3), which is
-    exact; with one, they are mapped to the slab's 4 Gauss times
-    (``_GAUSS_BASIS``), where the callable is read.  On tensor spaces the
-    2-D points are the y-major product of the 1-D ones, and a solution is
-    evaluated by sum factorisation: its two time coefficients, reshaped to
-    (2, nx, ny), are multiplied by the x evaluation matrix along x and then
-    by the y one along y, so no 2-D evaluation matrix is formed.
+    mesh but one time grid (other time points raise ValueError), a callable
+    ``f(t, xs)`` / ``f(t, xg, yg)``, or a constant.  The module docstring
+    gives the rules in time and in space.
     """
     if not isinstance(u, EvolutionSolution):
         raise ValueError("strong norms need u to be a discrete solution")

@@ -66,13 +66,15 @@ references in x and y, which quarters them; EX1-EX3 have no mirror.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .blas import one_blas_thread
 from .operators import assemble_law_masses, component_offsets
-from .spaces import TensorSpace
+from .spaces import reflection
 from .timequad import (
     TRACE_LEFT,
     TRACE_RIGHT,
@@ -196,13 +198,10 @@ def _support_box(space):
 
 
 def _reflection(problem, axis):
-    """Stacked DOF permutation that reverses each component's line space
-    along ``axis`` (0: x, 1: y); a tensor space reverses one factor."""
-    shape = lambda s: (s.sx.ndof, s.sy.ndof) if isinstance(s, TensorSpace) else (-1, 1)
-    return np.concatenate([
-        o + np.flip(np.arange(s.ndof).reshape(shape(s)), axis).ravel()
-        for o, s in zip(problem.offsets, problem.spaces)
-    ])
+    """Stacked DOF permutation that reverses each component's line ``axis``
+    (0: x, 1: y; :func:`spaces.reflection`)."""
+    pieces = zip(problem.offsets, problem.spaces)
+    return np.concatenate([o + reflection(s, axis) for o, s in pieces])
 
 
 def _mirrors(problem):
@@ -290,14 +289,14 @@ class EvolutionSolution:
     """Per-slab dG(1) coefficients ``stored`` (num_slabs, 2, r) on the solve
     basis S of the march (the identity if no ``basis``).  ``unfold(y, rows)``
     gathers the DOFs ``rows`` of stored slabs y; ``coeffs`` (num_slabs, 2,
-    ndof) is built read-only on each access, up to 4x the stored memory."""
+    ndof) is built read-only once, on first access: up to 4x the stored memory."""
 
     def __init__(self, problem, coeffs, basis=None):
         self.problem, self.grid, self.stored = problem, problem.grid, coeffs
         coeffs.setflags(write=False)
         self.unfold = _unfolder(sp.identity(problem.ndof) if basis is None else basis)
 
-    @property
+    @functools.cached_property
     def coeffs(self):
         full = self.unfold(self.stored, slice(None))
         full.setflags(write=False)

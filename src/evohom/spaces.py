@@ -14,9 +14,12 @@ degrees of freedom neighbouring cells share:
 
 Constraints are realised by a sparse prolongation ``P`` from constrained
 degrees of freedom to unconstrained nodal values; all assembled forms are
-``P^T G_full P``.  Tensor-product 2-D spaces combine two line spaces with
-x-major degree-of-freedom ordering, and 2-D forms with separable coefficients
-assemble as Kronecker sums of 1-D weighted Grams.
+``P^T G_full P``.  Tensor-product 2-D spaces (:class:`TensorSpace`) combine
+two line spaces with x-major degree-of-freedom ordering, and 2-D forms with
+separable coefficients assemble as Kronecker sums of 1-D weighted Grams.
+Every space lists its line factors as ``lines``; :func:`point_evaluator`,
+:func:`product_load` and :func:`reflection` read any space line by line and
+are the only code outside :class:`TensorSpace` that knows its layout.
 
 Every coefficient arrives as a field from :func:`fields.as_field` (from
 :func:`fields.as_separable` in 2-D), whose breakpoints and values the forms
@@ -40,6 +43,8 @@ breakpoints, piecewise-polynomial coefficients are integrated exactly too.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,6 +101,8 @@ class LineSpace:
     @property
     def ndof(self):
         return self.P.shape[1]
+
+    lines = property(lambda self: (self,))  # the line factors of a space
 
     def cell_full_dofs(self, ci):
         """Unconstrained DOFs of cell ci (one cell, or an array of cells)."""
@@ -197,14 +204,9 @@ def eval_matrix_1d(space, xs):
     xs = np.asarray(xs, dtype=float)
     cells = space.mesh.cell_containing(xs)
     vals = space.eval_cell(cells, xs)
-    full = sp.csr_matrix(
-        (
-            vals.T.ravel(),
-            space.cell_full_dofs(cells).ravel(),
-            np.arange(xs.size + 1) * vals.shape[0],
-        ),
-        shape=(xs.size, space.nfull),
-    )
+    indptr = np.arange(xs.size + 1) * vals.shape[0]
+    entries = (vals.T.ravel(), space.cell_full_dofs(cells).ravel(), indptr)
+    full = sp.csr_matrix(entries, shape=(xs.size, space.nfull))
     return (full @ space.P).tocsr()
 
 
@@ -293,8 +295,7 @@ class TensorSpace:
     """Tensor product of two line spaces with x-major DOF ordering."""
 
     def __init__(self, sx, sy):
-        self.sx = sx
-        self.sy = sy
+        self.sx, self.sy, self.lines = sx, sy, (sx, sy)
 
     @property
     def ndof(self):
@@ -305,9 +306,7 @@ class TensorSpace:
         ``((xlo, xhi), (ylo, yhi))``: the product of its two line ranges."""
         ((xlo, xhi),), ((ylo, yhi),) = self.sx.dof_cells(), self.sy.dof_cells()
         nx, ny = self.sx.ndof, self.sy.ndof
-        x = (np.repeat(xlo, ny), np.repeat(xhi, ny))
-        y = (np.tile(ylo, nx), np.tile(yhi, nx))
-        return x, y
+        return (np.repeat(xlo, ny), np.repeat(xhi, ny)), (np.tile(ylo, nx), np.tile(yhi, nx))
 
     def __repr__(self):
         return f"TensorSpace({self.sx.ndof} x {self.sy.ndof} DOFs)"
@@ -322,6 +321,44 @@ def gram2d(row, col, coeff=1.0, drow=(0, 0), dcol=(0, 0)):
         term = sp.kron(gx, gy, format="csr")
         out = term if out is None else out + term
     return out
+
+
+def point_evaluator(space, nodes):
+    """``f(c)``: the values (points, k) of coefficients ``c`` (k, ndof) at the
+    product of the per-line ``nodes``, x fastest, by sum factorisation: the
+    coefficient axis stays first, and each line's DOF axis in turn moves to
+    the front and is multiplied by the line's :func:`eval_matrix_1d`, so no
+    2-D evaluation matrix is formed (on a line: ``eval_matrix_1d @ c.T``)."""
+    ns, ps, d = [s.ndof for s in space.lines], [len(xs) for xs in nodes], len(nodes)
+    # step i views c as (points of lines i-1, ..., 0; k; DOFs of lines i, ...)
+    steps = [
+        (e, (*ps[:i][::-1], -1, *ns[i:]), (i + 1, *range(i + 1), *range(i + 2, d + 1)), ns[i])
+        for i, e in enumerate(map(eval_matrix_1d, space.lines, nodes))
+    ]
+
+    def f(c):
+        a = c
+        for e, shape, order, n in steps:
+            a = e @ a.reshape(shape).transpose(order).reshape(n, -1)
+        return a.reshape(-1, len(c))
+
+    return f
+
+
+def product_load(space, factors, bounds):
+    """Load vector of the product of one factor per line: the Kronecker product
+    of their :func:`restricted_load` on one ``(lo, hi)`` (None: all) a line."""
+    loads = zip(space.lines, factors, bounds)
+    return functools.reduce(
+        np.kron, [restricted_load(s, f, *(b or (None, None))) for s, f, b in loads]
+    )
+
+
+def reflection(space, axis):
+    """DOF permutation of ``space`` that reverses its line ``axis`` (0: x,
+    1: y); the identity if it has no such line."""
+    dofs = np.arange(space.ndof).reshape([s.ndof for s in space.lines])
+    return (np.flip(dofs, axis) if axis < dofs.ndim else dofs).ravel()
 
 
 def build_space(mesh, family, degree=1, periodic=False, constraints=(), zero_trace=False):
@@ -345,12 +382,10 @@ def build_space(mesh, family, degree=1, periodic=False, constraints=(), zero_tra
         raise ValueError(f"unsupported 1-D family {family!r}")
     if isinstance(mesh, TensorMesh2D):
         if family == "q":
-            cons_x = (mesh.x.span[0], mesh.x.span[1]) if zero_trace else ()
-            cons_y = (mesh.y.span[0], mesh.y.span[1]) if zero_trace else ()
-            return TensorSpace(
-                NodalLineSpace(mesh.x, degree, constraints=cons_x),
-                NodalLineSpace(mesh.y, degree, constraints=cons_y),
-            )
+            return TensorSpace(*(
+                NodalLineSpace(m, degree, constraints=m.span if zero_trace else ())
+                for m in (mesh.x, mesh.y)
+            ))
         if family == "rt":
             degree = as_count(degree, 0, "RT spaces need degree >= 0")
             cg = [NodalLineSpace(m, degree + 1) for m in (mesh.x, mesh.y)]

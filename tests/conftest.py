@@ -22,11 +22,13 @@ def assert_golden():
     """Check a report's rows against its ``tests/golden/`` file at 1e-10
     relative (``tests/golden/regenerate.py`` writes the files).  A sweep at
     another element degree than 1 or weight rho than 0 adds
-    ``_deg<degree>_rho<rho>`` to its file name."""
+    ``_deg<degree>_rho<rho>`` to its file name, and one against the level-1
+    reference (``reference_level=1``) adds ``_level1``."""
 
-    def check(report, degree=1, rho=0.0):
+    def check(report, degree=1, rho=0.0, level=0):
         ns = sorted({n for n, _, _ in report.rows if n > 0})
         tag = "" if (degree, rho) == (1, 0.0) else f"_deg{degree}_rho{rho:g}"
+        tag += f"_level{level}" if level else ""
         name = f"{report.example}_n{'-'.join(map(str, ns))}{tag}.csv"
         path = Path(__file__).resolve().parent / "golden" / name
         with open(path, encoding="utf-8", newline="") as fh:

@@ -6,10 +6,12 @@ Run from the repository root::
 
 Each ``<example>_n<n-list>.csv`` holds the rows ``n, quantity, repr(value)``
 of one sweep that the tier-1 tests already run (``test_jobs_deterministic``,
-``test_ex5_dichotomy`` and ``TestEX2Sweep``); those tests compare their rows to it at 1e-10
-relative through the ``assert_golden`` fixture.  The degree-2 sweeps of
-``test_degree_two_weighted_sweep`` (whose references are degree 3) add
-``_deg<degree>_rho<rho>`` to that name.  Each ``text/<name>.txt``
+``test_ex5_dichotomy``, ``TestEX2Sweep``, ``test_reference_levels_agree``
+and ``test_ex3_sweep_matches_benchmark_golden_rows``); those tests compare
+their rows to it at 1e-10 relative through the ``assert_golden`` fixture.
+The degree-2 sweeps of ``test_degree_two_weighted_sweep`` (whose references
+are degree 3) add ``_deg<degree>_rho<rho>`` to that name, and the sweeps
+against the level-1 reference add ``_level1``.  Each ``text/<name>.txt``
 holds the exact text of one law (``serialize_law``) or of one ``evohom
 limits``, ``describe``, ``quadrature`` or ``oracle`` command, which the
 tests that print it compare exactly through the ``golden_text`` fixture.  A change that moves a
@@ -26,7 +28,7 @@ import math
 from pathlib import Path
 
 from evohom.cli import main as cli_main
-from evohom.experiments import EXAMPLES, ExperimentSpec, convergence_sweep
+from evohom.experiments import DEFAULT_N_LISTS, EXAMPLES, ExperimentSpec, convergence_sweep
 from evohom.homogenise import build_limit_law
 from evohom.laws import EXAMPLE_IDS, augment_memory, example_material, serialize_law
 
@@ -41,7 +43,16 @@ SPECS = (
     ExperimentSpec("EX2", (1, 2, 4), degree=2),
     ExperimentSpec("EX3", (2, 4, 8), degree=2, rho=0.5),
     ExperimentSpec("EX3", (2, 4, 8), degree=2),
+    ExperimentSpec("EX3", DEFAULT_N_LISTS["EX3"]),
 )
+# the sweeps of test_reference_levels_agree, pinned at both reference levels
+LEVEL_SPECS = (
+    ExperimentSpec("EX2", (1, 2)),
+    ExperimentSpec("EX3", (2, 4)),
+    ExperimentSpec("EX4", (2, 4)),
+)
+# (spec, reference level) of every sweep golden
+SWEEPS = tuple((s, 0) for s in SPECS + LEVEL_SPECS) + tuple((s, 1) for s in LEVEL_SPECS)
 LIMIT_IDS = ("EX2", "EX3", "EX4", "EX5", "MAXWELL")
 LIMIT_ZS = ("3.0", "2.5+1j")
 QUADRATURES = (("0.5", "0.0"), ("0.25", "2.0"))
@@ -107,9 +118,10 @@ def main():
     for name, text in texts():
         (HERE / "text" / f"{name}.txt").write_text(text, encoding="utf-8")
         print(HERE / "text" / f"{name}.txt")
-    for spec in SPECS:
-        report = convergence_sweep(spec, jobs=2)
+    for spec, level in SWEEPS:
+        report = convergence_sweep(spec, jobs=2, reference_level=level)
         tag = "" if (spec.degree, spec.rho) == (1, 0.0) else f"_deg{spec.degree}_rho{spec.rho:g}"
+        tag += f"_level{level}" if level else ""
         name = f"{spec.example}_n{'-'.join(map(str, spec.n_list))}{tag}.csv"
         # the 1e-10 relative of the assert_golden fixture
         worst = worst_move(HERE / name, report.rows)

@@ -403,11 +403,13 @@ class TestReferenceSelfConsistency:
         [("EX2", (1, 2)), ("EX3", (2, 4)), ("EX4", (2, 4))],
         ids=["EX2", "EX3", "EX4"],
     )
-    def test_reference_levels_agree(self, example, n_list):
+    def test_reference_levels_agree(self, example, n_list, assert_golden):
         # jobs=2 only for speed: rows do not depend on jobs
         spec = ExperimentSpec(example, n_list)
         a = convergence_sweep(spec, jobs=2, reference_level=0)
         b = convergence_sweep(spec, jobs=2, reference_level=1)
+        assert_golden(a)
+        assert_golden(b, level=1)
         for q in a.quantities():
             if q.startswith("slope_"):
                 continue
@@ -436,8 +438,12 @@ def test_examples_registry():
     assert set(DEFAULT_N_LISTS) == set(EXAMPLES)
 
 
-def test_ex3_sweep_matches_benchmark_golden_rows(benchmark_workloads):
+def test_ex3_sweep_matches_benchmark_golden_rows(benchmark_workloads, assert_golden):
     # the rows the benchmark gates on: a change that moves one fails here too
     sweep = benchmark_workloads.Sweep("EX3")
     argv = sweep.setup(0)
-    assert sweep.check(argv, sweep.run(argv)) == []
+    result = sweep.run(argv)
+    assert sweep.check(argv, result) == []
+    # and at 1e-10, as the CLI prints them (13 significant digits)
+    rows = benchmark_workloads.parse_rows(result[1])
+    assert_golden(ConvergenceReport("EX3", [(n, q, v) for (_, n, q), v in rows.items()]))

@@ -342,21 +342,24 @@ def test_fields_are_built_in_fields_only():
 
 
 # The modules that take a coefficient only as a field, from
-# fields.as_field or fields.as_separable.  reporting keeps its dispatch on
-# space-time operands (a solution, a callable u(t, x) or a constant), which
-# are not coefficients.
+# fields.as_field or fields.as_separable.  reporting also takes constants
+# as numbers.Real, as fields does, but keeps ``callable`` for its dispatch
+# on space-time operands (a solution, a callable u(t, x) or a constant),
+# which are not coefficients.
 COEFFICIENT_READERS = ("spaces", "operators", "homogenise", "laws")
+OPERAND_READERS = ("reporting",)
 
 
 def coefficient_normalisers(modules):
     """``module:line`` of every reference to ``isscalar`` or ``callable`` in
-    the COEFFICIENT_READERS among ``modules`` (module name -> source)."""
+    the COEFFICIENT_READERS among ``modules`` (module name -> source), and
+    to ``isscalar`` in the OPERAND_READERS."""
     return sorted(
         f"{mod}:{line}"
         for mod, src in modules.items()
-        if mod in COEFFICIENT_READERS
+        if mod in COEFFICIENT_READERS + OPERAND_READERS
         for name, line, _ in _references(ast.parse(src))
-        if name in ("isscalar", "callable")
+        if name == "isscalar" or (name == "callable" and mod in COEFFICIENT_READERS)
     )
 
 
@@ -369,15 +372,64 @@ def test_scanner_finds_a_coefficient_normaliser_outside_fields():
             "def scale(c):\n    return float(c) if np.isscalar(c) else 1.0\n"
         ),
         "laws": "from numpy import isscalar\nkind = callable\n",
-        "reporting": "def operand(u):\n    return callable(u)\n",
+        "reporting": (
+            "import numpy as np\n"
+            "def operand(u):\n    return callable(u)\n"
+            "def constant(u):\n    return np.isscalar(u)\n"
+        ),
     }
-    assert coefficient_normalisers(modules) == ["laws:1", "laws:2", "spaces:4"]
+    assert coefficient_normalisers(modules) == ["laws:1", "laws:2", "reporting:5", "spaces:4"]
 
 
 def test_coefficients_are_normalised_in_fields_only():
     # one normaliser per dimension: fields.as_field and fields.as_separable
     modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert coefficient_normalisers(modules) == []
+
+
+# Only spaces knows how a tensor space lays out its DOFs (x-major over its
+# ``lines``); the other modules read a space through ``lines`` and the
+# spaces operations point_evaluator, product_load and reflection.
+TENSOR_LAYOUT = ("TensorSpace", "sx", "sy")
+
+
+def tensor_layout_references(modules):
+    """``module:line`` of every reference to ``TensorSpace`` (by name, as an
+    attribute or imported) or to an attribute ``.sx`` or ``.sy`` in
+    ``modules`` (module name -> source) outside ``spaces``."""
+    return sorted(
+        f"{mod}:{line}"
+        for mod, src in modules.items()
+        if mod != "spaces"
+        for name, line, bare in _references(ast.parse(src))
+        if name == "TensorSpace" or (name in TENSOR_LAYOUT and not bare)
+    )
+
+
+def test_scanner_finds_a_tensor_layout_outside_spaces():
+    modules = {
+        "spaces": "class TensorSpace:\n    def __init__(self, sx):\n        self.sx = sx\n",
+        "solver": "from .spaces import TensorSpace\n",
+        "experiments": (
+            '"""su.sx and TensorSpace in a docstring are no references."""\n'
+            "from . import spaces\n"
+            "def load(su, sx):\n"
+            "    return spaces.restricted_load(su.sx, 1.0), sx\n"
+            "kind = spaces.TensorSpace\n"
+            "def height(s):\n    return s.sy.ndof\n"
+        ),
+    }
+    assert tensor_layout_references(modules) == [
+        "experiments:4",
+        "experiments:5",
+        "experiments:7",
+        "solver:1",
+    ]
+
+
+def test_tensor_layout_is_known_in_spaces_only():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert tensor_layout_references(modules) == []
 
 
 if __name__ == "__main__":

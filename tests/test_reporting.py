@@ -357,6 +357,38 @@ class TestStrongNormDiff:
             strong_norm_diff(1.0, 2.0)
 
 
+
+# Operands that are neither a solution, a real constant nor a callable.
+BAD_OPERANDS = ["x", b"x", 1j, None, np.bool_(True), object()]
+BAD_IDS = ["str", "bytes", "complex", "None", "numpy-bool", "object"]
+
+
+class TestOperandRule:
+    """An operand is a solution, a ``numbers.Real`` constant or a callable."""
+
+    @pytest.mark.parametrize("bad", BAD_OPERANDS, ids=BAD_IDS)
+    def test_strong_norm_refuses(self, bad):
+        with pytest.raises(TypeError, match="is not a solution, a real constant or a callable"):
+            strong_norm_diff(_linear_solution(), bad)
+
+    @pytest.mark.parametrize("bad", BAD_OPERANDS, ids=BAD_IDS)
+    def test_pairing_refuses(self, bad):
+        with pytest.raises(TypeError, match="is not a solution, a real constant or a callable"):
+            pairing(bad, "1", domain=(0.0, 1.0), grid=TimeGrid.uniform(2.0, 8))
+
+    def test_real_numbers_are_constants(self):
+        sol, grid = _linear_solution(), TimeGrid.uniform(2.0, 8)
+        for real in (np.float32(0.5), 0.5, 1 / 2):
+            assert strong_norm_diff(sol, real) == strong_norm_diff(sol, 0.5) > 0.0
+            assert pairing(real, "1", domain=(0.0, 1.0), grid=grid) == pytest.approx(
+                1.0, rel=1e-13
+            )
+        assert strong_norm_diff(sol, 0) == strong_norm_diff(sol, 0.0)
+        assert pairing(np.float32(0.5), "x", domain=(0.0, 1.0), grid=grid) == pairing(
+            0.5, "x", domain=(0.0, 1.0), grid=grid
+        )
+
+
 def _gauss_time_norm(u, ref, k, subdomain=None):
     """strong_norm_diff read at the 4 Gauss times of each slab of u's grid.
 

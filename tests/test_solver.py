@@ -255,6 +255,8 @@ class TestSolutionInterface:
         sol = solve_evolution(_scalar_problem())
         with pytest.raises(ValueError):
             sol.coeffs[0, 0, 0] = 1.0
+        # built once per solution
+        assert sol.coeffs is sol.coeffs
 
     @staticmethod
     def _mirrored(axes):

@@ -25,6 +25,9 @@ from evohom.spaces import (
     eval_matrix_1d,
     gram1d,
     gram2d,
+    point_evaluator,
+    product_load,
+    reflection,
     restricted_load,
 )
 
@@ -320,6 +323,86 @@ class TestTensorSpaces:
             build_space(mesh1, "rt", 0)
         with pytest.raises(ValueError):
             build_space(mesh2, "cg", 1)
+
+
+
+def _layout_spaces():
+    """Line and tensor spaces of every kind, on graded and periodic meshes."""
+    line = build_mesh((-1.0, 1.0), 5)
+    mesh = build_mesh(((-2.0, 2.0), (-1.0, 3.0)), (4, 3))
+    graded = Mesh1D([0.0, 0.1, 0.45, 0.5, 1.0])
+    return {
+        "cg2": build_space(line, "cg", 2),
+        "cg1-periodic": build_space(graded, "cg", 1, periodic=True),
+        "dg1": build_space(line, "dg", 1),
+        "q1-zero-trace": build_space(mesh, "q", 1, zero_trace=True),
+        "q2": build_space(mesh, "q", 2),
+        "rt1-x": build_space(mesh, "rt", 1)[0],
+        "rt0-y": build_space(mesh, "rt", 0)[1],
+        "dgq1": build_space(mesh, "dgq", 1),
+    }
+
+
+LAYOUT_SPACES = _layout_spaces()
+
+
+@pytest.mark.parametrize("name", LAYOUT_SPACES)
+class TestTensorLayout:
+    """point_evaluator, product_load and reflection repeat the x-major
+    formulas they replace, bit for bit, on line and tensor spaces."""
+
+    def test_lines(self, name):
+        space = LAYOUT_SPACES[name]
+        if isinstance(space, TensorSpace):
+            assert space.lines == (space.sx, space.sy)
+        else:
+            assert space.lines == (space,)
+
+    def test_point_evaluator(self, name):
+        space = LAYOUT_SPACES[name]
+        rng = np.random.default_rng(3)
+        nodes = [np.sort(rng.uniform(*s.span, 7 + i)) for i, s in enumerate(space.lines)]
+        # a component slice of stacked slab coefficients: not contiguous
+        c = rng.standard_normal((2, space.ndof + 3))[:, 1:-2]
+        got = point_evaluator(space, nodes)(c)
+        if isinstance(space, TensorSpace):
+            ex, ey = eval_matrix_1d(space.sx, nodes[0]), eval_matrix_1d(space.sy, nodes[1])
+            nx, ny = space.sx.ndof, space.sy.ndof
+            a = ex @ c.reshape(2, nx, ny).transpose(1, 0, 2).reshape(nx, -1)
+            a = a.reshape(-1, 2, ny).transpose(2, 0, 1).reshape(ny, -1)
+            expected = (ey @ a).reshape(-1, 2)
+            # the points are x fastest
+            dense = sp.kron(eval_matrix_1d(space.sy, nodes[1]), eval_matrix_1d(space.sx, nodes[0]))
+            perm = np.arange(space.ndof).reshape(nx, ny).T.ravel()
+            assert np.allclose(got, dense @ c[:, perm].T, rtol=1e-13, atol=1e-13)
+        else:
+            expected = eval_matrix_1d(space, nodes[0]) @ c.T
+        assert got.shape == (math.prod(map(len, nodes)), 2)
+        assert np.array_equal(got, expected)
+
+    def test_product_load(self, name):
+        space = LAYOUT_SPACES[name]
+        factors = [lambda x: np.cos(x) + 2.0, lambda y: y * y][: len(space.lines)]
+        for bounds in [(None, None), ((-1.3, 0.7), None), (None, (0.2, 2.5))]:
+            got = product_load(space, factors, bounds[: len(space.lines)])
+            loads = [
+                restricted_load(s, f, *(b or (None, None)))
+                for s, f, b in zip(space.lines, factors, bounds)
+            ]
+            if isinstance(space, TensorSpace):
+                assert np.array_equal(got, np.kron(*loads))
+            else:
+                assert np.array_equal(got, loads[0])
+
+    def test_reflection(self, name):
+        space = LAYOUT_SPACES[name]
+        for axis in (0, 1):
+            if isinstance(space, TensorSpace):
+                shape = (space.sx.ndof, space.sy.ndof)
+            else:
+                shape = (-1, 1)
+            expected = np.flip(np.arange(space.ndof).reshape(shape), axis).ravel()
+            assert np.array_equal(reflection(space, axis), expected)
 
 
 class TestCrossSpaceGram:
