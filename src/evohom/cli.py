@@ -261,7 +261,7 @@ def _build_parser():
         type=int,
         default=0,
         choices=(0, 1),
-        help="alternate reference resolution (self-consistency checks)",
+        help="1: every reference cell split in two (self-consistency checks)",
     )
     p_sweep.set_defaults(func=_cmd_sweep)
 

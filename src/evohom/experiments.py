@@ -235,10 +235,12 @@ def _ex3_limits(spec):
 # ---------------------------------------------------------------------------
 
 # One family: ``build(spec, mesh, degree, law)`` poses both the run at index
-# n (on ``run_mesh(domain, n)``, at the spec's degree, with the oscillating
-# law) and the discrete reference (on ``ref_mesh(domain, reference_level)``,
-# one degree higher, with ``ref_law(example)``; no ``ref_mesh``, no discrete
-# reference); each mesh covers the ``domain`` of the law it is posed with.
+# n (at the spec's degree, with the oscillating law) and the discrete
+# reference (one degree higher, with ``ref_law(example)``), each on a base
+# mesh ``(cells, alignment, osc_region)`` that _family_mesh builds on the
+# law's ``domain`` with every cell count times r: ``run_mesh(n)`` at r = 1,
+# ``ref_mesh`` (None: no discrete reference) at r = 2^l for reference level
+# l, so level 1 splits every reference cell in two.
 # ``limits(spec)`` names the analytic reference operands, paired on
 # ``panels`` composite-Gauss panels in space.  The quantities are reported
 # in table order.
@@ -258,16 +260,18 @@ def _pairs(prefix, tests, comps, domain, operand):
     return tuple(_Quantity(f"{prefix}_{t}", t, comps, domain, operand) for t in tests)
 
 
-# The lambdas below call package functions through this module's bindings at
-# call time, so that wrappers installed on them (the benchmark's tracer) see
-# every call.
+def _family_mesh(domain, r, cells, alignment, osc_region):
+    """A base mesh at refinement factor r: the package's one ``build_mesh`` call."""
+    return build_mesh(domain, np.multiply(r, cells), alignment, osc_region)
+
+
+# _family_mesh and the lambdas below call package functions through this
+# module's bindings at call time, so a wrapper on one sees every call.
 _LEFT, _RIGHT = (-1.0, 0.0), (0.0, 1.0)
 _EX45 = _Family(
     _ex45_problem,
-    lambda domain, n: build_mesh(
-        domain, (10 * n, 80), alignment=n, osc_region=(-1.0, 1.0)
-    ),
-    lambda domain, level: build_mesh(domain, (56, 56) if level else (40, 40)),
+    lambda n: ((10 * n, 80), n, (-1.0, 1.0)),
+    ((40, 40), 0, None),
     lambda example: build_limit_law(example),
     lambda spec: {},
     None,
@@ -280,7 +284,7 @@ _EX45 = _Family(
 _FAMILIES = {
     "EX1": _Family(
         _ex1_problem,
-        lambda domain, n: build_mesh(domain, 10 * n),
+        lambda n: (10 * n, 0, None),
         None,
         None,
         _ex1_limits,
@@ -289,8 +293,8 @@ _FAMILIES = {
     ),
     "EX2": _Family(
         _ex2_problem,
-        lambda domain, n: build_mesh(domain, 10 * n, alignment=n),
-        lambda domain, level: build_mesh(domain, 240 if level else 160),
+        lambda n: (10 * n, n, None),
+        (160, 0, None),
         lambda example: build_limit_law(example),
         lambda spec: {},
         None,
@@ -304,8 +308,8 @@ _FAMILIES = {
     # the discrete reference on (-1, 0), the analytic limits on (0, 1)
     "EX3": _Family(
         _ex3_problem,
-        lambda domain, n: build_mesh(domain, 40 * n),
-        lambda domain, level: build_mesh(domain, 640 if level else 320),
+        lambda n: (40 * n, 0, None),
+        (320, 0, None),
         lambda example: _ex3_plain_limit(),
         _ex3_limits,
         32,
@@ -330,7 +334,7 @@ def run_problem(spec, n):
     ``evohom describe`` show."""
     family = _FAMILIES[spec.example]
     law = example_material(spec.example, n)
-    return family.build(spec, family.run_mesh(law.domain, n), spec.degree, law)
+    return family.build(spec, _family_mesh(law.domain, 1, *family.run_mesh(n)), spec.degree, law)
 
 
 def build_run(example, n, **knobs):
@@ -390,7 +394,8 @@ def _prepare(spec, level):
     }
     if family.ref_mesh is not None:
         law = family.ref_law(spec.example)
-        ref = family.build(spec, family.ref_mesh(law.domain, level), spec.degree + 1, law)
+        mesh = _family_mesh(law.domain, 2**level, *family.ref_mesh)
+        ref = family.build(spec, mesh, spec.degree + 1, law)
         operands["ref"] = solve_evolution(ref)
         # its pairings are read in one pass over its slabs
         stored = [q for q in paired if q.operand == "ref"]
@@ -439,8 +444,8 @@ def convergence_sweep(spec, out=None, jobs=1, reference_level=0):
     depend on ``jobs``.  The reference and the runs are solved and reported
     with one BLAS thread (:func:`one_blas_thread`), so the pool's threads do
     not compete with BLAS threads for the cores.
-    ``reference_level`` = 1 swaps in the alternative reference resolution
-    for self-consistency studies; any value but the ints 0 and 1 raises
+    ``reference_level`` = 1 splits every reference cell in two, for
+    self-consistency studies; any value but the ints 0 and 1 raises
     ValueError before anything is solved or written.  ``out``, when given,
     is opened (and truncated) next, before anything is solved, so a path
     that cannot be written raises OSError at once; the report CSV is written

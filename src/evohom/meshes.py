@@ -3,8 +3,8 @@
 ``build_mesh`` guarantees that every discontinuity point ``k/(2n)`` of the
 stripe coefficient inside the requested domain lands on a cell boundary.  For
 rectangles an optional oscillation region triggers the graded rule used by
-the 2-D example families: spacing ``1/(4n)`` inside the region and ``1/n``
-outside, with the region endpoints as mesh lines.
+the 2-D example families: spacing ``1/(4nr)`` inside the region and ``1/(nr)``
+outside for r times the rule's base count, the region endpoints mesh lines.
 
 Every 1-D integral in the package is a composite Gauss rule
 (:func:`gauss_panels`) over a partition built by :func:`partition`: the
@@ -152,34 +152,28 @@ def _check_alignment(boundaries, a, b, n):
 
 
 def _graded_x_boundaries(a, b, subdivisions, n, osc_region):
-    """Graded boundaries: spacing 1/(4n) inside osc_region, 1/n outside."""
+    """Graded boundaries: spacing 1/(4nr) inside osc_region, 1/(nr) outside."""
     lo, hi = osc_region
     if not (a <= lo < hi <= b):
         raise ValueError("oscillation region must lie inside the domain")
     inside = int(round((hi - lo) * 4 * n))
-    if abs(inside - (hi - lo) * 4 * n) > _ALIGN_TOL:
-        raise ValueError("oscillation region width must be a multiple of 1/(4n)")
+    if inside < 1 or abs(inside - (hi - lo) * 4 * n) > _ALIGN_TOL:
+        raise ValueError("oscillation region width must be a positive multiple of 1/(4n)")
     left = int(round((lo - a) * n))
     right = int(round((b - hi) * n))
     if abs(left - (lo - a) * n) > _ALIGN_TOL or abs(right - (b - hi) * n) > _ALIGN_TOL:
         raise ValueError("exterior widths must be multiples of 1/n")
     total = inside + left + right
-    if subdivisions != total:
+    r = subdivisions // total
+    if subdivisions != r * total:
         raise ValueError(
             f"graded mesh over [{a}, {b}] with oscillation region "
-            f"[{lo}, {hi}] and n={n} requires exactly {total} x-subdivisions "
-            f"(got {subdivisions})"
+            f"[{lo}, {hi}] and n={n} requires a multiple of {total} "
+            f"x-subdivisions (got {subdivisions})"
         )
-    parts = []
-    if left:
-        parts.append(np.linspace(a, lo, left + 1))
-    parts.append(np.linspace(lo, hi, inside + 1))
-    if right:
-        parts.append(np.linspace(hi, b, right + 1))
-    out = [parts[0]]
-    for seg in parts[1:]:
-        out.append(seg[1:])
-    return np.concatenate(out)
+    segments = ((a, lo, left), (lo, hi, inside), (hi, b, right))
+    parts = [np.linspace(p, q, r * k + 1) for p, q, k in segments if k]
+    return np.concatenate([parts[0]] + [seg[1:] for seg in parts[1:]])
 
 
 def build_mesh(domain, subdivisions, alignment=0, osc_region=None):
@@ -189,9 +183,10 @@ def build_mesh(domain, subdivisions, alignment=0, osc_region=None):
     integer or an ``(nx, ny)`` pair.  With ``alignment`` n > 0 every stripe
     discontinuity ``k/(2n)`` inside the (x-)domain must land on a boundary;
     a misaligned request raises an error naming the required multiple.  With
-    ``osc_region`` set on a rectangle, the x-direction uses the graded rule
-    (spacing ``1/(4n)`` inside, ``1/n`` outside); otherwise subdivision is
-    uniform per direction.
+    ``osc_region`` set on a rectangle, the x-direction uses the graded rule:
+    spacing ``1/(4nr)`` inside and ``1/(nr)`` outside for an x count r times
+    the rule's base count (any other count raises an error naming it);
+    otherwise subdivision is uniform per direction.
     """
     domain = tuple(domain)
     two_d = isinstance(domain[0], (tuple, list, np.ndarray))

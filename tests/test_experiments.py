@@ -25,6 +25,8 @@ from evohom.experiments import (
     solution_norms,
 )
 import evohom.experiments as experiments
+from evohom.laws import example_material
+from evohom.meshes import stripe_points
 from evohom.reporting import ConvergenceReport, fit_rate, pairing, write_csv
 from evohom.solver import EvolutionSolution, solve_evolution
 
@@ -431,6 +433,78 @@ class TestReferenceSelfConsistency:
             series = report.series(f"pair_v_{name}")
             tail = [v for n, v in series if n >= 8]
             assert all(x > y for x, y in zip(tail, tail[1:]))
+
+
+def refined_run(example, n, r):
+    """The run of ``example`` at index n on its base run mesh at refinement
+    factor r, posed as ``run_problem`` poses it at r = 1."""
+    spec, family = ExperimentSpec(example, (n,)), experiments._FAMILIES[example]
+    law = example_material(example, n)
+    mesh = experiments._family_mesh(law.domain, r, *family.run_mesh(n))
+    return family.build(spec, mesh, spec.degree, law)
+
+
+def line_meshes(problem):
+    """The 1-D meshes of the first space of ``problem``, x first."""
+    return [line.mesh for line in problem.spaces[0].lines]
+
+
+def contains(fine, coarse):
+    """Whether every boundary of the 1-D mesh ``coarse`` is one of ``fine``."""
+    return np.abs(fine.boundaries[:, None] - coarse.boundaries).min(axis=0).max() <= 1e-12
+
+
+class _Posed(Exception):
+    """Raised with the reference problem in place of solving it."""
+
+
+def reference_meshes(monkeypatch, example, level):
+    """The line meshes of the discrete reference a sweep at ``level`` poses."""
+
+    def capture(problem):
+        raise _Posed(problem)
+
+    monkeypatch.setattr(experiments, "solve_evolution", capture)
+    with pytest.raises(_Posed) as posed:
+        experiments._prepare(ExperimentSpec(example), level)
+    return line_meshes(posed.value.args[0])
+
+
+class TestResolutionRule:
+    """Every mesh is a family's base mesh at a refinement factor r: r = 1 for
+    a run, r = 2^l for the reference at level l."""
+
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_factor_one_is_the_run(self, example):
+        n = DEFAULT_N_LISTS[example][0]
+        pairs = zip(line_meshes(refined_run(example, n, 1)), line_meshes(build_run(example, n)))
+        for a, b in pairs:
+            assert np.array_equal(a.boundaries, b.boundaries)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("example", ["EX4", "EX5"])
+    def test_graded_run_at_factor_two(self, example, n):
+        (x1, y1), (x2, y2) = (line_meshes(refined_run(example, n, r)) for r in (1, 2))
+        assert (x2.ncells, y2.ncells) == (20 * n, 160)
+        assert contains(x2, x1) and contains(y2, y1)
+        xb = x2.boundaries
+        inside = xb[(xb > -1 - 1e-12) & (xb < 1 + 1e-12)]
+        assert np.allclose(np.diff(inside), 1 / (8 * n), rtol=0.0, atol=1e-14)
+        # stripe-aligned: every discontinuity k/(2n) in (-1, 1) is a boundary
+        for p in stripe_points(-1.0, 1.0, n):
+            assert np.abs(xb - p).min() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_ex3_run_at_factor_two(self, n):
+        ((coarse,), (fine,)) = (line_meshes(refined_run("EX3", n, r)) for r in (1, 2))
+        assert (coarse.ncells, fine.ncells) == (40 * n, 80 * n)
+        assert contains(fine, coarse)
+
+    @pytest.mark.parametrize("example", ["EX2", "EX3", "EX4", "EX5"])
+    def test_level_one_splits_every_reference_cell(self, monkeypatch, example):
+        coarse, fine = (reference_meshes(monkeypatch, example, level) for level in (0, 1))
+        assert [m.ncells for m in fine] == [2 * m.ncells for m in coarse]
+        assert all(contains(f, c) for f, c in zip(fine, coarse))
 
 
 def test_examples_registry():

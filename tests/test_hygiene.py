@@ -432,6 +432,59 @@ def test_tensor_layout_is_known_in_spaces_only():
     assert tensor_layout_references(modules) == []
 
 
+# The one function of the package that calls meshes.build_mesh: every mesh
+# is a family's base mesh at a refinement factor r.
+MESH_BUILDER = ("experiments", "_family_mesh")
+
+
+def mesh_builds(modules):
+    """``module:line`` of every call of ``build_mesh`` (by name or as an
+    attribute) in ``modules`` (module name -> source) outside the body of
+    the top-level function MESH_BUILDER."""
+    found = []
+    for mod, src in modules.items():
+        tree = ast.parse(src)
+        exempt = [
+            (node.lineno, node.end_lineno)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and (mod, node.name) == MESH_BUILDER
+        ]
+        found += [
+            f"{mod}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "build_mesh" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and not any(lo <= node.lineno <= hi for lo, hi in exempt)
+        ]
+    return sorted(found)
+
+
+def test_scanner_finds_a_mesh_built_outside_the_family_mesh_builder():
+    modules = {
+        "meshes": "def build_mesh(domain, cells):\n    return domain\n",
+        "experiments": (
+            '"""build_mesh((0, 1), 4) in a docstring is no call."""\n'
+            "from . import meshes\n"
+            "from .meshes import build_mesh\n"
+            "def _family_mesh(domain, r, cells):\n"
+            "    return build_mesh(domain, r * cells)\n"
+            "RUN = lambda domain, n: build_mesh(domain, 10 * n)\n"
+            "def _prepare(domain):\n    return meshes.build_mesh(domain, 160)\n"
+        ),
+        # a builder of that name in another module is no exemption
+        "solver": (
+            "from .meshes import build_mesh\n"
+            "def _family_mesh(domain):\n    return build_mesh(domain, 1)\n"
+        ),
+    }
+    assert mesh_builds(modules) == ["experiments:6", "experiments:8", "solver:3"]
+
+
+def test_meshes_are_built_by_the_family_mesh_builder_only():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert mesh_builds(modules) == []
+
+
 if __name__ == "__main__":
     # the package's size: its lines (as ``wc -l`` counts them) and its
     # defaulted parameters; run as ``PYTHONPATH=src python tests/test_hygiene.py``

@@ -11,7 +11,13 @@ from scipy.sparse.linalg import splu
 
 import evohom.solver as solver
 from evohom.analytic import ode_exact
-from evohom.experiments import _FAMILIES, ExperimentSpec, _ex45_problem, build_run
+from evohom.experiments import (
+    _FAMILIES,
+    ExperimentSpec,
+    _ex45_problem,
+    _family_mesh,
+    build_run,
+)
 from evohom.fields import Constant, RegionIndicator, SineOsc
 from evohom.homogenise import build_limit_law
 from evohom.laws import MaterialLaw, MemoryTerm, augment_memory, example_material
@@ -617,7 +623,8 @@ class TestMirrors:
         """The family's level-0 reference problem, as a sweep poses it."""
         family, spec = _FAMILIES[example], ExperimentSpec(example)
         law = family.ref_law(example)
-        return family.build(spec, family.ref_mesh(law.domain, 0), spec.degree + 1, law)
+        mesh = _family_mesh(law.domain, 1, *family.ref_mesh)
+        return family.build(spec, mesh, spec.degree + 1, law)
 
     @staticmethod
     def _reposed(run, forcing, u0):

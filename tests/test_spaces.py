@@ -56,10 +56,31 @@ class TestBuildMesh:
         assert np.allclose(np.diff(mesh.x.boundaries[:2]), 1.0)  # exterior spacing 1/n
         assert np.allclose(np.diff(mesh.y.boundaries), 4.0 / 80)
 
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_graded_rectangle_refined(self, r):
+        # an x count r times the base count of 20 (n = 2) splits each of the
+        # three segments r times
+        square = ((-2.0, 2.0), (-2.0, 2.0))
+        base = build_mesh(square, (20, 8), alignment=2, osc_region=(-1.0, 1.0))
+        mesh = build_mesh(square, (20 * r, 8), alignment=2, osc_region=(-1.0, 1.0))
+        xb = mesh.x.boundaries
+        assert (mesh.x.ncells, mesh.y.ncells) == (20 * r, 8)
+        assert np.allclose(np.diff(xb[(xb > -1 - 1e-12) & (xb < 1 + 1e-12)]), 1 / (8 * r))
+        assert np.allclose(np.diff(xb[xb < -1 + 1e-12]), 1 / (2 * r))
+        assert np.allclose(np.diff(xb[xb > 1 - 1e-12]), 1 / (2 * r))
+        assert np.abs(xb[:, None] - base.x.boundaries).min(axis=0).max() <= 1e-12
+
     def test_graded_rectangle_wrong_count(self):
-        with pytest.raises(ValueError, match="requires exactly 20"):
+        with pytest.raises(ValueError, match="requires a multiple of 20 x-subdivisions"):
             build_mesh(
                 ((-2.0, 2.0), (-2.0, 2.0)), (16, 40), alignment=2, osc_region=(-1.0, 1.0)
+            )
+
+    def test_graded_rectangle_empty_region(self):
+        # a region narrower than one cell of spacing 1/(4n) is refused, not dropped
+        with pytest.raises(ValueError, match="positive multiple of 1/\\(4n\\)"):
+            build_mesh(
+                ((-2.0, 2.0), (-2.0, 2.0)), (16, 4), alignment=2, osc_region=(0.0, 1e-14)
             )
 
     def test_cell_containing_array(self):

@@ -1,5 +1,5 @@
 """Wall time, peak RSS and a row digest of an EX4 or EX5 sweep whose discrete
-reference is posed on an s x s mesh instead of the family's 40 x 40.
+reference has the base mesh s x s instead of the family's 40 x 40.
 
     python3 tools/reference_memory.py EX5 80 --jobs 2
 
@@ -22,7 +22,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from evohom import experiments  # noqa: E402
-from evohom.meshes import build_mesh  # noqa: E402
 
 
 def main(argv=None):
@@ -31,9 +30,11 @@ def main(argv=None):
     parser.add_argument("cells", type=int, help="reference cells per side, s")
     parser.add_argument("--jobs", type=int, choices=(1, 2), default=1)
     args = parser.parse_args(argv)
+    # the base reference mesh with s x s cells, its other arguments kept
     family = experiments._FAMILIES[args.example]
-    mesh = lambda domain, level: build_mesh(domain, (args.cells, args.cells))
-    experiments._FAMILIES[args.example] = family._replace(ref_mesh=mesh)
+    _, *rest = family.ref_mesh
+    base = ((args.cells, args.cells), *rest)
+    experiments._FAMILIES[args.example] = family._replace(ref_mesh=base)
     t0 = time.perf_counter()
     spec = experiments.ExperimentSpec(args.example)
     report = experiments.convergence_sweep(spec, jobs=args.jobs)
