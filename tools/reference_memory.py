@@ -32,8 +32,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     # the base reference mesh with s x s cells, its other arguments kept
     family = experiments._FAMILIES[args.example]
-    _, *rest = family.ref_mesh
-    base = ((args.cells, args.cells), *rest)
+    base = ((args.cells, args.cells),) + family.ref_mesh[1:]
     experiments._FAMILIES[args.example] = family._replace(ref_mesh=base)
     t0 = time.perf_counter()
     spec = experiments.ExperimentSpec(args.example)
