@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .meshes import gauss_panels
+from .meshes import as_count, gauss_panels
 
 __all__ = [
     "ode_exact",
@@ -50,8 +50,9 @@ def ode_exact(n, t, x):
     """Solution of d/dt u + sin(2*pi*n*x) u = 1, u(0) = 0, at (t, x).
 
     The closed form (1 - e^{-t s})/s for the unit-step source, continuously
-    extended by t at s = 0.  Vectorised over x.
+    extended by t at s = 0.  Vectorised over x; n is an integer >= 1.
     """
+    n = as_count(n, 1, "oscillation index n must be a positive integer")
     _check_times(t)
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):

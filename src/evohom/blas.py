@@ -1,29 +1,30 @@
-"""One OpenBLAS thread for the duration of a block.
+"""One OpenBLAS thread for the process.
 
 The march's sparse LU (SuperLU inside scipy) calls the OpenBLAS bundled
 with scipy, and numpy's linear algebra calls the one bundled with numpy.
 Both start one thread per core.  On the solves of this package the extra
 threads buy no wall time but burn CPU, and when a sweep runs solves in
 parallel threads they compete with those threads for the same cores.
-:func:`one_blas_thread` sets both libraries to one thread while a block
-runs and then restores the count they had.
+:func:`set_one_thread` sets both libraries to one thread and stops their
+helper threads; :mod:`evohom.solver` calls it once, when it is imported,
+so the process keeps one BLAS thread from then on.
 
-The libraries are found and loaded through ``ctypes`` when this module is
-imported, so their start-up (OpenBLAS starts its helper threads, which
-busy-wait for about 0.1 s) is paid by the import and not by the first
-block.  A library that cannot be found (another platform, another BLAS
-build) is left alone.  Thread counts change only inside a block, and no
-environment variable is read or set.
+A helper thread busy-waits for about 0.1 s after its library loads, and
+scipy's loads late in the package's import, so unstopped it would spin
+through the first solves.  OpenBLAS starts its helpers anew only for a call
+on more than one thread.
+
+The libraries are found and loaded through ``ctypes``.  A library that
+cannot be found (another platform, another BLAS build) is left alone, and
+no environment variable is read or set.
 """
 
-import contextlib
 import ctypes
 import glob
 import importlib
 import os
-import threading
 
-__all__ = ["one_blas_thread"]
+__all__ = ["set_one_thread"]
 
 # (package, library file in the wheel's <package>.libs, getter, setter)
 _OPENBLAS = (
@@ -40,10 +41,12 @@ _OPENBLAS = (
         "scipy_openblas_set_num_threads64_",
     ),
 )
+_STOP_HELPERS = "blas_thread_shutdown_"  # the same name in both libraries
 
 
 def _thread_controls(libraries):
-    """``(get, set)`` thread-count functions of every library found."""
+    """``(get, set, stop)`` of every library found: its thread-count getter
+    and setter and the function that stops its helper threads."""
     controls = []
     for package, pattern, get_name, set_name in libraries:
         module = importlib.import_module(package)
@@ -52,42 +55,22 @@ def _thread_controls(libraries):
             try:
                 lib = ctypes.CDLL(path)
                 get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                stop = getattr(lib, _STOP_HELPERS)
             except (OSError, AttributeError):
                 continue
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
-            controls.append((get, set_))
+            stop.argtypes, stop.restype = [], ctypes.c_int
+            controls.append((get, set_, stop))
     return controls
 
 
-# The thread count is a property of the process, not of a caller, so the
-# state that guards it is too: nested and concurrent blocks share one cap,
-# the first entry saves the counts and the last exit restores them.
-_lock = threading.Lock()
-_controls = _thread_controls(_OPENBLAS)
-_depth = 0
-_saved = []
+def set_one_thread():
+    """Set every bundled OpenBLAS found to one thread and stop its helpers.
 
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the block with every bundled OpenBLAS on one thread.
-
-    Re-entrant and safe to enter from several threads at once.
+    Call it before any thread makes BLAS calls: changing the count while
+    another thread is inside one is not safe.
     """
-    global _depth, _saved
-    with _lock:
-        if _depth == 0:
-            _saved = [(set_, get()) for get, set_ in _controls]
-            for set_, _ in _saved:
-                set_(1)
-        _depth += 1
-    try:
-        yield
-    finally:
-        with _lock:
-            _depth -= 1
-            if _depth == 0:
-                for set_, count in _saved:
-                    set_(count)
-                _saved = []
+    for _, set_, stop in _thread_controls(_OPENBLAS):
+        set_(1)
+        stop()

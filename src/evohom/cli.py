@@ -36,7 +36,7 @@ from .experiments import (
 from .homogenise import build_limit_law
 from .laws import augment_memory, entry_blocks, eval_material_law, serialize_law
 from .reporting import write_csv
-from .solver import solve_evolution
+from .solver import _solve_basis, solve_evolution
 from .timequad import build_radau_rule, weighted_moments
 
 __all__ = ["main"]
@@ -232,11 +232,10 @@ def _cmd_describe(args):
     print(f"example   {spec.example}")
     print(f"n         {n}")
     print(f"law       {problem.law.label}")
-    total = 0
     for name, space in zip(problem.law.component_names, problem.spaces):
         print(f"component {name}: {space.ndof} dof")
-        total += space.ndof
-    print(f"unknowns  {2 * total} per slab ({total} spatial x 2 temporal)")
+    width, ndof = _solve_basis(problem).shape[1], problem.ndof
+    print(f"unknowns  {width} complex per slab on the solve basis, of {ndof} stacked DOFs")
     print(f"slabs     {problem.grid.num_slabs} on [0, {problem.grid.T}]")
     print(f"rho       {problem.rho}")
     return 0

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import conv_i0, i0_antiderivative, ode_exact
-from .blas import one_blas_thread
 from .fields import Constant
 from .homogenise import build_limit_law
 from .laws import augment_memory, example_material, family_law
@@ -441,9 +440,9 @@ def convergence_sweep(spec, out=None, jobs=1, reference_level=0):
     reference is submitted first and the runs longest first (descending
     n); each run task reads its slabs as it marches (:func:`_report`), so
     no run holds its solution.  Rows are emitted in n-order and do not
-    depend on ``jobs``.  The reference and the runs are solved and reported
-    with one BLAS thread (:func:`one_blas_thread`), so the pool's threads do
-    not compete with BLAS threads for the cores.
+    depend on ``jobs``.  BLAS runs on one thread (set once when
+    :mod:`evohom.solver` is imported), so the pool's threads do not compete
+    with BLAS threads for the cores.
     ``reference_level`` = 1 splits every reference cell in two, for
     self-consistency studies; any value but the ints 0 and 1 raises
     ValueError before anything is solved or written.  ``out``, when given,
@@ -471,7 +470,7 @@ def _sweep(spec, jobs, reference_level, fh):
     and an error row are written to ``fh`` (if not None)."""
     rows = []
     try:
-        with one_blas_thread(), ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
             # submitted first, so a worker has taken it before any run
             # waits for it: the waits cannot fill the pool
             reference = pool.submit(_prepare, spec, reference_level)

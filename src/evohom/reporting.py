@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import as_field
-from .meshes import as_count, gauss_rule
+from .meshes import _NODE_TOL, as_count, gauss_rule
 from .solver import EvolutionSolution
 from .spaces import (
     eval_matrix_1d,
@@ -169,7 +169,9 @@ def pairing(u, v, domain=None, component=0, *, grid=None, cells=64):
     ``u(t, xs)`` / scalar together with an explicit ``grid`` and 1-D
     ``domain`` interval (``cells`` composite-Gauss panels).  ``v`` is a test
     dictionary name; vector dictionary names pair the flux components
-    (1, 2) of a 2-D solution.  ``domain`` restricts the spatial integral.
+    (1, 2) of a 2-D solution.  ``domain`` restricts the spatial integral;
+    one no longer than 1e-10 (empty or reversed) raises ValueError on
+    either path, and so does a non-finite bound on the callable path.
     """
     if isinstance(u, EvolutionSolution):
         return read_stored([pairing_reader(u.problem, v, domain, component)], u)[0]
@@ -178,9 +180,13 @@ def pairing(u, v, domain=None, component=0, *, grid=None, cells=64):
         raise ValueError("callable pairings need an explicit TimeGrid")
     if domain is None:
         raise ValueError("callable pairings need an explicit domain interval")
+    lo, hi = map(float, domain)
+    # the rule of spaces.merge_cuts; a non-finite bound fails it too
+    if not (hi - lo > _NODE_TOL and math.isfinite(hi - lo)):
+        raise ValueError("empty restriction interval")
     spatial, temporal = _scalar_test(v)
     cells = as_count(cells, 1, "a callable pairing needs an integer number of cells >= 1")
-    xs, ws = gauss_panels(np.linspace(domain[0], domain[1], cells + 1), _PAIRING_POINTS)
+    xs, ws = gauss_panels(np.linspace(lo, hi, cells + 1), _PAIRING_POINTS)
     tq, wq = slab_gauss(grid)
     values = _sampler(u, (xs,))(tq.ravel())
     p = (ws * as_field(spatial)(xs)) @ values

@@ -36,7 +36,8 @@ straddling each cut after both halves.  SuperLU keeps that order
 entry falls below _DIAG_PIVOT_THRESH of its column: the Hermitian part
 Re(lam) M0 + M1 of the pencil is positive definite, so diagonal pivots
 exist, and the threshold still pivots if one collapses.  On EX4 at n = 16
-this makes 3.5 M LU entries where SuperLU's default COLAMD made 8.6 M.
+the first slab's pencil on the solve basis (19 200 unknowns) makes 1.57 M
+LU entries (``L.nnz + U.nnz``) where SuperLU's default COLAMD makes 2.59 M.
 
 SuperLU factors the transposed pencil: its CSR form, transposed, is a CSC
 matrix over the same arrays, so nothing is copied, and each slab solves
@@ -72,7 +73,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .blas import one_blas_thread
+from .blas import set_one_thread
 from .operators import assemble_law_masses, component_offsets
 from .spaces import reflection
 from .timequad import (
@@ -83,6 +84,11 @@ from .timequad import (
     temporal_basis,
     temporal_matrices,
 )
+
+# Once, under the import lock, before any march or thread pool exists: on
+# these systems SuperLU's BLAS calls gain no wall time from more threads,
+# only CPU time, and the threads of a sweep would compete with them.
+set_one_thread()
 
 
 class EvolutionProblem:
@@ -354,11 +360,8 @@ def march(problem):
     matrix of its nested dissection when nothing is mirrored) with diagonal
     pivots.  The march folds the loads and M0 u0 once, solves each slab on
     the basis with the transposed factor (``trans="T"``) and unfolds what it
-    yields (:func:`_unfolder`).  The pencil, the factorisations and the
-    march run with one BLAS thread (:func:`one_blas_thread`): SuperLU's BLAS
-    calls on these systems gain no wall time from more threads, only CPU
-    time, and a sweep that runs solves in parallel threads would have them
-    compete for the same cores.
+    yields (:func:`_unfolder`).  BLAS runs on one thread, set once when
+    this module is imported (:func:`blas.set_one_thread`).
     """
     basis = _solve_basis(problem)
     unfold = _unfolder(basis)
@@ -368,44 +371,43 @@ def march(problem):
 
 def _march_on(problem, basis):
     """The :func:`march` on the basis S: ``(m, Y)``, Y of shape (2, S.shape[1])."""
-    with one_blas_thread():
-        grid = problem.grid
-        fold = basis.T.tocsr()
-        m0, spatial = (
-            fold @ (m @ basis) for m in (problem.m0mat, problem.m1mat + problem.operator)
-        )
-        forcing = [(g, fold @ b) for g, b in problem.forcing]
-        prev = fold @ (problem.m0mat @ problem.u0)
-        h_run = 0.0  # length of the first slab of the current run
-        for m in range(1, grid.num_slabs + 1):
-            rule = build_radau_rule(grid.slab(m), problem.rho)
-            if abs(rule.h - h_run) > 1e-12 * h_run:
-                h_run = rule.h
-                lam, v, w = _temporal_pencil(rule)
-                # release the previous run's LU before factorising, so
-                # that two factorisations are not alive at the peak
-                lu = None
-                try:
-                    lu = splu(
-                        (lam * m0 + spatial).T,
-                        permc_spec="NATURAL",
-                        diag_pivot_thresh=_DIAG_PIVOT_THRESH,
-                    )
-                except RuntimeError as exc:
-                    raise RuntimeError(
-                        f"singular slab system at slab {m}: {exc}"
-                    ) from exc
-            b = _slab_rhs(forcing, rule, prev)
-            # elementwise, not w @ b: numpy sends that complex-by-real product
-            # to a threaded BLAS gemv, measured at 6 ms instead of 0.02 ms per
-            # slab of EX4 at n = 2 on 2 vCPUs
-            z = lu.solve(w[0] * b[0] + w[1] * b[1], trans="T")
-            if not np.all(np.isfinite(z)):
-                raise RuntimeError(
-                    f"singular slab system at slab {m}: non-finite solve"
+    grid = problem.grid
+    fold = basis.T.tocsr()
+    m0, spatial = (
+        fold @ (m @ basis) for m in (problem.m0mat, problem.m1mat + problem.operator)
+    )
+    forcing = [(g, fold @ b) for g, b in problem.forcing]
+    prev = fold @ (problem.m0mat @ problem.u0)
+    h_run = 0.0  # length of the first slab of the current run
+    for m in range(1, grid.num_slabs + 1):
+        rule = build_radau_rule(grid.slab(m), problem.rho)
+        if abs(rule.h - h_run) > 1e-12 * h_run:
+            h_run = rule.h
+            lam, v, w = _temporal_pencil(rule)
+            # release the previous run's LU before factorising, so
+            # that two factorisations are not alive at the peak
+            lu = None
+            try:
+                lu = splu(
+                    (lam * m0 + spatial).T,
+                    permc_spec="NATURAL",
+                    diag_pivot_thresh=_DIAG_PIVOT_THRESH,
                 )
-            prev = m0 @ (TRACE_RIGHT @ (y := 2.0 * np.outer(v, z).real))
-            yield m, y
+            except RuntimeError as exc:
+                raise RuntimeError(
+                    f"singular slab system at slab {m}: {exc}"
+                ) from exc
+        b = _slab_rhs(forcing, rule, prev)
+        # elementwise, not w @ b: numpy sends that complex-by-real product
+        # to a threaded BLAS gemv, measured at 6 ms instead of 0.02 ms per
+        # slab of EX4 at n = 2 on 2 vCPUs
+        z = lu.solve(w[0] * b[0] + w[1] * b[1], trans="T")
+        if not np.all(np.isfinite(z)):
+            raise RuntimeError(
+                f"singular slab system at slab {m}: non-finite solve"
+            )
+        prev = m0 @ (TRACE_RIGHT @ (y := 2.0 * np.outer(v, z).real))
+        yield m, y
 
 
 def solve_evolution(problem):

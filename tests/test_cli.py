@@ -87,6 +87,15 @@ class TestOracle:
         assert "--n" in err
         assert out == ""
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_ode_index_below_one(self, capsys, n):
+        code, out, err = run_cli(
+            capsys, "oracle", "--which", "ode", "--n", n, "--t", "1.0", "--x", "0.25"
+        )
+        assert code == 3
+        assert "oscillation index n must be a positive integer" in err
+        assert out == ""
+
 
 class TestRun:
     def test_norm_rows(self, capsys):
@@ -308,7 +317,7 @@ class TestDescribe:
         assert "example   EX3" in out
         assert "component u: 80 dof" in out
         assert "component v: 80 dof" in out
-        assert "320 per slab" in out
+        assert "160 complex per slab on the solve basis, of 160 stacked DOFs" in out
 
     def test_default_n(self, capsys):
         code, out, _ = run_cli(capsys, "describe", "--example", "EX1")

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from evohom.analytic import ode_exact
 from evohom.experiments import ExperimentSpec, convergence_sweep, oracle_pairing_series
 from evohom.fields import Constant, SineOsc, StripeIndicator
 from evohom.homogenise import cell_problem_oracle, schur_blocks, schur_distance
@@ -34,6 +35,11 @@ SITES = {
     ),
     "TimeGrid.uniform": (lambda c: TimeGrid.uniform(1.0, c), 1, "need at least one slab"),
     "SineOsc": (SineOsc, 1, "oscillation index n must be a positive integer"),
+    "ode_exact": (
+        lambda c: ode_exact(c, 1.0, 0.25),
+        1,
+        "oscillation index n must be a positive integer",
+    ),
     "StripeIndicator": (StripeIndicator, 1, "stripe index n must be a positive integer"),
     "example_material": (
         lambda c: example_material("EX2", c),

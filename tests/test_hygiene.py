@@ -485,6 +485,67 @@ def test_meshes_are_built_by_the_family_mesh_builder_only():
     assert mesh_builds(modules) == []
 
 
+def blas_thread_settings(modules):
+    """``module:line`` of every ``ctypes`` import and every name, attribute,
+    argument or string constant containing ``num_threads`` (in any case) in
+    ``modules`` (module name -> source) outside ``blas``.  Docstrings and
+    other statement-level strings are not settings."""
+    found = []
+    for mod, src in modules.items():
+        if mod == "blas":
+            continue
+        tree = ast.parse(src)
+        docs = {
+            id(node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                hit = any(n.split(".")[0] == "ctypes" for n in names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                hit = id(node) not in docs and "num_threads" in node.value.lower()
+            else:
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                name = name or getattr(node, "arg", None)  # an argument or keyword
+                hit = isinstance(name, str) and "num_threads" in name.lower()
+            if hit:
+                found.append(f"{mod}:{node.lineno}")
+    return sorted(found)
+
+
+def test_scanner_finds_a_blas_thread_setting_outside_blas():
+    modules = {
+        "blas": "import ctypes\nlib = ctypes.CDLL('x')\nlib.openblas_set_num_threads(1)\n",
+        "solver": (
+            '"""OPENBLAS_NUM_THREADS and ctypes in a docstring are no settings."""\n'
+            "import ctypes\n"
+            "ctypes.CDLL('x').openblas_set_num_threads(1)\n"
+            "from ctypes import CDLL\n"
+        ),
+        "experiments": (
+            "import os\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+            "def run(num_threads):\n    return num_threads\n"
+        ),
+    }
+    assert blas_thread_settings(modules) == [
+        "experiments:2",
+        "experiments:3",
+        "experiments:4",
+        "solver:2",
+        "solver:3",
+        "solver:4",
+    ]
+
+
+def test_blas_threads_are_set_in_blas_only():
+    # the process keeps one BLAS thread, set once by blas.set_one_thread
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert blas_thread_settings(modules) == []
+
+
 if __name__ == "__main__":
     # the package's size: its lines (as ``wc -l`` counts them) and its
     # defaulted parameters; run as ``PYTHONPATH=src python tests/test_hygiene.py``

@@ -164,6 +164,25 @@ class TestPairingCallable:
             pairing(1.0, "1", grid=TimeGrid.uniform(1.0, 2))
 
 
+EMPTY = [(1.0, 0.0), (0.5, 0.5), (0.5, 0.5 + 1e-11)]  # within 1e-10, reversed
+NON_FINITE = [(0.0, math.nan), (0.0, math.inf)]
+
+
+@pytest.mark.parametrize(
+    "path, domain",
+    [("solution", d) for d in EMPTY] + [("callable", d) for d in EMPTY + NON_FINITE],
+)
+def test_pairing_refuses_an_empty_domain(path, domain):
+    # u(t, x) = t * x as a solution, x as a callable
+    grid = TimeGrid.uniform(1.0, 2)
+    if path == "solution":
+        u, extra = _linear_solution(fn=lambda x: x, grid=grid), {}
+    else:
+        u, extra = (lambda t, x: x), {"grid": grid}
+    with pytest.raises(ValueError, match="empty restriction interval"):
+        pairing(u, "1", domain=domain, **extra)
+
+
 class TestPairingSolution:
     def test_linear_exact_values(self):
         sol = _linear_solution(fn=lambda x: x)  # u = t*x
